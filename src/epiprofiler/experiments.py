@@ -15,13 +15,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .network import generate_erdos_renyi, hop_distances
-from .profiler import DecayKind, DecaySpec, hit_score, likeliness_scores
+from .profiler import DecayKind, DecayProfile, DecaySpec, hit_score
 from .simulator import (
     EpidemicParams,
     InitialCondition,
     ObservableKind,
     SimulationDiverged,
     ZeroVarianceError,
+    _step_multiple,
     initial_correlation,
     simulate,
     synthesize_dataset,
@@ -58,6 +59,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates!r}")
+        if self.n_nodes < 2:
+            raise ValueError(f"nodes must be >= 2, got {self.n_nodes!r}")
+        if not 0 < self.mean_degree < self.n_nodes:
+            raise ValueError(f"mean_degree must lie in (0, {self.n_nodes}), got {self.mean_degree!r}")
+        for name in ("population", "sim_dt", "report_dt", "delta_t"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        _step_multiple(self.report_dt, self.sim_dt, "report_dt", "sim_dt")
+        _step_multiple(self.delta_t, self.report_dt, "delta_t", "report_dt")
+        share = self.population / self.n_nodes
+        if not 0 < self.index_cases <= share:
+            raise ValueError(
+                f"index_cases must lie in (0, population / nodes = {share!r}], got {self.index_cases!r}"
+            )
         if not self.decays:
             raise ValueError("at least one decay spec is required")
         object.__setattr__(self, "decays", tuple(self.decays))
@@ -136,27 +151,31 @@ def _replicate_parts(cfg: ExperimentConfig, rep: int):
     return net, source, traj
 
 
-def _score_grid(traj, dist, source, cfg, specs, kind) -> np.ndarray:
-    """Hit scores shaped (len(specs), len(times)) for one replicate."""
-    out = np.empty((len(specs), len(cfg.observation_times)))
-    for t_idx, t in enumerate(cfg.observation_times):
-        data = synthesize_dataset(traj, t, cfg.delta_t, kind)
-        for s_idx, spec in enumerate(specs):
-            result = likeliness_scores(dist, data, spec)
-            out[s_idx, t_idx] = hit_score(result, source)
+def _score_grid(traj, dist, source, cfg, specs, kinds) -> np.ndarray:
+    """Hit scores shaped (len(kinds), len(specs), len(times)) for one
+    replicate. Each spec's decay profile is built once and scores every
+    observation of every kind."""
+    times = cfg.observation_times
+    datasets = [[synthesize_dataset(traj, t, cfg.delta_t, kind) for t in times] for kind in kinds]
+    out = np.empty((len(kinds), len(specs), len(times)))
+    for s_idx, spec in enumerate(specs):
+        profile = DecayProfile.build(dist, spec)
+        for k_idx, row in enumerate(datasets):
+            for t_idx, data in enumerate(row):
+                out[k_idx, s_idx, t_idx] = hit_score(profile.score(data.values), source)
     return out
 
 
 def _hit_replicate(cfg: ExperimentConfig, rep: int):
     net, source, traj = _replicate_parts(cfg, rep)
     dist = hop_distances(net)
-    return traj.checksum(), _score_grid(traj, dist, source, cfg, cfg.decays, cfg.kind)
+    return traj.checksum(), _score_grid(traj, dist, source, cfg, cfg.decays, (cfg.kind,))[0]
 
 
 def _correlation_replicate(cfg: ExperimentConfig, rep: int):
     net, source, traj = _replicate_parts(cfg, rep)
     dist = hop_distances(net)
-    scores = _score_grid(traj, dist, source, cfg, cfg.decays, cfg.kind)
+    scores = _score_grid(traj, dist, source, cfg, cfg.decays, (cfg.kind,))[0]
     correlations = np.empty(len(cfg.observation_times))
     valid = np.ones(len(cfg.observation_times), dtype=bool)
     for t_idx, t in enumerate(cfg.observation_times):
@@ -171,17 +190,16 @@ def _correlation_replicate(cfg: ExperimentConfig, rep: int):
 def _observables_replicate(cfg: ExperimentConfig, rep: int):
     net, source, traj = _replicate_parts(cfg, rep)
     dist = hop_distances(net)
-    per_kind = {
-        kind: _score_grid(traj, dist, source, cfg, cfg.decays, kind) for kind in ObservableKind
-    }
-    return traj.checksum(), per_kind
+    kinds = tuple(ObservableKind)
+    grid = _score_grid(traj, dist, source, cfg, cfg.decays, kinds)
+    return traj.checksum(), dict(zip(kinds, grid))
 
 
 def _sweep_replicate(cfg: ExperimentConfig, rep: int):
     net, source, traj = _replicate_parts(cfg, rep)
     dist = hop_distances(net)
     # cfg.decays holds one spec per grid value; mean over the time grid.
-    scores = _score_grid(traj, dist, source, cfg, cfg.decays, cfg.kind)
+    scores = _score_grid(traj, dist, source, cfg, cfg.decays, (cfg.kind,))[0]
     return traj.checksum(), scores.mean(axis=1)
 
 
@@ -402,14 +420,24 @@ class ExperimentFile:
     sweep_grid: tuple[float, ...] = ()
 
 
+def _number(value, field: str, where: str) -> float:
+    """A finite JSON number; booleans are not numbers here."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        ok = ok and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        ok = False
+    if not ok:
+        raise ConfigError(f"{where}: field {field} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _require(mapping: dict, key: str, types, where: str):
     if key not in mapping:
         raise ConfigError(f"{where}: missing required field {key!r}")
     value = mapping[key]
     if types is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}: field {key!r} must be a number, got {value!r}")
-        return float(value)
+        return _number(value, repr(key), where)
     if types is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{where}: field {key!r} must be an integer, got {value!r}")
@@ -440,8 +468,11 @@ def experiment_file_from_dict(raw: dict, where: str = "config") -> ExperimentFil
     for idx, entry in enumerate(decays_raw):
         if not isinstance(entry, dict) or "kind" not in entry:
             raise ConfigError(f"{where}: decays[{idx}] must be an object with a 'kind' field")
+        param = entry.get("param")
+        if param is not None:
+            param = _number(param, f"'decays[{idx}].param'", where)
         try:
-            decays.append(DecaySpec(DecayKind(entry["kind"]), entry.get("param")))
+            decays.append(DecaySpec(DecayKind(entry["kind"]), param))
         except ValueError as exc:
             raise ConfigError(f"{where}: decays[{idx}]: {exc}") from exc
     kwargs = {}
@@ -459,7 +490,9 @@ def experiment_file_from_dict(raw: dict, where: str = "config") -> ExperimentFil
             kwargs[attr] = _require(raw, key, typ, where)
     if "observation_times" in raw:
         times = _require(raw, "observation_times", list, where)
-        kwargs["observation_times"] = tuple(float(t) for t in times)
+        kwargs["observation_times"] = tuple(
+            _number(t, f"'observation_times[{idx}]'", where) for idx, t in enumerate(times)
+        )
     if "observable" in raw:
         try:
             kwargs["kind"] = ObservableKind(_require(raw, "observable", str, where))
@@ -497,7 +530,14 @@ def experiment_file_from_dict(raw: dict, where: str = "config") -> ExperimentFil
         grid = _require(sweep, "grid", list, f"{where}.sweep")
         if not grid:
             raise ConfigError(f"{where}.sweep: field 'grid' must not be empty")
-        sweep_grid = tuple(float(p) for p in grid)
+        values = []
+        for idx, p in enumerate(grid):
+            values.append(_number(p, f"'sweep.grid[{idx}]'", where))
+            try:
+                DecaySpec(sweep_kind, values[-1])
+            except ValueError as exc:
+                raise ConfigError(f"{where}.sweep: grid[{idx}]: {exc}") from exc
+        sweep_grid = tuple(values)
     return ExperimentFile(cfg, experiment, sweep_kind, sweep_grid)
 
 

@@ -3,7 +3,6 @@ and the degree-weighted mobility law used by the simulator."""
 from __future__ import annotations
 
 import csv
-from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
@@ -73,9 +72,6 @@ class Network:
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[i])
-
 
 @dataclass(frozen=True)
 class DistanceMatrix:
@@ -92,9 +88,6 @@ class DistanceMatrix:
     @property
     def n(self) -> int:
         return self.d.shape[0]
-
-    def reachable(self) -> np.ndarray:
-        return self.d >= 0
 
 
 @dataclass(frozen=True)
@@ -127,47 +120,87 @@ def generate_erdos_renyi(n: int, mean_degree: float, seed) -> Network:
         raise ValueError(f"mean_degree must lie in (0, {n}), got {mean_degree!r}")
     p = mean_degree / (n - 1)
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    present = rng.random(iu.size) < p
-    adj = np.zeros((n, n), dtype=np.int64)
-    adj[iu[present], ju[present]] = 1
-    adj |= adj.T
+    adj = np.zeros((n, n), dtype=bool)  # Network stores its own int64 copy
+    # Pairs (i, j > i) in row-major order, one row of uniforms at a time:
+    # the same stream as one draw over the whole upper triangle, without
+    # its n^2/2-sized index and uniform arrays.
+    for i in range(n - 1):
+        row = rng.random(n - 1 - i) < p
+        adj[i, i + 1 :] = row
+        adj[i + 1 :, i] = row
     return Network(adj)
 
 
+# Sources x nodes covered by one BFS block, which bounds the (source, node)
+# pairs a frontier can hold.
+_BFS_BLOCK_PAIRS = 1 << 15
+
+
 def hop_distances(net: Network) -> DistanceMatrix:
-    """Breadth-first all-pairs shortest hop counts."""
+    """Breadth-first all-pairs shortest hop counts.
+
+    A level-synchronous BFS over the CSR edge list runs from a block of
+    sources at once; a frontier is a list of (source, node) pairs, so each
+    level costs time proportional to the edges it expands.
+    """
     n = net.n
-    neighbor_lists = [net.neighbors(i).tolist() for i in range(n)]
+    src, dst = np.nonzero(net.adjacency)  # row-major, so dst is CSR-ordered
+    degree = np.bincount(src, minlength=n)
+    first_edge = np.zeros(n, dtype=np.intp)
+    np.cumsum(degree[:-1], out=first_edge[1:])
     d = np.full((n, n), UNREACHABLE, dtype=np.int64)
-    for s in range(n):
-        row = d[s]
-        row[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = row[u]
-            for v in neighbor_lists[u]:
-                if row[v] < 0:
-                    row[v] = du + 1
-                    queue.append(v)
+    block = max(1, min(n, _BFS_BLOCK_PAIRS // n))
+    for lo in range(0, n, block):
+        rows = d[lo : lo + block]
+        flat = rows.reshape(-1)  # view; key b * n + v is rows[b, v]
+        keys = np.arange(rows.shape[0]) * (n + 1) + lo
+        flat[keys] = 0
+        level = 0
+        while keys.size:
+            level += 1
+            owner, node = np.divmod(keys, n)
+            counts = degree[node]
+            total = int(counts.sum())
+            if total == 0:
+                break
+            # Key of every (source, neighbor) pair the frontier reaches.
+            ends = np.cumsum(counts)
+            edge = np.arange(total) + np.repeat(first_edge[node] - (ends - counts), counts)
+            keys = np.repeat(owner * n, counts) + dst[edge]
+            keys = keys[flat[keys] == UNREACHABLE]
+            # Keep one copy of each key: scatter distinct stamps, then keep
+            # the entry whose stamp survived.
+            stamps = UNREACHABLE - 1 - np.arange(keys.size)
+            flat[keys] = stamps
+            keys = keys[flat[keys] == stamps]
+            flat[keys] = level
     return DistanceMatrix(d)
 
 
-def mobility_matrix(net: Network, gamma: float) -> MobilityMatrix:
-    """Distribute the total per-node mobility rate over links.
+def mobility_edges(net: Network, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-link travel rates as a directed edge list ``(src, dst, rate)``.
 
-    The rate from node i to neighbor j is proportional to sqrt(k_i * k_j)
-    over the link weights in row i, scaled so each non-isolated row sums to
-    gamma. Isolated nodes get an all-zero row.
+    The rate from node i to neighbor j is proportional to sqrt(k_i * k_j),
+    scaled so the rates leaving each non-isolated node sum to gamma. Edges
+    come in row-major order (by source, then destination); isolated nodes
+    have none.
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
+    src, dst = np.nonzero(net.adjacency)
     k = net.degrees().astype(float)
-    w = net.adjacency * np.sqrt(np.outer(k, k))
-    row_sums = w.sum(axis=1)
-    scale = np.divide(gamma, row_sums, out=np.zeros_like(row_sums), where=row_sums > 0)
-    return MobilityMatrix(w * scale[:, None])
+    w = np.sqrt(k[src] * k[dst])
+    row_sums = np.bincount(src, weights=w, minlength=net.n)
+    return src, dst, w * (gamma / row_sums[src])
+
+
+def mobility_matrix(net: Network, gamma: float) -> MobilityMatrix:
+    """Dense view of :func:`mobility_edges`: row i holds the rates from node
+    i to its neighbors and is all zero for an isolated node."""
+    src, dst, rate = mobility_edges(net, gamma)
+    g = np.zeros((net.n, net.n))
+    g[src, dst] = rate
+    return MobilityMatrix(g)
 
 
 def is_interchangeable(dist: DistanceMatrix, nodes: Sequence[int]) -> bool:

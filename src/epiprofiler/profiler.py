@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import DistanceMatrix
+from .network import UNREACHABLE, DistanceMatrix
 from .simulator import Dataset
 
 # Above this, d! overflows comfort; switch to the log-gamma route.
@@ -43,11 +43,6 @@ class DecaySpec:
                 raise ValueError(f"{kind.value} decay needs a positive parameter, got {self.param!r}")
             object.__setattr__(self, "param", float(self.param))
 
-    def describe(self) -> str:
-        if self.param is None:
-            return self.kind.value
-        return f"{self.kind.value}({self.param:g})"
-
 
 def decay_weight(spec: DecaySpec, d: int) -> float:
     """Weight of case mass at hop distance d from a candidate source.
@@ -71,11 +66,17 @@ def decay_weight(spec: DecaySpec, d: int) -> float:
 
 
 def decay_weights(spec: DecaySpec, distances: np.ndarray) -> np.ndarray:
-    """Vectorized decay_weight over an integer hop-distance array."""
+    """Vectorized decay_weight over an integer hop-distance array.
+
+    One gather from a table of the weights at distances 0..max, whose
+    trailing 0.0 slot is where UNREACHABLE (-1) lands.
+    """
     d = np.asarray(distances)
+    if d.size and d.min() < UNREACHABLE:
+        d = np.maximum(d, UNREACHABLE)
     max_d = int(d.max()) if d.size else 0
-    table = np.array([decay_weight(spec, k) for k in range(max(max_d, 0) + 1)])
-    return np.where(d >= 0, table[np.maximum(d, 0)], 0.0)
+    table = [decay_weight(spec, k) for k in range(max(max_d, 0) + 1)]
+    return np.array(table + [0.0])[d]
 
 
 @dataclass(frozen=True)
@@ -113,28 +114,56 @@ def _rank_descending(scores: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(n), -scores))
 
 
-def likeliness_scores(dist: DistanceMatrix, data: Dataset, spec: DecaySpec) -> LikelinessResult:
-    """Score every candidate source against an observation snapshot.
+# Rows x columns of one row-norm block: bounds the squared-weight temporary.
+_NORM_BLOCK_ELEMENTS = 1 << 16
 
-    Each candidate's decay profile over hop distances is compared with the
-    observation vector by normalized scalar product (Euclidean norms), so
-    scaling the observations leaves scores unchanged. An all-zero observation
-    vector yields all-zero scores with the degenerate flag set instead of an
-    error, so day-by-day pipelines can proceed past empty days.
-    """
-    values = data.values
-    n = dist.n
-    if values.shape[0] != n:
-        raise ValueError(f"dataset has {values.shape[0]} entries but the network has {n} nodes")
-    weights = decay_weights(spec, dist.d)
-    data_norm = float(np.linalg.norm(values))
-    if data_norm == 0.0:
-        scores = np.zeros(n)
-        return LikelinessResult(scores, np.arange(n), degenerate=True)
-    # Profile norms are >= 1 because every kind gives weight 1 at distance 0.
-    profile_norms = np.linalg.norm(weights, axis=1)
-    scores = (weights @ values) / (profile_norms * data_norm)
-    return LikelinessResult(scores, _rank_descending(scores), degenerate=False)
+
+@dataclass(frozen=True)
+class DecayProfile:
+    """Every candidate source's decay weights over hop distances (one row per
+    candidate) with the rows' Euclidean norms. Build it once per distance
+    matrix and decay spec, then score any number of observation vectors."""
+
+    weights: np.ndarray
+    norms: np.ndarray
+
+    @classmethod
+    def build(cls, dist: DistanceMatrix, spec: DecaySpec) -> "DecayProfile":
+        weights = decay_weights(spec, dist.d)
+        n = dist.n
+        norms = np.empty(n)
+        # Row blocks sum each row pairwise exactly as a whole-matrix norm
+        # would, without a second n x n temporary.
+        block = max(1, _NORM_BLOCK_ELEMENTS // max(n, 1))
+        for lo in range(0, n, block):
+            rows = weights[lo : lo + block]
+            norms[lo : lo + block] = np.sqrt(np.add.reduce(rows * rows, axis=1))
+        return cls(weights, norms)
+
+    def score(self, values: np.ndarray) -> LikelinessResult:
+        """Score every candidate against one observation vector.
+
+        Each candidate's profile is compared with the observations by
+        normalized scalar product (Euclidean norms), so scaling the
+        observations leaves scores unchanged. An all-zero vector yields
+        all-zero scores with the degenerate flag set instead of an error, so
+        day-by-day pipelines can proceed past empty days.
+        """
+        n = self.norms.shape[0]
+        if values.shape[0] != n:
+            raise ValueError(f"dataset has {values.shape[0]} entries but the network has {n} nodes")
+        data_norm = float(np.linalg.norm(values))
+        if data_norm == 0.0:
+            return LikelinessResult(np.zeros(n), np.arange(n), degenerate=True)
+        # Profile norms are >= 1 because every kind gives weight 1 at distance 0.
+        scores = (self.weights @ values) / (self.norms * data_norm)
+        return LikelinessResult(scores, _rank_descending(scores), degenerate=False)
+
+
+def likeliness_scores(dist: DistanceMatrix, data: Dataset, spec: DecaySpec) -> LikelinessResult:
+    """Score every candidate source against an observation snapshot; see
+    :meth:`DecayProfile.score`."""
+    return DecayProfile.build(dist, spec).score(data.values)
 
 
 def hit_score(result: LikelinessResult, source: int, n: int | None = None) -> float:

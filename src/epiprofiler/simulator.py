@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import Network, mobility_matrix
+from .network import Network, mobility_edges
 
 
 class SimulationDiverged(RuntimeError):
@@ -225,6 +225,9 @@ def simulate(
     at zero, so cumulative cases never decrease. With ``noise=False`` the
     integration reduces to deterministic Euler on the drift terms.
 
+    Migration runs over the directed edge list of :func:`mobility_edges`, so
+    a step costs O(N + E) for N nodes and E directed edges.
+
     ``force_of_infection_cases`` switches the case counter from the plain
     infection rate (alpha * infectious) to the frustrated force of infection;
     it is off by default and exists for sensitivity checks.
@@ -249,39 +252,31 @@ def simulate(
     seed_tuple = _normalize_seed(seed)
 
     if params.gamma > 0:
-        g = mobility_matrix(net, params.gamma).g
+        src_e, dst_e, rate_e = mobility_edges(net, params.gamma)
     else:
-        g = np.zeros((n, n))
-    g_t = np.ascontiguousarray(g.T)
-    leave_rate = g.sum(axis=1)
-    src_e, dst_e = np.nonzero(g)
-    rate_e = g[src_e, dst_e].copy()
+        src_e = dst_e = np.zeros(0, dtype=np.intp)
+        rate_e = np.zeros(0)
     ne = src_e.size
+    # The state is S, I and R stacked into one vector of 3N slots; edge e of
+    # compartment c runs from slot c*N + src_e[e] to slot c*N + dst_e[e].
+    src3 = (src_e + n * np.arange(3)[:, None]).ravel()
+    dst3 = (dst_e + n * np.arange(3)[:, None]).ravel()
+    rate3_dt = np.tile(rate_e * sim_dt, 3)
+    leave3_dt = np.bincount(src3, weights=rate3_dt, minlength=3 * n)
 
-    sus = np.full(n, share)
-    inf = np.zeros(n)
-    rem = np.zeros(n)
+    x = np.zeros(3 * n)
+    x[:n] = share
+    x[init.source] -= init.index_cases
+    x[n + init.source] = init.index_cases
     cases = np.zeros(n)
-    sus[init.source] -= init.index_cases
-    inf[init.source] = init.index_cases
     cases[init.source] = init.index_cases
 
-    out_shape = (n_reports + 1, n)
-    out_s = np.empty(out_shape)
-    out_i = np.empty(out_shape)
-    out_r = np.empty(out_shape)
-    out_j = np.empty(out_shape)
-    out_s[0], out_i[0], out_r[0], out_j[0] = sus, inf, rem, cases
+    out_x = np.empty((3, n_reports + 1, n))
+    out_j = np.empty((n_reports + 1, n))
+    out_x[:, 0], out_j[0] = x.reshape(3, n), cases
 
     rng = np.random.default_rng(seed_tuple) if noise else None
-    sqrt_dt = math.sqrt(sim_dt)
-    alpha, beta = params.alpha, params.beta
-
-    def migration_noise(state, z_in, z_out):
-        amp = np.sqrt(rate_e * state[src_e])
-        gain = np.bincount(dst_e, weights=amp * z_in, minlength=n)
-        loss = np.bincount(src_e, weights=amp * z_out, minlength=n)
-        return gain - loss
+    alpha_dt, beta_dt = params.alpha * sim_dt, params.beta * sim_dt
 
     step = 0
     for report in range(1, n_reports + 1):
@@ -289,56 +284,45 @@ def simulate(
         # arithmetic may produce inf/nan without warning spam.
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(steps_per_report):
-                total = sus + inf + rem
+                # Expected events this step: infections, removals, new cases,
+                # and the mass moved along each edge of each compartment.
+                sus, inf = x[:n], x[n : 2 * n]
+                total = sus + inf + x[2 * n :]
                 frac = np.divide(sus * inf, total, out=np.zeros(n), where=total > 0)
-                force = alpha * frac
-                removal = beta * inf
-                case_rate = force if force_of_infection_cases else alpha * inf
-
-                d_sus = (-force + g_t @ sus - leave_rate * sus) * sim_dt
-                d_inf = (force - removal + g_t @ inf - leave_rate * inf) * sim_dt
-                d_rem = (removal + g_t @ rem - leave_rate * rem) * sim_dt
-                d_cases = case_rate * sim_dt
+                infect = alpha_dt * frac
+                remove = beta_dt * inf
+                grow = infect if force_of_infection_cases else alpha_dt * inf
+                moved = rate3_dt * x[src3]
 
                 if noise:
+                    # Channel layout: infection, removal, then per compartment
+                    # the inflow and the outflow noise of every edge.
                     z = rng.standard_normal(2 * n + 6 * ne)
                     z_force = z[:n]
-                    z_removal = z[n : 2 * n]
-                    base = 2 * n
-                    force_noise = np.sqrt(force) * z_force * sqrt_dt
-                    removal_noise = np.sqrt(removal) * z_removal * sqrt_dt
-                    d_sus += -force_noise + migration_noise(
-                        sus, z[base : base + ne], z[base + ne : base + 2 * ne]
-                    ) * sqrt_dt
-                    d_inf += force_noise - removal_noise + migration_noise(
-                        inf, z[base + 2 * ne : base + 3 * ne], z[base + 3 * ne : base + 4 * ne]
-                    ) * sqrt_dt
-                    d_rem += removal_noise + migration_noise(
-                        rem, z[base + 4 * ne : base + 5 * ne], z[base + 5 * ne : base + 6 * ne]
-                    ) * sqrt_dt
-                    d_cases += np.sqrt(case_rate) * z_force * sqrt_dt
+                    z_mig = z[2 * n :].reshape(3, 2, ne)
+                    amp = np.sqrt(moved).reshape(3, ne)
+                    out_noise = np.bincount(src3, weights=(amp * z_mig[:, 1]).ravel(), minlength=3 * n)
+                    moved = moved + (amp * z_mig[:, 0]).ravel()
+                    grow = grow + np.sqrt(grow) * z_force
+                    infect = infect + np.sqrt(infect) * z_force
+                    remove = remove + np.sqrt(remove) * z[n : 2 * n]
 
-                sus = np.maximum(sus + d_sus, 0.0)
-                inf = np.maximum(inf + d_inf, 0.0)
-                rem = np.maximum(rem + d_rem, 0.0)
-                cases = cases + np.maximum(d_cases, 0.0)
+                d = np.bincount(dst3, weights=moved, minlength=3 * n) - leave3_dt * x
+                if noise:
+                    d -= out_noise
+                d[:n] -= infect
+                d[n : 2 * n] += infect - remove
+                d[2 * n :] += remove
+                x = np.maximum(x + d, 0.0)
+                cases = cases + np.maximum(grow, 0.0)
                 step += 1
 
         # Non-finite values persist once they appear, so checking at report
         # boundaries still catches every divergence.
-        if not (
-            np.isfinite(sus).all()
-            and np.isfinite(inf).all()
-            and np.isfinite(rem).all()
-            and np.isfinite(cases).all()
-        ):
+        if not (np.isfinite(x).all() and np.isfinite(cases).all()):
             t_fail = step * sim_dt
-            for name, vec in (
-                ("susceptible", sus),
-                ("infectious", inf),
-                ("removed", rem),
-                ("cases", cases),
-            ):
+            vectors = (*x.reshape(3, n), cases)
+            for name, vec in zip(("susceptible", "infectious", "removed", "cases"), vectors):
                 bad = np.flatnonzero(~np.isfinite(vec))
                 if bad.size:
                     node = int(bad[0])
@@ -346,16 +330,16 @@ def simulate(
                         f"non-finite {name} at node {net.labels[node]} "
                         f"(index {node}) at t={t_fail:.6g}"
                     )
-        out_s[report], out_i[report], out_r[report], out_j[report] = sus, inf, rem, cases
+        out_x[:, report], out_j[report] = x.reshape(3, n), cases
 
     times = np.arange(n_reports + 1, dtype=float) * report_dt
-    for arr in (times, out_s, out_i, out_r, out_j):
+    for arr in (times, out_x, out_j):
         arr.setflags(write=False)
     return Trajectory(
         times=times,
-        susceptible=out_s,
-        infectious=out_i,
-        removed=out_r,
+        susceptible=out_x[0],
+        infectious=out_x[1],
+        removed=out_x[2],
         cases=out_j,
         network=net,
         params=params,

@@ -190,6 +190,24 @@ class TestEvaluateAndSweep:
         assert run("evaluate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 2
         assert "beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra,field", [
+        ({"observation_times": ["a"]}, "observation_times[0]"),
+        ({"observation_times": [True]}, "observation_times[0]"),
+        ({"decays": [{"kind": "polynomial", "param": "0.5"}]}, "decays[0].param"),
+        ({"decays": [{"kind": "polynomial", "param": True}]}, "decays[0].param"),
+        ({"sim_dt": 0.0}, "sim_dt"),
+        ({"sim_dt": -1.0}, "sim_dt"),
+        ({"sim_dt": 0.03}, "sim_dt"),
+        ({"nodes": 1}, "nodes"),
+    ])
+    def test_invalid_config_value_exits_2_naming_field(self, tmp_path, capsys, extra, field):
+        cfg = small_config(tmp_path, **extra)
+        out = tmp_path / "x.csv"
+        assert run("evaluate", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not out.exists()
+
     def test_correlation_mode(self, tmp_path):
         cfg = small_config(tmp_path, experiment="correlation")
         out = tmp_path / "pairs.csv"

@@ -16,9 +16,12 @@ from epiprofiler.experiments import (
     sweep_decay_parameter,
     write_hit_curves_csv,
     write_sweep_csv,
+    _replicate_parts,
+    _score_grid,
 )
-from epiprofiler.profiler import DecayKind, DecaySpec
-from epiprofiler.simulator import EpidemicParams, ObservableKind, ZeroVarianceError
+from epiprofiler.network import hop_distances
+from epiprofiler.profiler import DecayKind, DecaySpec, hit_score, likeliness_scores
+from epiprofiler.simulator import EpidemicParams, ObservableKind, ZeroVarianceError, synthesize_dataset
 
 POLY = DecaySpec(DecayKind.POLYNOMIAL, 0.5)
 NAIVE = DecaySpec(DecayKind.NAIVE)
@@ -61,6 +64,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="reporting grid"):
             tiny_config(observation_times=(2.5,))
 
+    @pytest.mark.parametrize("overrides,field", [
+        (dict(n_nodes=1), "nodes"),
+        (dict(mean_degree=20.0), "mean_degree"),
+        (dict(sim_dt=0.0), "sim_dt"),
+        (dict(sim_dt=0.03), "sim_dt"),
+        (dict(delta_t=0.5), "delta_t"),
+        (dict(index_cases=2e4), "index_cases"),
+    ])
+    def test_rejects_values_that_would_fail_a_replicate(self, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            tiny_config(**overrides)
+
     def test_rejects_empty_decays(self):
         with pytest.raises(ValueError, match="decay"):
             tiny_config(decays=())
@@ -91,11 +106,31 @@ class TestHitExperiment:
         parallel = run_hit_experiment(cfg, workers=2)
         assert serial.mean == parallel.mean
         assert serial.trajectory_checksums == parallel.trajectory_checksums
+        assert hit_curve_rows("hit", serial) == hit_curve_rows("hit", parallel)
 
     def test_progress_callback_sees_every_replicate(self):
         seen = []
         run_hit_experiment(tiny_config(), progress=lambda done, total: seen.append((done, total)))
         assert seen == [(1, 3), (2, 3), (3, 3)]
+
+
+class TestScoreGrid:
+    def test_spec_major_grid_matches_per_pair_scoring(self):
+        # One profile per spec must give the same bits as rebuilding the
+        # weights for every (time, spec) pair.
+        specs = (POLY, NAIVE, DecaySpec(DecayKind.POWER, 2.0), DecaySpec(DecayKind.EXPONENTIAL, 0.05))
+        cfg = tiny_config(decays=specs, observation_times=(1.0, 2.0, 5.0, 10.0))
+        kinds = tuple(ObservableKind)
+        for rep in range(3):
+            net, source, traj = _replicate_parts(cfg, rep)
+            dist = hop_distances(net)
+            grid = _score_grid(traj, dist, source, cfg, specs, kinds)
+            for k_idx, kind in enumerate(kinds):
+                for t_idx, t in enumerate(cfg.observation_times):
+                    data = synthesize_dataset(traj, t, cfg.delta_t, kind)
+                    for s_idx, spec in enumerate(specs):
+                        want = hit_score(likeliness_scores(dist, data, spec), source)
+                        assert grid[k_idx, s_idx, t_idx] == want
 
 
 class TestPairedArms:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epiprofiler.network import (
     UNREACHABLE,
@@ -124,6 +126,18 @@ class TestHopDistances:
         k = float(rng.uniform(0.5, min(n - 1, 4)))
         net = generate_erdos_renyi(n, k, seed=(8, seed))
         assert np.array_equal(hop_distances(net).d, relaxation_distances(net.adjacency))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_relaxation_oracle_on_any_graph(self, data):
+        # Arbitrary edge sets: disconnected graphs, isolated nodes and N=1.
+        n = data.draw(st.integers(min_value=1, max_value=14), label="n")
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges") if pairs else []
+        adj = np.zeros((n, n), dtype=int)
+        for i, j in edges:
+            adj[i, j] = adj[j, i] = 1
+        assert np.array_equal(hop_distances(Network(adj)).d, relaxation_distances(adj))
 
     def test_adjacent_iff_distance_one(self):
         net = generate_erdos_renyi(40, 3.0, seed=3)

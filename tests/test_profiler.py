@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from epiprofiler.network import UNREACHABLE, DistanceMatrix, Network, generate_erdos_renyi, hop_distances
 from epiprofiler.profiler import (
     DecayKind,
+    DecayProfile,
     DecaySpec,
     LikelinessResult,
     decay_weight,
@@ -93,6 +94,12 @@ class TestDecayWeight:
         spec = DecaySpec(DecayKind.POWER, 2.0)
         w = decay_weight(spec, 500)
         assert 0.0 <= w < 1e-300
+
+    @pytest.mark.parametrize("spec", ALL_KINDS)
+    def test_vectorized_negative_distances_map_to_zero(self, spec):
+        got = decay_weights(spec, np.array([[0, -1], [-5, 2]]))
+        assert got[0, 1] == 0.0 and got[1, 0] == 0.0
+        assert got[0, 0] == 1.0 and got[1, 1] == decay_weight(spec, 2)
 
     def test_vectorized_matches_scalar(self):
         d = np.array([[0, 3, UNREACHABLE], [3, 0, 1], [UNREACHABLE, 1, 0]])
@@ -212,6 +219,27 @@ class TestLikelinessScores:
         dist = hop_distances(Network(adj))
         result = likeliness_scores(dist, new_cases([4.0, 2.0, 1.0, 0.0]), POLY_HALF)
         assert result.scores[3] == 0.0
+
+
+class TestDecayProfile:
+    def test_row_norms_bitwise_equal_whole_matrix_norms(self):
+        # n=300 spans two row blocks.
+        dist = hop_distances(generate_erdos_renyi(300, 2.0, seed=17))
+        for spec in ALL_KINDS:
+            profile = DecayProfile.build(dist, spec)
+            want = np.linalg.norm(decay_weights(spec, dist.d), axis=1)
+            assert np.array_equal(profile.norms, want)
+
+    def test_one_profile_scores_many_vectors(self):
+        dist = hop_distances(generate_erdos_renyi(40, 2.0, seed=18))
+        rng = np.random.default_rng(19)
+        profile = DecayProfile.build(dist, POLY_HALF)
+        for _ in range(5):
+            data = new_cases(rng.random(40))
+            got = profile.score(data.values)
+            want = likeliness_scores(dist, data, POLY_HALF)
+            assert np.array_equal(got.scores, want.scores)
+            assert np.array_equal(got.ranking, want.ranking)
 
 
 class TestHitScore:

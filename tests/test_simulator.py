@@ -87,6 +87,16 @@ class TestSimulate:
         totals = (traj.susceptible + traj.infectious + traj.removed).sum(axis=1)
         np.testing.assert_allclose(totals, 1e8, rtol=1e-6)
 
+    def test_population_conserved_without_noise_or_migration(self):
+        # gamma=0 leaves the edge list empty: only infection and removal act.
+        net = generate_erdos_renyi(50, 2.0, seed=22)
+        params = EpidemicParams(0.16, 0.04, 0.0)
+        traj = simulate(net, params, InitialCondition(4), 60.0, seed=0, noise=False)
+        totals = (traj.susceptible + traj.infectious + traj.removed).sum(axis=1)
+        np.testing.assert_allclose(totals, 1e8, rtol=1e-14)
+        # With no migration the outbreak never leaves the source node.
+        assert np.count_nonzero(traj.cases[-1]) == 1
+
     def test_identical_seeds_bit_identical(self):
         net = generate_erdos_renyi(30, 2.0, seed=5)
         a = simulate(net, HIGH_R_PARAMS, InitialCondition(2), 20.0, seed=(1, 2), noise=True)
