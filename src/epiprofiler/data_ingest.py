@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .network import Network, hop_distances
-from .profiler import DecaySpec, LikelinessResult, likeliness_scores
+from .profiler import DecayProfile, DecaySpec, LikelinessResult
 from .simulator import Dataset, ObservableKind
 
 log = logging.getLogger(__name__)
@@ -216,18 +216,19 @@ def rank_timeline(
     spec: DecaySpec,
     dates: Sequence[dt.date] | None = None,
 ) -> RankingTimeline:
-    """Score every day's snapshot against the network. Degenerate (all-zero)
-    days are kept, flagged, and carry the identity ranking."""
-    dist = hop_distances(net)
+    """Score every day's snapshot against the network, all against one
+    decay-weight matrix. Degenerate (all-zero) days are kept, flagged, and
+    carry the identity ranking."""
     if dates is not None and len(dates) != len(datasets):
         raise ValueError(f"got {len(dates)} dates for {len(datasets)} datasets")
+    profile = DecayProfile.build(hop_distances(net), spec)
     entries = []
     for idx, data in enumerate(datasets):
         if data.n != net.n:
             raise ValueError(
                 f"dataset {idx} has {data.n} regions but the network has {net.n} nodes"
             )
-        result = likeliness_scores(dist, data, spec)
+        result = profile.score(data.values)
         day_index = int(data.t_obs) if data.t_obs is not None else idx
         entries.append(TimelineEntry(day_index, dates[idx] if dates is not None else None, result))
     return RankingTimeline(net.labels, tuple(entries))

@@ -7,7 +7,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -212,6 +211,9 @@ def _run_replicates(job, cfg: ExperimentConfig, workers: int, progress: Progress
             if progress is not None:
                 progress(rep + 1, cfg.replicates)
         return results
+    # Imported here so a serial run never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(job, cfg, rep) for rep in reps]
         results = []

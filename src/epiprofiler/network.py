@@ -23,8 +23,9 @@ class Network:
     """Undirected transport network over region nodes.
 
     The adjacency matrix must be square with entries in {0, 1}, symmetric and
-    zero on the diagonal. Labels default to "n0".."n{N-1}". Instances are
-    immutable and safe to share across workers.
+    zero on the diagonal; it is stored as a read-only bool copy. Labels
+    default to "n0".."n{N-1}". Instances are immutable and safe to share
+    across workers.
     """
 
     adjacency: np.ndarray
@@ -37,11 +38,12 @@ class Network:
         n = adj.shape[0]
         if n < 1:
             raise ValueError("network needs at least one node")
-        bad = np.argwhere((adj != 0) & (adj != 1))
-        if bad.size:
-            i, j = bad[0]
-            raise ValueError(f"adjacency[{i}][{j}] = {adj[i, j]!r} is not 0 or 1")
-        adj = adj.astype(np.int64)
+        if adj.dtype != bool:
+            bad = np.argwhere((adj != 0) & (adj != 1))
+            if bad.size:
+                i, j = bad[0]
+                raise ValueError(f"adjacency[{i}][{j}] = {adj[i, j]!r} is not 0 or 1")
+        adj = adj.astype(bool)  # always a copy: 1 byte per entry
         diag = np.flatnonzero(np.diagonal(adj))
         if diag.size:
             i = diag[0]
@@ -50,8 +52,8 @@ class Network:
         if asym.size:
             i, j = asym[0]
             raise ValueError(
-                f"adjacency must be symmetric: adjacency[{i}][{j}]={adj[i, j]} "
-                f"but adjacency[{j}][{i}]={adj[j, i]}"
+                f"adjacency must be symmetric: adjacency[{i}][{j}]={adj[i, j]:d} "
+                f"but adjacency[{j}][{i}]={adj[j, i]:d}"
             )
         object.__setattr__(self, "adjacency", _readonly(adj))
         labels = self.labels
@@ -75,14 +77,27 @@ class Network:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """All-pairs hop counts; disconnected pairs hold UNREACHABLE."""
+    """All-pairs hop counts; disconnected pairs hold UNREACHABLE.
+
+    Stored as read-only int32 (a hop count is at most N - 1). Other integer
+    input is narrowed after checking that every value survives the cast.
+    """
 
     d: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.d, dtype=np.int64)
+        d = np.asarray(self.d)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {d.shape}")
+        if d.dtype != np.int32:
+            if not np.issubdtype(d.dtype, np.integer):
+                raise ValueError(f"distance matrix must hold integers, got dtype {d.dtype}")
+            narrow = d.astype(np.int32)
+            bad = np.argwhere(narrow != d)
+            if bad.size:
+                i, j = bad[0]
+                raise ValueError(f"distance d[{i}][{j}] = {d[i, j]} does not fit in int32")
+            d = narrow
         object.__setattr__(self, "d", _readonly(d))
 
     @property
@@ -120,7 +135,7 @@ def generate_erdos_renyi(n: int, mean_degree: float, seed) -> Network:
         raise ValueError(f"mean_degree must lie in (0, {n}), got {mean_degree!r}")
     p = mean_degree / (n - 1)
     rng = np.random.default_rng(seed)
-    adj = np.zeros((n, n), dtype=bool)  # Network stores its own int64 copy
+    adj = np.zeros((n, n), dtype=bool)
     # Pairs (i, j > i) in row-major order, one row of uniforms at a time:
     # the same stream as one draw over the whole upper triangle, without
     # its n^2/2-sized index and uniform arrays.
@@ -148,7 +163,7 @@ def hop_distances(net: Network) -> DistanceMatrix:
     degree = np.bincount(src, minlength=n)
     first_edge = np.zeros(n, dtype=np.intp)
     np.cumsum(degree[:-1], out=first_edge[1:])
-    d = np.full((n, n), UNREACHABLE, dtype=np.int64)
+    d = np.full((n, n), UNREACHABLE, dtype=np.int32)
     block = max(1, min(n, _BFS_BLOCK_PAIRS // n))
     for lo in range(0, n, block):
         rows = d[lo : lo + block]
@@ -169,7 +184,9 @@ def hop_distances(net: Network) -> DistanceMatrix:
             keys = np.repeat(owner * n, counts) + dst[edge]
             keys = keys[flat[keys] == UNREACHABLE]
             # Keep one copy of each key: scatter distinct stamps, then keep
-            # the entry whose stamp survived.
+            # the entry whose stamp survived. A level has at most
+            # rows * src.size stamps: under 2**30 while n <= 2**15 and twice
+            # the link count beyond, so they fit int32.
             stamps = UNREACHABLE - 1 - np.arange(keys.size)
             flat[keys] = stamps
             keys = keys[flat[keys] == stamps]
@@ -242,7 +259,7 @@ def load_adjacency(path) -> Network:
     n = len(labels)
     if len(rows) != n + 1:
         raise ValueError(f"{path}: expected {n} node rows after the label row, got {len(rows) - 1}")
-    adj = np.zeros((n, n), dtype=np.int64)
+    adj = np.zeros((n, n), dtype=bool)
     for i, row in enumerate(rows[1:]):
         if len(row) != n + 1:
             raise ValueError(f"{path}: row for {labels[i]!r} has {len(row)} cells, expected {n + 1}")
@@ -252,7 +269,7 @@ def load_adjacency(path) -> Network:
             text = cell.strip()
             if text not in ("0", "1"):
                 raise ValueError(f"{path}: cell ({labels[i]}, {labels[j]}) = {cell!r} is not 0 or 1")
-            adj[i, j] = int(text)
+            adj[i, j] = text == "1"
     try:
         return Network(adj, labels=labels)
     except ValueError as exc:

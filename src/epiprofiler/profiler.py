@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import csv
 import enum
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -186,17 +184,3 @@ def write_ranking_csv(result: LikelinessResult, labels, path) -> None:
         writer.writerow(["rank", "node_label", "score"])
         for pos, node in enumerate(result.ranking, start=1):
             writer.writerow([pos, labels[node], repr(float(result.scores[node]))])
-
-
-def write_ranking_json(result: LikelinessResult, labels, path) -> None:
-    labels = list(labels)
-    payload = {
-        "degenerate": result.degenerate,
-        "ranking": [
-            {"rank": pos, "node_label": labels[node], "score": float(result.scores[node])}
-            for pos, node in enumerate(result.ranking, start=1)
-        ],
-    }
-    with open(Path(path), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

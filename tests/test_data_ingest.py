@@ -16,7 +16,7 @@ from epiprofiler.data_ingest import (
     write_timeline_csv,
 )
 from epiprofiler.network import hop_distances, is_interchangeable, load_adjacency
-from epiprofiler.profiler import DecayKind, DecaySpec
+from epiprofiler.profiler import DecayKind, DecaySpec, likeliness_scores
 from epiprofiler.simulator import ObservableKind
 
 POLY = DecaySpec(DecayKind.POLYNOMIAL, 0.5)
@@ -254,6 +254,28 @@ class TestRankTimeline:
         bad = Dataset(np.zeros(5), ObservableKind.NEW_CASES)
         with pytest.raises(ValueError, match="nodes"):
             rank_timeline(sars_network, [bad], POLY)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DecaySpec(DecayKind.NAIVE),
+            DecaySpec(DecayKind.POWER, 2.0),
+            POLY,
+            DecaySpec(DecayKind.EXPONENTIAL, 0.05),
+        ],
+    )
+    def test_matches_per_day_scoring(self, sars_network, sars_series, spec):
+        # One weight matrix per timeline gives the same bits as rebuilding
+        # it for every day.
+        datasets = daily_deltas(filter_regions(sars_series), labels=sars_network.labels)
+        dist = hop_distances(sars_network)
+        timeline = rank_timeline(sars_network, datasets, spec)
+        assert len(timeline.entries) == len(datasets)
+        for data, entry in zip(datasets, timeline.entries):
+            want = likeliness_scores(dist, data, spec)
+            assert entry.result.scores.tobytes() == want.scores.tobytes()
+            assert np.array_equal(entry.result.ranking, want.ranking)
+            assert entry.result.degenerate == want.degenerate
 
     def test_timeline_csv_deterministic(self, tmp_path, sars_network, sars_series):
         filtered = filter_regions(sars_series)

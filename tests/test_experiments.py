@@ -108,6 +108,30 @@ class TestHitExperiment:
         assert serial.trajectory_checksums == parallel.trajectory_checksums
         assert hit_curve_rows("hit", serial) == hit_curve_rows("hit", parallel)
 
+    def test_serial_import_loads_no_process_pool(self):
+        # The pool machinery is imported only when workers > 1.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import epiprofiler
+
+        code = (
+            "import sys, epiprofiler.cli\n"
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
+        )
+        src = str(Path(epiprofiler.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_progress_callback_sees_every_replicate(self):
         seen = []
         run_hit_experiment(tiny_config(), progress=lambda done, total: seen.append((done, total)))

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epiprofiler.data_ingest import SARS_ADJACENCY_FILE, bundled_data_path
 from epiprofiler.network import (
     UNREACHABLE,
+    DistanceMatrix,
     Network,
     generate_erdos_renyi,
     hop_distances,
@@ -13,6 +17,7 @@ from epiprofiler.network import (
     mobility_matrix,
     save_adjacency,
 )
+from epiprofiler.profiler import DecayKind, DecaySpec, decay_weights
 
 
 def path_graph(n):
@@ -43,6 +48,21 @@ class TestNetworkValidation:
         with pytest.raises(ValueError, match=r"adjacency\[0\]\[1\]"):
             Network(adj)
 
+    @pytest.mark.parametrize("dtype,value", [(int, 2), (int, -1), (float, 2.0), (float, 0.5), (float, -1.0)])
+    def test_rejects_non_binary_entry_naming_cell(self, dtype, value):
+        adj = np.zeros((3, 3), dtype=dtype)
+        adj[0, 1] = adj[1, 0] = 1
+        adj[1, 2] = adj[2, 1] = value
+        with pytest.raises(ValueError, match=r"adjacency\[1\]\[2\] = .* is not 0 or 1"):
+            Network(adj)
+
+    def test_asymmetric_bool_message_reads_0_and_1(self):
+        adj = np.zeros((3, 3), dtype=bool)
+        adj[0, 1] = True
+        with pytest.raises(ValueError) as exc:
+            Network(adj)
+        assert str(exc.value).endswith("adjacency[0][1]=1 but adjacency[1][0]=0")
+
     def test_rejects_self_loop(self):
         adj = np.zeros((2, 2), dtype=int)
         adj[0, 0] = 1
@@ -67,6 +87,78 @@ class TestNetworkValidation:
         net = path_graph(3)
         with pytest.raises(ValueError):
             net.adjacency[0, 1] = 0
+
+
+class TestStorage:
+    """Each N x N array is kept in the narrowest dtype that holds it."""
+
+    @pytest.mark.parametrize("dtype", [bool, int, np.int8, float])
+    def test_adjacency_is_bool(self, dtype):
+        adj = np.zeros((3, 3), dtype=dtype)
+        adj[0, 1] = adj[1, 0] = 1
+        net = Network(adj)
+        assert net.adjacency.dtype == bool
+        assert net.adjacency.tolist() == [[False, True, False], [True, False, False], [False] * 3]
+        degrees = net.degrees()
+        assert degrees.dtype.kind == "i" and degrees.tolist() == [1, 1, 0]
+
+    def test_loaded_and_generated_adjacency_is_bool(self):
+        assert load_adjacency(bundled_data_path(SARS_ADJACENCY_FILE)).adjacency.dtype == bool
+        assert generate_erdos_renyi(10, 2.0, seed=1).adjacency.dtype == bool
+
+    def test_hop_distances_are_int32(self):
+        assert hop_distances(path_graph(4)).d.dtype == np.int32
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16, np.uint64])
+    def test_distance_matrix_narrows_integers(self, dtype):
+        d = DistanceMatrix(np.array([[0, 1], [1, 0]], dtype=dtype)).d
+        assert d.dtype == np.int32
+        assert d.tolist() == [[0, 1], [1, 0]]
+
+    def test_distance_matrix_keeps_negative_values(self):
+        assert DistanceMatrix([[0, -1], [-5, 0]]).d.tolist() == [[0, -1], [-5, 0]]
+
+    @pytest.mark.parametrize("dtype", [float, bool, object])
+    def test_distance_matrix_rejects_non_integer_dtype(self, dtype):
+        with pytest.raises(ValueError, match="integers"):
+            DistanceMatrix(np.zeros((2, 2), dtype=dtype))
+
+    @pytest.mark.parametrize(
+        "dtype,value", [(np.int64, 2**31), (np.int64, -(2**31) - 1), (np.uint64, 2**32), (np.uint64, 2**63)]
+    )
+    def test_distance_matrix_rejects_values_int32_cannot_hold(self, dtype, value):
+        d = np.zeros((3, 3), dtype=dtype)
+        d[2, 1] = value
+        with pytest.raises(ValueError, match=rf"d\[2\]\[1\] = {value} does not fit in int32"):
+            DistanceMatrix(d)
+
+    def test_memory_budget(self):
+        # tracemalloc sees numpy's allocations. An N x N int64 temporary
+        # (8 bytes per entry) on any of these paths breaks its budget. Mean
+        # degree 2 as in the acceptance ensembles: the BFS frontier grows
+        # with the degree.
+        n = 600
+        spec = DecaySpec(DecayKind.POLYNOMIAL, 0.5)
+        decay_weights(spec, hop_distances(generate_erdos_renyi(10, 2.0, seed=0)).d)  # first-call imports
+        tracemalloc.start()
+        try:
+            net = generate_erdos_renyi(n, 2.0, seed=1)
+            generate_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            dist = hop_distances(net)
+            bfs_peak = tracemalloc.get_traced_memory()[1] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            decay_weights(spec, dist.d)
+            gather_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert net.adjacency.nbytes == n * n
+        assert dist.d.nbytes == 4 * n * n
+        assert generate_peak <= 4 * n * n
+        assert bfs_peak <= 7 * n * n
+        assert gather_peak <= 9 * n * n  # the float64 weights, no int64 copy of d
 
 
 class TestErdosRenyi:
@@ -226,6 +318,14 @@ class TestAdjacencyCsv:
         loaded = load_adjacency(path)
         assert np.array_equal(loaded.adjacency, net.adjacency)
         assert loaded.labels == net.labels
+
+    def test_bundled_file_round_trips(self, tmp_path):
+        # Cell for cell: entries are written as 0/1, never True/False. The
+        # csv writer ends rows with \r\n where the bundled file has \n.
+        bundled = bundled_data_path(SARS_ADJACENCY_FILE)
+        path = tmp_path / "net.csv"
+        save_adjacency(load_adjacency(bundled), path)
+        assert path.read_bytes().splitlines() == bundled.read_bytes().splitlines()
 
     def test_load_rejects_bad_entry_naming_cell(self, tmp_path):
         path = tmp_path / "net.csv"

@@ -276,19 +276,6 @@ class TestHitScore:
 
 
 class TestRankingExport:
-    def test_json_includes_degenerate_flag(self, tmp_path):
-        import json
-
-        result = likeliness_scores(path_distances(3), new_cases([0, 0, 0]), POLY_HALF)
-        path = tmp_path / "ranking.json"
-        from epiprofiler.profiler import write_ranking_json
-
-        write_ranking_json(result, ["a", "b", "c"], path)
-        payload = json.loads(path.read_text())
-        assert payload["degenerate"] is True
-        assert [row["node_label"] for row in payload["ranking"]] == ["a", "b", "c"]
-        assert payload["ranking"][0]["rank"] == 1
-
     def test_csv_ranks_descending(self, tmp_path):
         from epiprofiler.profiler import write_ranking_csv
 
