@@ -216,19 +216,21 @@ def rank_timeline(
     spec: DecaySpec,
     dates: Sequence[dt.date] | None = None,
 ) -> RankingTimeline:
-    """Score every day's snapshot against the network, all against one
-    decay-weight matrix. Degenerate (all-zero) days are kept, flagged, and
+    """Score every day's snapshot against the network, all days in one batch
+    against one decay profile. Degenerate (all-zero) days are kept, flagged, and
     carry the identity ranking."""
     if dates is not None and len(dates) != len(datasets):
         raise ValueError(f"got {len(dates)} dates for {len(datasets)} datasets")
-    profile = DecayProfile.build(hop_distances(net), spec)
-    entries = []
     for idx, data in enumerate(datasets):
         if data.n != net.n:
             raise ValueError(
                 f"dataset {idx} has {data.n} regions but the network has {net.n} nodes"
             )
-        result = profile.score(data.values)
+    values = np.stack([data.values for data in datasets]) if datasets else np.empty((0, net.n))
+    scores, degenerate = DecayProfile.build(hop_distances(net), spec).score_batch(values)
+    entries = []
+    for idx, data in enumerate(datasets):
+        result = LikelinessResult.from_scores(scores[idx], degenerate[idx])
         day_index = int(data.t_obs) if data.t_obs is not None else idx
         entries.append(TimelineEntry(day_index, dates[idx] if dates is not None else None, result))
     return RankingTimeline(net.labels, tuple(entries))

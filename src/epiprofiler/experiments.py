@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .network import generate_erdos_renyi, hop_distances
-from .profiler import DecayKind, DecayProfile, DecaySpec, hit_score
+from .profiler import DecayKind, DecayProfile, DecaySpec, LikelinessResult, hit_score
 from .simulator import (
     EpidemicParams,
     InitialCondition,
@@ -152,16 +152,18 @@ def _replicate_parts(cfg: ExperimentConfig, rep: int):
 
 def _score_grid(traj, dist, source, cfg, specs, kinds) -> np.ndarray:
     """Hit scores shaped (len(kinds), len(specs), len(times)) for one
-    replicate. Each spec's decay profile is built once and scores every
-    observation of every kind."""
+    replicate. Every (kind, time) observation is stacked once, and each
+    spec's decay profile scores the whole stack in one batch."""
     times = cfg.observation_times
-    datasets = [[synthesize_dataset(traj, t, cfg.delta_t, kind) for t in times] for kind in kinds]
+    values = np.stack(
+        [synthesize_dataset(traj, t, cfg.delta_t, kind).values for kind in kinds for t in times]
+    )
     out = np.empty((len(kinds), len(specs), len(times)))
     for s_idx, spec in enumerate(specs):
-        profile = DecayProfile.build(dist, spec)
-        for k_idx, row in enumerate(datasets):
-            for t_idx, data in enumerate(row):
-                out[k_idx, s_idx, t_idx] = hit_score(profile.score(data.values), source)
+        scores, degenerate = DecayProfile.build(dist, spec).score_batch(values)
+        for row, (k_idx, t_idx) in enumerate(np.ndindex(len(kinds), len(times))):
+            result = LikelinessResult.from_scores(scores[row], degenerate[row])
+            out[k_idx, s_idx, t_idx] = hit_score(result, source)
     return out
 
 

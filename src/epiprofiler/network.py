@@ -149,6 +149,10 @@ def generate_erdos_renyi(n: int, mean_degree: float, seed) -> Network:
 # Sources x nodes covered by one BFS block, which bounds the (source, node)
 # pairs a frontier can hold.
 _BFS_BLOCK_PAIRS = 1 << 15
+# (source, neighbor) keys one expansion step makes at most (more only when a
+# single node has more neighbors), which bounds a level's scratch however
+# dense the network is.
+_BFS_CHUNK_KEYS = 1 << 13
 
 
 def hop_distances(net: Network) -> DistanceMatrix:
@@ -156,7 +160,9 @@ def hop_distances(net: Network) -> DistanceMatrix:
 
     A level-synchronous BFS over the CSR edge list runs from a block of
     sources at once; a frontier is a list of (source, node) pairs, so each
-    level costs time proportional to the edges it expands.
+    level costs time proportional to the edges it expands. A level is
+    expanded in chunks of at most ``_BFS_CHUNK_KEYS`` (source, neighbor)
+    keys.
     """
     n = net.n
     src, dst = np.nonzero(net.adjacency)  # row-major, so dst is CSR-ordered
@@ -168,29 +174,41 @@ def hop_distances(net: Network) -> DistanceMatrix:
     for lo in range(0, n, block):
         rows = d[lo : lo + block]
         flat = rows.reshape(-1)  # view; key b * n + v is rows[b, v]
-        keys = np.arange(rows.shape[0]) * (n + 1) + lo
-        flat[keys] = 0
+        frontier = np.arange(rows.shape[0]) * (n + 1) + lo
+        flat[frontier] = 0
         level = 0
-        while keys.size:
+        while frontier.size:
             level += 1
-            owner, node = np.divmod(keys, n)
-            counts = degree[node]
-            total = int(counts.sum())
-            if total == 0:
-                break
-            # Key of every (source, neighbor) pair the frontier reaches.
-            ends = np.cumsum(counts)
-            edge = np.arange(total) + np.repeat(first_edge[node] - (ends - counts), counts)
-            keys = np.repeat(owner * n, counts) + dst[edge]
-            keys = keys[flat[keys] == UNREACHABLE]
-            # Keep one copy of each key: scatter distinct stamps, then keep
-            # the entry whose stamp survived. A level has at most
-            # rows * src.size stamps: under 2**30 while n <= 2**15 and twice
-            # the link count beyond, so they fit int32.
-            stamps = UNREACHABLE - 1 - np.arange(keys.size)
-            flat[keys] = stamps
-            keys = keys[flat[keys] == stamps]
-            flat[keys] = level
+            ends = degree[frontier % n]
+            np.cumsum(ends, out=ends)  # keys made up to and with each entry
+            found = []
+            start = 0
+            while start < frontier.size:
+                done = int(ends[start - 1]) if start else 0
+                stop = int(np.searchsorted(ends, done + _BFS_CHUNK_KEYS, side="right"))
+                stop = max(stop, start + 1)
+                owner, node = np.divmod(frontier[start:stop], n)
+                counts = degree[node]
+                # Key of every (source, neighbor) pair this chunk reaches.
+                edge = np.repeat(first_edge[node] - (ends[start:stop] - counts - done), counts)
+                edge += np.arange(edge.size)
+                keys = np.repeat(owner * n, counts)
+                keys += dst[edge]
+                del edge
+                # Keys set to this level by an earlier chunk fail this filter.
+                keys = keys[flat[keys] == UNREACHABLE]
+                # Keep one copy of each key: scatter distinct stamps, then keep
+                # the entry whose stamp survived. A chunk has at most
+                # max(_BFS_CHUNK_KEYS, largest degree) stamps, so they fit
+                # int32.
+                stamps = UNREACHABLE - 1 - np.arange(keys.size)
+                flat[keys] = stamps
+                keys = keys[flat[keys] == stamps]
+                flat[keys] = level
+                found.append(keys)
+                start = stop
+            del ends
+            frontier = np.concatenate(found)
     return DistanceMatrix(d)
 
 

@@ -63,18 +63,25 @@ def decay_weight(spec: DecaySpec, d: int) -> float:
     return math.exp(-p * d)
 
 
-def decay_weights(spec: DecaySpec, distances: np.ndarray) -> np.ndarray:
-    """Vectorized decay_weight over an integer hop-distance array.
+def _weight_table(spec: DecaySpec, max_d: int) -> np.ndarray:
+    """Weights at distances 0..max_d plus a trailing 0.0 slot, which is where
+    UNREACHABLE (-1) lands when the table is indexed by a distance."""
+    return np.array([decay_weight(spec, k) for k in range(max(max_d, 0) + 1)] + [0.0])
 
-    One gather from a table of the weights at distances 0..max, whose
-    trailing 0.0 slot is where UNREACHABLE (-1) lands.
-    """
-    d = np.asarray(distances)
+
+def _clip_unreachable(d: np.ndarray) -> np.ndarray:
+    """Distances with any value below UNREACHABLE raised to it (a copy only
+    when there is one)."""
     if d.size and d.min() < UNREACHABLE:
-        d = np.maximum(d, UNREACHABLE)
-    max_d = int(d.max()) if d.size else 0
-    table = [decay_weight(spec, k) for k in range(max(max_d, 0) + 1)]
-    return np.array(table + [0.0])[d]
+        return np.maximum(d, UNREACHABLE)
+    return d
+
+
+def decay_weights(spec: DecaySpec, distances: np.ndarray) -> np.ndarray:
+    """Vectorized decay_weight over an integer hop-distance array: one gather
+    from :func:`_weight_table`."""
+    d = _clip_unreachable(np.asarray(distances))
+    return _weight_table(spec, int(d.max()) if d.size else 0)[d]
 
 
 @dataclass(frozen=True)
@@ -106,56 +113,87 @@ class LikelinessResult:
     def n(self) -> int:
         return self.scores.shape[0]
 
+    @classmethod
+    def from_scores(cls, scores: np.ndarray, degenerate: bool = False) -> "LikelinessResult":
+        """The result whose ranking orders ``scores`` descending, ties by
+        ascending node index."""
+        ranking = np.lexsort((np.arange(scores.shape[0]), -scores))
+        return cls(scores, ranking, bool(degenerate))
 
-def _rank_descending(scores: np.ndarray) -> np.ndarray:
-    n = scores.shape[0]
-    return np.lexsort((np.arange(n), -scores))
 
-
-# Rows x columns of one row-norm block: bounds the squared-weight temporary.
-_NORM_BLOCK_ELEMENTS = 1 << 16
+# Rows x columns of one row block of decay weights: bounds the float64
+# weights (and squared weights) gathered at a time.
+_ROW_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
 class DecayProfile:
-    """Every candidate source's decay weights over hop distances (one row per
-    candidate) with the rows' Euclidean norms. Build it once per distance
-    matrix and decay spec, then score any number of observation vectors."""
+    """Every candidate source's decay weights over hop distances (row i is
+    candidate i's profile), kept as the int32 distances, the spec's weight
+    table and the rows' Euclidean norms. No N x N weight matrix is ever
+    held: weights are gathered one row block at a time. Build it once per
+    distance matrix and decay spec, then score any number of observation
+    vectors."""
 
-    weights: np.ndarray
+    d: np.ndarray
+    table: np.ndarray
     norms: np.ndarray
 
     @classmethod
     def build(cls, dist: DistanceMatrix, spec: DecaySpec) -> "DecayProfile":
-        weights = decay_weights(spec, dist.d)
-        n = dist.n
-        norms = np.empty(n)
-        # Row blocks sum each row pairwise exactly as a whole-matrix norm
-        # would, without a second n x n temporary.
-        block = max(1, _NORM_BLOCK_ELEMENTS // max(n, 1))
+        d = _clip_unreachable(dist.d)
+        table = _weight_table(spec, int(d.max()) if d.size else 0)
+        profile = cls(d, table, np.empty(dist.n))
+        # Each row is summed pairwise exactly as a whole-matrix norm would.
+        for lo, rows in profile._row_blocks():
+            profile.norms[lo : lo + rows.shape[0]] = np.sqrt(np.add.reduce(rows * rows, axis=1))
+        return profile
+
+    def _row_blocks(self):
+        """(first row, weights of the block's rows) over all row blocks."""
+        n = self.d.shape[0]
+        block = max(1, _ROW_BLOCK_ELEMENTS // max(n, 1))
         for lo in range(0, n, block):
-            rows = weights[lo : lo + block]
-            norms[lo : lo + block] = np.sqrt(np.add.reduce(rows * rows, axis=1))
-        return cls(weights, norms)
+            yield lo, self.table[self.d[lo : lo + block]]
+
+    def score_batch(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Score every candidate against each row of an ``(m, N)`` stack of
+        observation vectors.
+
+        Returns the ``(m, N)`` scores and an ``(m,)`` flag that is set for an
+        all-zero row, whose scores are all 0. Each candidate's profile is
+        compared with the observations by normalized scalar product
+        (Euclidean norms), so scaling the observations leaves scores
+        unchanged. Row products are summed by ``np.einsum``, not BLAS, so a
+        score does not depend on the block size, on the stack it came in or
+        on the BLAS thread count.
+        """
+        # C order keeps each row's products contiguous, so einsum sums them
+        # in one order whatever the caller's memory layout.
+        values = np.ascontiguousarray(values, dtype=float)
+        n = self.norms.shape[0]
+        if values.ndim != 2 or values.shape[1] != n:
+            raise ValueError(f"dataset has {values.shape[-1]} entries but the network has {n} nodes")
+        scores = np.empty((values.shape[0], n))
+        for lo, rows in self._row_blocks():
+            np.einsum("ij,mj->mi", rows, values, out=scores[:, lo : lo + rows.shape[0]])
+        data_norms = np.sqrt(np.add.reduce(values * values, axis=1))
+        degenerate = data_norms == 0.0
+        # Profile norms are >= 1 because every kind gives weight 1 at distance 0.
+        np.divide(scores, self.norms * data_norms[:, None], out=scores, where=~degenerate[:, None])
+        scores[degenerate] = 0.0
+        return scores, degenerate
 
     def score(self, values: np.ndarray) -> LikelinessResult:
-        """Score every candidate against one observation vector.
-
-        Each candidate's profile is compared with the observations by
-        normalized scalar product (Euclidean norms), so scaling the
-        observations leaves scores unchanged. An all-zero vector yields
-        all-zero scores with the degenerate flag set instead of an error, so
-        day-by-day pipelines can proceed past empty days.
-        """
-        n = self.norms.shape[0]
-        if values.shape[0] != n:
-            raise ValueError(f"dataset has {values.shape[0]} entries but the network has {n} nodes")
-        data_norm = float(np.linalg.norm(values))
-        if data_norm == 0.0:
-            return LikelinessResult(np.zeros(n), np.arange(n), degenerate=True)
-        # Profile norms are >= 1 because every kind gives weight 1 at distance 0.
-        scores = (self.weights @ values) / (self.norms * data_norm)
-        return LikelinessResult(scores, _rank_descending(scores), degenerate=False)
+        """Score every candidate against one observation vector; see
+        :meth:`score_batch`. An all-zero vector yields all-zero scores with
+        the degenerate flag set instead of an error, so day-by-day pipelines
+        can proceed past empty days."""
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 1:
+            raise ValueError("observations must be a vector")
+        scores, degenerate = self.score_batch(values[None, :])
+        return LikelinessResult.from_scores(scores[0], degenerate[0])
 
 
 def likeliness_scores(dist: DistanceMatrix, data: Dataset, spec: DecaySpec) -> LikelinessResult:

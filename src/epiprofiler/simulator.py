@@ -85,27 +85,6 @@ class ObservableKind(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class CompartmentState:
-    """Per-node susceptible / infectious / removed / cumulative-case vectors."""
-
-    susceptible: np.ndarray
-    infectious: np.ndarray
-    removed: np.ndarray
-    cases: np.ndarray
-
-    def __post_init__(self):
-        for name in ("susceptible", "infectious", "removed", "cases"):
-            vec = np.asarray(getattr(self, name), dtype=float)
-            if vec.ndim != 1:
-                raise ValueError(f"{name} must be a vector")
-            if (vec < 0).any():
-                raise ValueError(f"{name} has a negative entry")
-            vec = vec.copy()
-            vec.setflags(write=False)
-            object.__setattr__(self, name, vec)
-
-
-@dataclass(frozen=True)
 class Dataset:
     """One observation vector (a number per node) plus its kind tag.
 
@@ -171,14 +150,6 @@ class Trajectory:
             raise ValueError(f"t={t!r} is not on the reporting grid (spacing {self.report_dt})")
         return idx
 
-    def state(self, index: int) -> CompartmentState:
-        return CompartmentState(
-            self.susceptible[index],
-            self.infectious[index],
-            self.removed[index],
-            self.cases[index],
-        )
-
     def checksum(self) -> str:
         """Content hash of the reported series; equal runs hash equally."""
         h = hashlib.sha256()
@@ -213,7 +184,6 @@ def simulate(
     report_dt: float = 1.0,
     seed=0,
     noise: bool = True,
-    force_of_infection_cases: bool = False,
 ) -> Trajectory:
     """Integrate the Langevin SIR system with the Euler–Maruyama scheme.
 
@@ -227,10 +197,6 @@ def simulate(
 
     Migration runs over the directed edge list of :func:`mobility_edges`, so
     a step costs O(N + E) for N nodes and E directed edges.
-
-    ``force_of_infection_cases`` switches the case counter from the plain
-    infection rate (alpha * infectious) to the frustrated force of infection;
-    it is off by default and exists for sensitivity checks.
 
     Raises SimulationDiverged if any state becomes non-finite, naming the
     node and time.
@@ -291,7 +257,7 @@ def simulate(
                 frac = np.divide(sus * inf, total, out=np.zeros(n), where=total > 0)
                 infect = alpha_dt * frac
                 remove = beta_dt * inf
-                grow = infect if force_of_infection_cases else alpha_dt * inf
+                grow = alpha_dt * inf
                 moved = rate3_dt * x[src3]
 
                 if noise:

@@ -1,10 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epiprofiler import network
 from epiprofiler.data_ingest import SARS_ADJACENCY_FILE, bundled_data_path
 from epiprofiler.network import (
     UNREACHABLE,
@@ -135,8 +137,7 @@ class TestStorage:
     def test_memory_budget(self):
         # tracemalloc sees numpy's allocations. An N x N int64 temporary
         # (8 bytes per entry) on any of these paths breaks its budget. Mean
-        # degree 2 as in the acceptance ensembles: the BFS frontier grows
-        # with the degree.
+        # degree 2 as in the acceptance ensembles.
         n = 600
         spec = DecaySpec(DecayKind.POLYNOMIAL, 0.5)
         decay_weights(spec, hop_distances(generate_erdos_renyi(10, 2.0, seed=0)).d)  # first-call imports
@@ -159,6 +160,22 @@ class TestStorage:
         assert generate_peak <= 4 * n * n
         assert bfs_peak <= 7 * n * n
         assert gather_peak <= 9 * n * n  # the float64 weights, no int64 copy of d
+
+    def test_bfs_memory_budget_dense_network(self):
+        # At mean degree 20 a level reaches 20 keys per frontier entry; the
+        # BFS expands them in bounded chunks, so its peak stays within the
+        # degree-2 budget (the int32 result is 4 N^2 of it).
+        n = 600
+        hop_distances(generate_erdos_renyi(10, 2.0, seed=0))  # first-call imports
+        net = generate_erdos_renyi(n, 20.0, seed=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            hop_distances(net)
+            bfs_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert bfs_peak <= 7 * n * n
 
 
 class TestErdosRenyi:
@@ -230,6 +247,20 @@ class TestHopDistances:
         for i, j in edges:
             adj[i, j] = adj[j, i] = 1
         assert np.array_equal(hop_distances(Network(adj)).d, relaxation_distances(adj))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_relaxation_oracle_in_small_chunks(self, data):
+        # Levels split into chunks of a few keys, down to one key per chunk.
+        n = data.draw(st.integers(min_value=1, max_value=14), label="n")
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges") if pairs else []
+        chunk = data.draw(st.integers(min_value=1, max_value=8), label="chunk")
+        adj = np.zeros((n, n), dtype=int)
+        for i, j in edges:
+            adj[i, j] = adj[j, i] = 1
+        with mock.patch.object(network, "_BFS_CHUNK_KEYS", chunk):
+            assert np.array_equal(hop_distances(Network(adj)).d, relaxation_distances(adj))
 
     def test_adjacent_iff_distance_one(self):
         net = generate_erdos_renyi(40, 3.0, seed=3)

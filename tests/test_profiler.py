@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epiprofiler import profiler
 from epiprofiler.network import UNREACHABLE, DistanceMatrix, Network, generate_erdos_renyi, hop_distances
 from epiprofiler.profiler import (
     DecayKind,
@@ -234,12 +240,99 @@ class TestDecayProfile:
         dist = hop_distances(generate_erdos_renyi(40, 2.0, seed=18))
         rng = np.random.default_rng(19)
         profile = DecayProfile.build(dist, POLY_HALF)
-        for _ in range(5):
-            data = new_cases(rng.random(40))
-            got = profile.score(data.values)
-            want = likeliness_scores(dist, data, POLY_HALF)
+        values = rng.random((5, 40))
+        values[2] = 0.0
+        scores, degenerate = profile.score_batch(values)
+        assert degenerate.tolist() == [False, False, True, False, False]
+        for row, vector in enumerate(values):
+            want = likeliness_scores(dist, new_cases(vector), POLY_HALF)
+            assert np.array_equal(scores[row], want.scores)
+            got = profile.score(vector)
             assert np.array_equal(got.scores, want.scores)
             assert np.array_equal(got.ranking, want.ranking)
+            assert got.degenerate == want.degenerate == degenerate[row]
+
+    def test_distances_below_unreachable_weigh_zero(self):
+        d = np.array([[0, -5], [-1, 0]])
+        profile = DecayProfile.build(DistanceMatrix(d), POLY_HALF)
+        scores, _ = profile.score_batch(np.array([[1.0, 2.0]]))
+        want = (decay_weights(POLY_HALF, d) @ [1.0, 2.0]) / math.sqrt(5.0)
+        assert np.array_equal(scores[0], want)
+
+    @pytest.mark.parametrize("spec", ALL_KINDS)
+    def test_scores_do_not_depend_on_block_size(self, spec, monkeypatch):
+        # n=1031 spans 17 row blocks at the default block size.
+        n = 1031
+        dist = hop_distances(generate_erdos_renyi(n, 2.0, seed=21))
+        values = np.random.default_rng(22).random((3, n))
+        default = DecayProfile.build(dist, spec)
+        want, _ = default.score_batch(values)
+        for rows in (1, 8, n):
+            monkeypatch.setattr(profiler, "_ROW_BLOCK_ELEMENTS", rows * n)
+            profile = DecayProfile.build(dist, spec)
+            got, _ = profile.score_batch(values)
+            assert np.array_equal(profile.norms, default.norms)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("spec", ALL_KINDS)
+    def test_scores_do_not_depend_on_batch_size(self, spec):
+        n = 300
+        dist = hop_distances(generate_erdos_renyi(n, 2.0, seed=23))
+        values = np.random.default_rng(24).random((9, n))
+        profile = DecayProfile.build(dist, spec)
+        stacked, _ = profile.score_batch(values)
+        for lo, hi in ((0, 1), (1, 4), (4, 9)):
+            part, _ = profile.score_batch(values[lo:hi])
+            assert np.array_equal(part, stacked[lo:hi])
+        for row, vector in enumerate(values):
+            assert np.array_equal(profile.score(vector).scores, stacked[row])
+
+    def test_scores_do_not_depend_on_blas_threads(self):
+        script = (
+            "import hashlib, numpy as np\n"
+            "from epiprofiler.network import generate_erdos_renyi, hop_distances\n"
+            "from epiprofiler.profiler import DecayKind, DecayProfile, DecaySpec\n"
+            "dist = hop_distances(generate_erdos_renyi(700, 2.0, seed=25))\n"
+            "values = np.random.default_rng(26).random((4, 700))\n"
+            "h = hashlib.sha256()\n"
+            "for spec in (DecaySpec(DecayKind.NAIVE), DecaySpec(DecayKind.POWER, 2.0),\n"
+            "             DecaySpec(DecayKind.POLYNOMIAL, 0.5), DecaySpec(DecayKind.EXPONENTIAL, 0.05)):\n"
+            "    profile = DecayProfile.build(dist, spec)\n"
+            "    h.update(profile.score_batch(values)[0].tobytes())\n"
+            "    h.update(profile.score(values[0]).scores.tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        src = str(Path(profiler.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            digests.append(out.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
+
+    def test_memory_budget(self):
+        # tracemalloc sees numpy's allocations; one N x N float64 array is
+        # 8 N^2 bytes, so building and scoring must gather weights by row
+        # block.
+        n = 600
+        dist = hop_distances(generate_erdos_renyi(n, 2.0, seed=27))
+        values = np.random.default_rng(28).random((4, n))
+        DecayProfile.build(dist, POLY_HALF).score_batch(values)  # first-call imports
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            profile = DecayProfile.build(dist, POLY_HALF)
+            for vector in values:
+                profile.score(vector)
+            profile.score_batch(values)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n * n
 
 
 class TestHitScore:

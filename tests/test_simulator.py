@@ -286,18 +286,6 @@ class TestCaseCounterVariant:
         cumulative = synthesize_dataset(traj, 0.0, kind=ObservableKind.CUMULATIVE_CASES)
         np.testing.assert_array_equal(infectious.values, cumulative.values)
 
-    def test_force_of_infection_counter_grows_slower(self):
-        # frustrated rate alpha*S*I/(S+I+R) <= alpha*I, so the variant counts
-        # fewer cases; off by default
-        net = generate_erdos_renyi(10, 2.0, seed=6)
-        plain = simulate(net, HIGH_R_PARAMS, InitialCondition(2, 20, 1e4), 30.0,
-                         seed=0, noise=False)
-        variant = simulate(net, HIGH_R_PARAMS, InitialCondition(2, 20, 1e4), 30.0,
-                           seed=0, noise=False, force_of_infection_cases=True)
-        assert np.array_equal(plain.infectious, variant.infectious)
-        assert np.all(variant.cases <= plain.cases + 1e-12)
-        assert variant.cases[-1].sum() < plain.cases[-1].sum()
-
 
 class TestDataset:
     def test_rejects_negative_values(self):
@@ -310,15 +298,6 @@ class TestDataset:
 
 
 class TestTrajectoryAccess:
-    def test_state_views_validate_and_are_readonly(self):
-        net = generate_erdos_renyi(8, 2.0, seed=4)
-        traj = simulate(net, HIGH_R_PARAMS, InitialCondition(1), 10.0, seed=2)
-        state = traj.state(5)
-        assert state.infectious.shape == (8,)
-        assert np.all(state.susceptible >= 0)
-        with pytest.raises(ValueError):
-            state.cases[0] = -1
-
     def test_times_uniform_and_increasing(self):
         net = generate_erdos_renyi(8, 2.0, seed=4)
         traj = simulate(net, HIGH_R_PARAMS, InitialCondition(1), 10.0, report_dt=2.0, seed=2)
