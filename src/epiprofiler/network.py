@@ -18,45 +18,41 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Network:
     """Undirected transport network over region nodes.
 
-    The adjacency matrix must be square with entries in {0, 1}, symmetric and
-    zero on the diagonal; it is stored as a read-only bool copy. Labels
-    default to "n0".."n{N-1}". Instances are immutable and safe to share
-    across workers.
+    ``Network(adjacency, labels=None)`` takes a square adjacency matrix with
+    entries in {0, 1}, symmetric and zero on the diagonal. The network is
+    kept as a read-only CSR neighbour list: node i's neighbours, ascending,
+    are ``indices[indptr[i]:indptr[i + 1]]``. Labels default to
+    "n0".."n{N-1}". Instances are immutable and safe to share across
+    workers.
     """
 
-    adjacency: np.ndarray
-    labels: tuple[str, ...] | None = None
+    indptr: np.ndarray
+    indices: np.ndarray
+    labels: tuple[str, ...]
 
-    def __post_init__(self):
-        adj = np.asarray(self.adjacency)
+    def __init__(self, adjacency, labels=None):
+        adj = np.asarray(adjacency)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {adj.shape}")
-        n = adj.shape[0]
-        if n < 1:
+        if adj.shape[0] < 1:
             raise ValueError("network needs at least one node")
-        if adj.dtype != bool:
-            bad = np.argwhere((adj != 0) & (adj != 1))
-            if bad.size:
-                i, j = bad[0]
-                raise ValueError(f"adjacency[{i}][{j}] = {adj[i, j]!r} is not 0 or 1")
-        adj = adj.astype(bool)  # always a copy: 1 byte per entry
-        diag = np.flatnonzero(np.diagonal(adj))
-        if diag.size:
-            i = diag[0]
-            raise ValueError(f"adjacency[{i}][{i}] must be 0 (no self-loops)")
-        asym = np.argwhere(adj != adj.T)
-        if asym.size:
-            i, j = asym[0]
-            raise ValueError(
-                f"adjacency must be symmetric: adjacency[{i}][{j}]={adj[i, j]:d} "
-                f"but adjacency[{j}][{i}]={adj[j, i]:d}"
-            )
-        object.__setattr__(self, "adjacency", _readonly(adj))
-        labels = self.labels
+        self._set(*_validated_csr(adj), labels)
+
+    @classmethod
+    def _from_csr(cls, indptr: np.ndarray, indices: np.ndarray) -> "Network":
+        """The network with this neighbour list and default labels. The list
+        is not validated: the caller builds it symmetric, loop-free and
+        sorted within each row."""
+        net = object.__new__(cls)
+        net._set(indptr, indices, None)
+        return net
+
+    def _set(self, indptr: np.ndarray, indices: np.ndarray, labels) -> None:
+        n = indptr.shape[0] - 1
         if labels is None:
             labels = tuple(f"n{i}" for i in range(n))
         else:
@@ -65,22 +61,88 @@ class Network:
                 raise ValueError(f"expected {n} labels, got {len(labels)}")
             if len(set(labels)) != n:
                 raise ValueError("node labels must be unique")
+        object.__setattr__(self, "indptr", _readonly(indptr))
+        object.__setattr__(self, "indices", _readonly(indices))
         object.__setattr__(self, "labels", labels)
+
+    def __setstate__(self, state):
+        # Unpickled arrays come back writable.
+        for name, value in state.items():
+            object.__setattr__(self, name, _readonly(value) if isinstance(value, np.ndarray) else value)
 
     @property
     def n(self) -> int:
-        return self.adjacency.shape[0]
+        return self.indptr.shape[0] - 1
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The dense read-only bool adjacency matrix, built on each access."""
+        adj = np.zeros((self.n, self.n), dtype=bool)
+        adj[np.repeat(np.arange(self.n), self.degrees()), self.indices] = True
+        return _readonly(adj)
 
     def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
+        return np.diff(self.indptr)
+
+
+def _validated_csr(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of a square adjacency matrix, after checking
+    the 0/1, diagonal and symmetry rules in that order; each error names the
+    rule's first offending cell in row-major order. The rules are checked
+    over blocks of rows of ``_BFS_BLOCK_PAIRS`` cells, so no N x N temporary
+    is made."""
+    n = adj.shape[0]
+    block = max(1, _BFS_BLOCK_PAIRS // n)
+    loop = asym = None  # first violation of each later rule, if any
+    counts, indices = [], []
+    for lo in range(0, n, block):
+        rows = adj[lo : lo + block]
+        if adj.dtype != bool:
+            bad = np.argwhere((rows != 0) & (rows != 1))
+            if bad.size:
+                i, j = bad[0]
+                i += lo
+                raise ValueError(f"adjacency[{i}][{j}] = {adj[i, j]!r} is not 0 or 1")
+        r, c = np.nonzero(rows)
+        counts.append(np.bincount(r, minlength=rows.shape[0]))
+        indices.append(c)
+        r += lo
+        if loop is None:
+            diag = np.flatnonzero(r == c)
+            if diag.size:
+                loop = r[diag[0]]
+        # A set cell whose mirror is 0: both cells break symmetry, and the
+        # earlier one in row-major order may lie in an earlier block.
+        lone = adj[c, r] == 0
+        if lone.any():
+            first = int(np.minimum(r[lone] * n + c[lone], c[lone] * n + r[lone]).min())
+            asym = first if asym is None else min(asym, first)
+    if loop is not None:
+        raise ValueError(f"adjacency[{loop}][{loop}] must be 0 (no self-loops)")
+    if asym is not None:
+        i, j = divmod(asym, n)
+        raise ValueError(
+            f"adjacency must be symmetric: adjacency[{i}][{j}]={adj[i, j] != 0:d} "
+            f"but adjacency[{j}][{i}]={adj[j, i] != 0:d}"
+        )
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    return indptr, np.concatenate(indices)
+
+
+def _distance_dtype(n: int) -> np.dtype:
+    """Narrowest hop-count dtype for N nodes: a hop count is at most N - 1."""
+    return np.dtype(np.int16 if n <= np.iinfo(np.int16).max + 1 else np.int32)
 
 
 @dataclass(frozen=True)
 class DistanceMatrix:
     """All-pairs hop counts; disconnected pairs hold UNREACHABLE.
 
-    Stored as read-only int32 (a hop count is at most N - 1). Other integer
-    input is narrowed after checking that every value survives the cast.
+    Stored read-only in the narrowest dtype that holds any hop count on N
+    nodes: int16 up to N = 32768, int32 above (a hop count is at most
+    N - 1). Other integer input is narrowed after checking that every value
+    survives the cast.
     """
 
     d: np.ndarray
@@ -89,14 +151,15 @@ class DistanceMatrix:
         d = np.asarray(self.d)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {d.shape}")
-        if d.dtype != np.int32:
+        dtype = _distance_dtype(d.shape[0])
+        if d.dtype != dtype:
             if not np.issubdtype(d.dtype, np.integer):
                 raise ValueError(f"distance matrix must hold integers, got dtype {d.dtype}")
-            narrow = d.astype(np.int32)
+            narrow = d.astype(dtype)
             bad = np.argwhere(narrow != d)
             if bad.size:
                 i, j = bad[0]
-                raise ValueError(f"distance d[{i}][{j}] = {d[i, j]} does not fit in int32")
+                raise ValueError(f"distance d[{i}][{j}] = {d[i, j]} does not fit in {dtype}")
             d = narrow
         object.__setattr__(self, "d", _readonly(d))
 
@@ -135,19 +198,22 @@ def generate_erdos_renyi(n: int, mean_degree: float, seed) -> Network:
         raise ValueError(f"mean_degree must lie in (0, {n}), got {mean_degree!r}")
     p = mean_degree / (n - 1)
     rng = np.random.default_rng(seed)
-    adj = np.zeros((n, n), dtype=bool)
     # Pairs (i, j > i) in row-major order, one row of uniforms at a time:
     # the same stream as one draw over the whole upper triangle, without
-    # its n^2/2-sized index and uniform arrays.
-    for i in range(n - 1):
-        row = rng.random(n - 1 - i) < p
-        adj[i, i + 1 :] = row
-        adj[i + 1 :, i] = row
-    return Network(adj)
+    # its n^2/2-sized index and uniform arrays or any N x N matrix.
+    upper = [np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1) for i in range(n - 1)]
+    src = np.repeat(np.arange(n - 1), [links.size for links in upper])
+    dst = np.concatenate(upper)
+    # Each link in both directions, sorted by node, then by neighbour.
+    rows, cols = np.concatenate([src, dst]), np.concatenate([dst, src])
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return Network._from_csr(indptr, cols[np.lexsort((cols, rows))])
 
 
 # Sources x nodes covered by one BFS block, which bounds the (source, node)
-# pairs a frontier can hold.
+# pairs a frontier can hold; also the cells of one block of adjacency rows
+# that Network validates at a time.
 _BFS_BLOCK_PAIRS = 1 << 15
 # (source, neighbor) keys one expansion step makes at most (more only when a
 # single node has more neighbors), which bounds a level's scratch however
@@ -158,21 +224,23 @@ _BFS_CHUNK_KEYS = 1 << 13
 def hop_distances(net: Network) -> DistanceMatrix:
     """Breadth-first all-pairs shortest hop counts.
 
-    A level-synchronous BFS over the CSR edge list runs from a block of
+    A level-synchronous BFS over the CSR neighbour list runs from a block of
     sources at once; a frontier is a list of (source, node) pairs, so each
     level costs time proportional to the edges it expands. A level is
     expanded in chunks of at most ``_BFS_CHUNK_KEYS`` (source, neighbor)
-    keys.
+    keys. Each block runs in an int32 scratch, whose rows are then copied
+    into the narrower result.
     """
     n = net.n
-    src, dst = np.nonzero(net.adjacency)  # row-major, so dst is CSR-ordered
-    degree = np.bincount(src, minlength=n)
-    first_edge = np.zeros(n, dtype=np.intp)
-    np.cumsum(degree[:-1], out=first_edge[1:])
-    d = np.full((n, n), UNREACHABLE, dtype=np.int32)
+    degree = net.degrees()
+    first_edge = net.indptr[:-1]
+    dst = net.indices
+    d = np.empty((n, n), dtype=_distance_dtype(n))
     block = max(1, min(n, _BFS_BLOCK_PAIRS // n))
+    scratch = np.empty((block, n), dtype=np.int32)
     for lo in range(0, n, block):
-        rows = d[lo : lo + block]
+        rows = scratch[: min(block, n - lo)]
+        rows.fill(UNREACHABLE)
         flat = rows.reshape(-1)  # view; key b * n + v is rows[b, v]
         frontier = np.arange(rows.shape[0]) * (n + 1) + lo
         flat[frontier] = 0
@@ -200,7 +268,7 @@ def hop_distances(net: Network) -> DistanceMatrix:
                 # Keep one copy of each key: scatter distinct stamps, then keep
                 # the entry whose stamp survived. A chunk has at most
                 # max(_BFS_CHUNK_KEYS, largest degree) stamps, so they fit
-                # int32.
+                # the int32 scratch but not always the int16 result.
                 stamps = UNREACHABLE - 1 - np.arange(keys.size)
                 flat[keys] = stamps
                 keys = keys[flat[keys] == stamps]
@@ -209,6 +277,7 @@ def hop_distances(net: Network) -> DistanceMatrix:
                 start = stop
             del ends
             frontier = np.concatenate(found)
+        d[lo : lo + rows.shape[0]] = rows
     return DistanceMatrix(d)
 
 
@@ -222,8 +291,10 @@ def mobility_edges(net: Network, gamma: float) -> tuple[np.ndarray, np.ndarray, 
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
-    src, dst = np.nonzero(net.adjacency)
-    k = net.degrees().astype(float)
+    k = net.degrees()
+    src = np.repeat(np.arange(net.n), k)
+    dst = net.indices
+    k = k.astype(float)
     w = np.sqrt(k[src] * k[dst])
     row_sums = np.bincount(src, weights=w, minlength=net.n)
     return src, dst, w * (gamma / row_sums[src])
@@ -259,7 +330,10 @@ def save_adjacency(net: Network, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(net.labels)
         for i, label in enumerate(net.labels):
-            writer.writerow([label] + [str(int(x)) for x in net.adjacency[i]])
+            row = ["0"] * net.n
+            for j in net.indices[net.indptr[i] : net.indptr[i + 1]]:
+                row[j] = "1"
+            writer.writerow([label] + row)
 
 
 def load_adjacency(path) -> Network:

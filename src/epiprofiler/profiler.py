@@ -104,6 +104,9 @@ class LikelinessResult:
             raise ValueError("scores and ranking must be vectors of equal length")
         if not np.array_equal(np.sort(ranking), np.arange(scores.shape[0])):
             raise ValueError("ranking must be a permutation of node indices")
+        self._freeze(scores, ranking)
+
+    def _freeze(self, scores: np.ndarray, ranking: np.ndarray) -> None:
         scores.setflags(write=False)
         ranking.setflags(write=False)
         object.__setattr__(self, "scores", scores)
@@ -116,20 +119,26 @@ class LikelinessResult:
     @classmethod
     def from_scores(cls, scores: np.ndarray, degenerate: bool = False) -> "LikelinessResult":
         """The result whose ranking orders ``scores`` descending, ties by
-        ascending node index."""
-        ranking = np.lexsort((np.arange(scores.shape[0]), -scores))
-        return cls(scores, ranking, bool(degenerate))
+        ascending node index. The ranking is a permutation by construction,
+        so unlike one passed to the constructor it is not checked again."""
+        scores = np.array(scores, dtype=float)
+        if scores.ndim != 1:
+            raise ValueError("scores must be a vector")
+        result = object.__new__(cls)
+        object.__setattr__(result, "degenerate", bool(degenerate))
+        result._freeze(scores, np.lexsort((np.arange(scores.shape[0]), -scores)))
+        return result
 
 
 # Rows x columns of one row block of decay weights: bounds the float64
 # weights (and squared weights) gathered at a time.
-_ROW_BLOCK_ELEMENTS = 1 << 16
+_ROW_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
 class DecayProfile:
     """Every candidate source's decay weights over hop distances (row i is
-    candidate i's profile), kept as the int32 distances, the spec's weight
+    candidate i's profile), kept as the hop distances, the spec's weight
     table and the rows' Euclidean norms. No N x N weight matrix is ever
     held: weights are gathered one row block at a time. Build it once per
     distance matrix and decay spec, then score any number of observation

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from epiprofiler.experiments import (
     sweep_decay_parameter,
     write_hit_curves_csv,
     write_sweep_csv,
+    _hit_replicate,
     _replicate_parts,
     _score_grid,
 )
@@ -155,6 +157,30 @@ class TestScoreGrid:
                     for s_idx, spec in enumerate(specs):
                         want = hit_score(likeliness_scores(dist, data, spec), source)
                         assert grid[k_idx, s_idx, t_idx] == want
+
+
+class TestReplicateMemory:
+    def test_hop_distances_are_the_one_n_by_n_array(self):
+        # One replicate at the N=1000 benchmark's settings, at N=600: the
+        # int16 distances (2 N^2 bytes) are its only N x N array; the
+        # trajectory adds about 1.2 N^2 and the scoring blocks stay small.
+        n = 600
+        cfg = ExperimentConfig(
+            replicates=1,
+            params=EpidemicParams(0.11, 0.09, 0.2),
+            decays=(POLY,),
+            n_nodes=n,
+            observation_times=(5.0, 10.0, 15.0, 20.0),
+            master_seed=3,
+        )
+        _hit_replicate(tiny_config(), 0)  # first-call imports
+        tracemalloc.start()
+        try:
+            _hit_replicate(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * n * n
 
 
 class TestPairedArms:

@@ -1,4 +1,7 @@
+import hashlib
+import pickle
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from unittest import mock
 
 import numpy as np
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epiprofiler import network
+from epiprofiler.cli import main as cli_main
 from epiprofiler.data_ingest import SARS_ADJACENCY_FILE, bundled_data_path
 from epiprofiler.network import (
     UNREACHABLE,
@@ -16,6 +20,7 @@ from epiprofiler.network import (
     hop_distances,
     is_interchangeable,
     load_adjacency,
+    mobility_edges,
     mobility_matrix,
     save_adjacency,
 )
@@ -37,6 +42,52 @@ def star_graph(leaves):
 
 
 from oracles import relaxation_distances
+
+BLOCK_N = 400
+# Planted faults: ((row, column), value) cells. The first row block holds
+# rows 0..80 at N=400.
+FAULTS = {
+    "asym-first": [((2, 5), 1), ((5, 2), 0)],
+    "two-first": [((10, 20), 2), ((20, 10), 2)],
+    "loop-first": [((30, 30), 1)],
+    "asym-later": [((350, 301), 1), ((301, 350), 0)],
+    "asym-across": [((390, 5), 1), ((5, 390), 0)],
+    "two-later": [((310, 390), 2), ((390, 310), 2)],
+    "loop-later": [((320, 320), 1)],
+}
+ASYM_LATER = "adjacency must be symmetric: adjacency[301][350]=0 but adjacency[350][301]=1"
+ASYM_FIRST = "adjacency must be symmetric: adjacency[2][5]=1 but adjacency[5][2]=0"
+ASYM_ACROSS = "adjacency must be symmetric: adjacency[5][390]=0 but adjacency[390][5]=1"
+TWO_LATER = "adjacency[310][390] = np.int64(2) is not 0 or 1"
+TWO_FIRST = "adjacency[10][20] = np.int64(2) is not 0 or 1"
+LOOP_LATER = "adjacency[320][320] must be 0 (no self-loops)"
+LOOP_FIRST = "adjacency[30][30] must be 0 (no self-loops)"
+BLOCK_CASES = [
+    (int, ("asym-later",), ASYM_LATER),
+    (int, ("two-later",), TWO_LATER),
+    (int, ("loop-later",), LOOP_LATER),
+    (int, ("asym-later", "two-later", "loop-later"), TWO_LATER),
+    (int, ("asym-first",), ASYM_FIRST),
+    (int, ("two-first",), TWO_FIRST),
+    (int, ("loop-first",), LOOP_FIRST),
+    (int, ("asym-first", "two-first", "loop-first"), TWO_FIRST),
+    (int, ("asym-first", "loop-first", "two-later"), TWO_LATER),
+    (int, ("asym-first", "loop-later"), LOOP_LATER),
+    (int, ("asym-across",), ASYM_ACROSS),
+    (float, ("asym-later", "loop-later", "two-later"), "adjacency[310][390] = np.float64(2.0) is not 0 or 1"),
+    (bool, ("asym-first", "loop-later"), LOOP_LATER),
+    (bool, ("asym-across", "asym-later"), ASYM_ACROSS),
+]
+
+
+def planted_adjacency(dtype, faults):
+    rng = np.random.default_rng(5)
+    upper = np.triu(rng.random((BLOCK_N, BLOCK_N)) < 0.01, 1)
+    adj = (upper | upper.T).astype(dtype)
+    for name in faults:
+        for (i, j), value in FAULTS[name]:
+            adj[i, j] = value
+    return adj
 
 
 class TestNetworkValidation:
@@ -90,6 +141,17 @@ class TestNetworkValidation:
         with pytest.raises(ValueError):
             net.adjacency[0, 1] = 0
 
+    @pytest.mark.parametrize("dtype,faults,message", BLOCK_CASES)
+    def test_row_block_validation_names_the_first_cell(self, dtype, faults, message):
+        # Rules are checked in order (0/1, diagonal, symmetry) over the whole
+        # matrix, so a rule's fault in a later row block outranks a lower
+        # rule's fault in the first one. Messages were taken from the
+        # whole-matrix validation this replaced.
+        assert BLOCK_N // (network._BFS_BLOCK_PAIRS // BLOCK_N) >= 3  # spans >= 3 row blocks
+        with pytest.raises(ValueError) as exc:
+            Network(planted_adjacency(dtype, faults))
+        assert str(exc.value) == message
+
 
 class TestStorage:
     """Each N x N array is kept in the narrowest dtype that holds it."""
@@ -108,13 +170,26 @@ class TestStorage:
         assert load_adjacency(bundled_data_path(SARS_ADJACENCY_FILE)).adjacency.dtype == bool
         assert generate_erdos_renyi(10, 2.0, seed=1).adjacency.dtype == bool
 
-    def test_hop_distances_are_int32(self):
-        assert hop_distances(path_graph(4)).d.dtype == np.int32
+    def test_hop_distances_are_int16(self):
+        assert hop_distances(path_graph(4)).d.dtype == np.int16
 
-    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16, np.uint64])
+    def test_distance_dtype_follows_node_count(self):
+        # A hop count is at most N - 1, so int16 holds every one up to N = 32768.
+        assert network._distance_dtype(1) == np.int16
+        assert network._distance_dtype(32768) == np.int16
+        assert network._distance_dtype(32769) == np.int32
+
+    def test_hop_distances_fill_the_wider_dtype(self):
+        # The int32 result that N > 32768 gets, without an N x N array that size.
+        with mock.patch.object(network, "_distance_dtype", lambda n: np.dtype(np.int32)):
+            d = hop_distances(path_graph(4)).d
+        assert d.dtype == np.int32
+        assert np.array_equal(d, relaxation_distances(path_graph(4).adjacency))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint16, np.uint64])
     def test_distance_matrix_narrows_integers(self, dtype):
         d = DistanceMatrix(np.array([[0, 1], [1, 0]], dtype=dtype)).d
-        assert d.dtype == np.int32
+        assert d.dtype == np.int16
         assert d.tolist() == [[0, 1], [1, 0]]
 
     def test_distance_matrix_keeps_negative_values(self):
@@ -131,7 +206,16 @@ class TestStorage:
     def test_distance_matrix_rejects_values_int32_cannot_hold(self, dtype, value):
         d = np.zeros((3, 3), dtype=dtype)
         d[2, 1] = value
-        with pytest.raises(ValueError, match=rf"d\[2\]\[1\] = {value} does not fit in int32"):
+        with pytest.raises(ValueError, match=rf"d\[2\]\[1\] = {value} does not fit in int16"):
+            DistanceMatrix(d)
+
+    @pytest.mark.parametrize(
+        "dtype,value", [(np.int32, 2**15), (np.int32, -(2**15) - 1), (np.int64, 40000), (np.uint16, 2**15)]
+    )
+    def test_distance_matrix_rejects_values_int16_cannot_hold(self, dtype, value):
+        d = np.zeros((3, 3), dtype=dtype)
+        d[2, 1] = value
+        with pytest.raises(ValueError, match=rf"d\[2\]\[1\] = {value} does not fit in int16"):
             DistanceMatrix(d)
 
     def test_memory_budget(self):
@@ -156,7 +240,7 @@ class TestStorage:
         finally:
             tracemalloc.stop()
         assert net.adjacency.nbytes == n * n
-        assert dist.d.nbytes == 4 * n * n
+        assert dist.d.nbytes == 2 * n * n
         assert generate_peak <= 4 * n * n
         assert bfs_peak <= 7 * n * n
         assert gather_peak <= 9 * n * n  # the float64 weights, no int64 copy of d
@@ -164,7 +248,7 @@ class TestStorage:
     def test_bfs_memory_budget_dense_network(self):
         # At mean degree 20 a level reaches 20 keys per frontier entry; the
         # BFS expands them in bounded chunks, so its peak stays within the
-        # degree-2 budget (the int32 result is 4 N^2 of it).
+        # degree-2 budget (the int16 result is 2 N^2 of it).
         n = 600
         hop_distances(generate_erdos_renyi(10, 2.0, seed=0))  # first-call imports
         net = generate_erdos_renyi(n, 20.0, seed=1)
@@ -176,6 +260,65 @@ class TestStorage:
         finally:
             tracemalloc.stop()
         assert bfs_peak <= 7 * n * n
+
+
+class TestCsrNetwork:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_views_match_the_dense_formulas(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=30), label="n")
+        upper = np.triu(np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n), 1)
+        a = (upper | upper.T).astype(data.draw(st.sampled_from([bool, int, float]), label="dtype"))
+        net = Network(a)
+        assert net.adjacency.dtype == bool
+        assert np.array_equal(net.adjacency, a)
+        k = a.sum(axis=1).astype(np.int64)
+        assert np.array_equal(net.degrees(), k)
+        if k.any():
+            src, dst = np.nonzero(a)
+            w = np.sqrt(k[src].astype(float) * k[dst])
+            rate = w * (0.3 / np.bincount(src, weights=w, minlength=n)[src])
+            got = mobility_edges(net, 0.3)
+            for x, y in zip(got, (src, dst, rate)):
+                assert np.array_equal(x, y)
+
+    def test_pickle_round_trip(self):
+        net = generate_erdos_renyi(50, 3.0, seed=4)
+        net = Network(net.adjacency, labels=[f"r{i}" for i in range(50)])
+        copy = pickle.loads(pickle.dumps(net))
+        assert copy.labels == net.labels
+        assert np.array_equal(copy.adjacency, net.adjacency)
+        for name in ("indptr", "indices"):
+            assert np.array_equal(getattr(copy, name), getattr(net, name))
+            assert not getattr(copy, name).flags.writeable
+
+    def test_attributes_cannot_be_set(self):
+        net = path_graph(3)
+        for name in ("indptr", "indices", "labels", "adjacency"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(net, name, None)
+
+    def test_arrays_are_read_only(self):
+        net = path_graph(3)
+        for arr in (net.indptr, net.indices, net.adjacency):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    @pytest.mark.parametrize(
+        "nodes,digest",
+        [
+            (6, "ab0552137b8d09cb9f99681b0e70bc4098a87c092ea72afdce8eaf6a88024e52"),
+            (300, "7da07e8978d313de81bde5703e2ce2c9902612a382f1aa0380f11d13650cd9a2"),
+        ],
+    )
+    def test_gen_net_bytes_are_unchanged(self, tmp_path, nodes, digest):
+        # Digests of the CSV written from the dense adjacency before the
+        # network was kept as a neighbour list.
+        out = tmp_path / "net.csv"
+        args = ["gen-net", "--nodes", str(nodes), "--mean-degree", "2", "--seed", "3", "--out", str(out)]
+        assert cli_main(args) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestErdosRenyi:
@@ -208,6 +351,16 @@ class TestErdosRenyi:
             adj = net.adjacency
             assert np.array_equal(adj, adj.T)
             assert np.diagonal(adj).sum() == 0
+
+    @pytest.mark.parametrize("n,k", [(2, 1.0), (25, 3.0), (60, 30.0), (300, 2.0)])
+    def test_neighbour_list_passes_validation_unchanged(self, n, k):
+        # The generator builds its neighbour list without Network's checks.
+        for seed in range(5):
+            net = generate_erdos_renyi(n, k, seed=seed)
+            checked = Network(net.adjacency)
+            assert np.array_equal(checked.indptr, net.indptr)
+            assert np.array_equal(checked.indices, net.indices)
+            assert checked.labels == net.labels
 
     @pytest.mark.parametrize("n,k", [(1, 0.5), (0, 1.0), (10, 0.0), (10, 10.0), (10, -1.0)])
     def test_parameter_errors(self, n, k):
