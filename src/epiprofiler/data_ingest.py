@@ -33,7 +33,7 @@ def bundled_data_path(name: str) -> Path:
     return Path(str(resources.files("epiprofiler.data").joinpath(name)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CaseReportSeries:
     """Cumulative reported cases per (date, region); missing entries are NaN."""
 

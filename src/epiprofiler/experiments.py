@@ -7,14 +7,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .network import generate_erdos_renyi, hop_distances
-from .profiler import DecayKind, DecayProfile, DecaySpec, LikelinessResult, hit_score
+from .profiler import DecayKind, DecayProfile, DecaySpec, hit_score
 from .simulator import (
     EpidemicParams,
     InitialCondition,
@@ -128,8 +130,15 @@ class SweepResult:
     trajectory_checksums: tuple[str, ...]
 
 
-def _replicate_parts(cfg: ExperimentConfig, rep: int):
-    """Draw the topology, source, and trajectory for one replicate."""
+def _replicate(cfg: ExperimentConfig, kinds: tuple[ObservableKind, ...], rep: int):
+    """One replicate: a topology, source and trajectory drawn from the seeds
+    (master_seed, rep, 0|1|2), with every (kind, time) observation stacked
+    once and scored by one decay profile per spec.
+
+    Returns the trajectory checksum, the hit scores shaped (len(kinds),
+    len(cfg.decays), len(times)), and the initial correlation at each
+    observation time, NaN where the correlation has zero variance.
+    """
     net = generate_erdos_renyi(cfg.n_nodes, cfg.mean_degree, seed=(cfg.master_seed, rep, 0))
     source_rng = np.random.default_rng((cfg.master_seed, rep, 1))
     source = int(source_rng.integers(cfg.n_nodes))
@@ -147,92 +156,71 @@ def _replicate_parts(cfg: ExperimentConfig, rep: int):
         )
     except SimulationDiverged as exc:
         raise SimulationDiverged(f"replicate {rep}: {exc}") from exc
-    return net, source, traj
-
-
-def _score_grid(traj, dist, source, cfg, specs, kinds) -> np.ndarray:
-    """Hit scores shaped (len(kinds), len(specs), len(times)) for one
-    replicate. Every (kind, time) observation is stacked once, and each
-    spec's decay profile scores the whole stack in one batch."""
+    dist = hop_distances(net)
     times = cfg.observation_times
     values = np.stack(
         [synthesize_dataset(traj, t, cfg.delta_t, kind).values for kind in kinds for t in times]
     )
-    out = np.empty((len(kinds), len(specs), len(times)))
-    for s_idx, spec in enumerate(specs):
-        scores, degenerate = DecayProfile.build(dist, spec).score_batch(values)
+    hits = np.empty((len(kinds), len(cfg.decays), len(times)))
+    for s_idx, spec in enumerate(cfg.decays):
+        scores, _ = DecayProfile.build(dist, spec).score_batch(values)
         for row, (k_idx, t_idx) in enumerate(np.ndindex(len(kinds), len(times))):
-            result = LikelinessResult.from_scores(scores[row], degenerate[row])
-            out[k_idx, s_idx, t_idx] = hit_score(result, source)
-    return out
-
-
-def _hit_replicate(cfg: ExperimentConfig, rep: int):
-    net, source, traj = _replicate_parts(cfg, rep)
-    dist = hop_distances(net)
-    return traj.checksum(), _score_grid(traj, dist, source, cfg, cfg.decays, (cfg.kind,))[0]
-
-
-def _correlation_replicate(cfg: ExperimentConfig, rep: int):
-    net, source, traj = _replicate_parts(cfg, rep)
-    dist = hop_distances(net)
-    scores = _score_grid(traj, dist, source, cfg, cfg.decays, (cfg.kind,))[0]
-    correlations = np.empty(len(cfg.observation_times))
-    valid = np.ones(len(cfg.observation_times), dtype=bool)
-    for t_idx, t in enumerate(cfg.observation_times):
+            hits[k_idx, s_idx, t_idx] = hit_score(scores[row], source)
+    correlations = np.full(len(times), np.nan)
+    for t_idx, t in enumerate(times):
         try:
             correlations[t_idx] = initial_correlation(traj, t)
         except ZeroVarianceError:
-            correlations[t_idx] = np.nan
-            valid[t_idx] = False
-    return traj.checksum(), scores, correlations, valid
+            pass
+    return traj.checksum(), hits, correlations
 
 
-def _observables_replicate(cfg: ExperimentConfig, rep: int):
-    net, source, traj = _replicate_parts(cfg, rep)
-    dist = hop_distances(net)
-    kinds = tuple(ObservableKind)
-    grid = _score_grid(traj, dist, source, cfg, cfg.decays, kinds)
-    return traj.checksum(), dict(zip(kinds, grid))
+def _run_replicates(
+    cfg: ExperimentConfig,
+    kinds: tuple[ObservableKind, ...],
+    workers: int,
+    progress: ProgressFn | None,
+):
+    """Every replicate of cfg, in replicate order: the trajectory checksums,
+    the hit scores shaped (reps, kinds, specs, times) and the initial
+    correlations shaped (reps, times). ``progress(done, total)`` is called
+    once per replicate."""
+    times = len(cfg.observation_times)
+    checksums = []
+    hits = np.empty((cfg.replicates, len(kinds), len(cfg.decays), times))
+    correlations = np.empty((cfg.replicates, times))
+    with ExitStack() as stack:
+        mapper = map
+        if workers > 1:
+            # Imported here so a serial run never loads multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
 
-
-def _sweep_replicate(cfg: ExperimentConfig, rep: int):
-    net, source, traj = _replicate_parts(cfg, rep)
-    dist = hop_distances(net)
-    # cfg.decays holds one spec per grid value; mean over the time grid.
-    scores = _score_grid(traj, dist, source, cfg, cfg.decays, (cfg.kind,))[0]
-    return traj.checksum(), scores.mean(axis=1)
-
-
-def _run_replicates(job, cfg: ExperimentConfig, workers: int, progress: ProgressFn | None):
-    reps = range(cfg.replicates)
-    if workers <= 1:
-        results = []
-        for rep in reps:
-            results.append(job(cfg, rep))
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        results = mapper(partial(_replicate, cfg, kinds), range(cfg.replicates))
+        for rep, (checksum, rep_hits, rep_correlations) in enumerate(results):
+            checksums.append(checksum)
+            hits[rep] = rep_hits
+            correlations[rep] = rep_correlations
             if progress is not None:
                 progress(rep + 1, cfg.replicates)
-        return results
-    # Imported here so a serial run never loads multiprocessing.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(job, cfg, rep) for rep in reps]
-        results = []
-        for rep, fut in enumerate(futures):
-            results.append(fut.result())
-            if progress is not None:
-                progress(rep + 1, cfg.replicates)
-        return results
+    return tuple(checksums), hits, correlations
 
 
-def _mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _hit_curve(cfg: ExperimentConfig, samples: np.ndarray, checksums: tuple[str, ...]) -> HitCurve:
+    """Mean and standard error over replicates of hit scores shaped
+    (reps, specs, times)."""
     mean = samples.mean(axis=0)
-    if samples.shape[0] > 1:
-        stderr = samples.std(axis=0, ddof=1) / math.sqrt(samples.shape[0])
+    if cfg.replicates > 1:
+        stderr = samples.std(axis=0, ddof=1) / math.sqrt(cfg.replicates)
     else:
         stderr = np.zeros_like(mean)
-    return mean, stderr
+    return HitCurve(
+        cfg.observation_times,
+        {spec: tuple(float(x) for x in mean[s_idx]) for s_idx, spec in enumerate(cfg.decays)},
+        {spec: tuple(float(x) for x in stderr[s_idx]) for s_idx, spec in enumerate(cfg.decays)},
+        cfg.replicates,
+        checksums,
+    )
 
 
 def run_hit_experiment(
@@ -243,15 +231,8 @@ def run_hit_experiment(
     Each replicate draws a fresh topology and a uniformly random source,
     simulates once, and scores the observation grid with every decay spec.
     """
-    results = _run_replicates(_hit_replicate, cfg, workers, progress)
-    checksums = tuple(chk for chk, _ in results)
-    stacked = np.stack([scores for _, scores in results])  # (reps, specs, times)
-    mean, stderr = {}, {}
-    for s_idx, spec in enumerate(cfg.decays):
-        m, e = _mean_stderr(stacked[:, s_idx, :])
-        mean[spec] = tuple(float(x) for x in m)
-        stderr[spec] = tuple(float(x) for x in e)
-    return HitCurve(cfg.observation_times, mean, stderr, cfg.replicates, checksums)
+    checksums, hits, _ = _run_replicates(cfg, (cfg.kind,), workers, progress)
+    return _hit_curve(cfg, hits[:, 0], checksums)
 
 
 def hit_vs_correlation(
@@ -259,18 +240,13 @@ def hit_vs_correlation(
 ) -> CorrelationSamples:
     """Pair each hit score with the surviving-trace correlation at the same
     observation time. Zero-variance samples are skipped and counted."""
-    results = _run_replicates(_correlation_replicate, cfg, workers, progress)
-    checksums = tuple(chk for chk, _, _, _ in results)
-    pairs: dict[DecaySpec, list[tuple[float, float]]] = {spec: [] for spec in cfg.decays}
-    skipped = 0
-    for _, scores, correlations, valid in results:
-        skipped += int(np.count_nonzero(~valid))
-        for t_idx in np.flatnonzero(valid):
-            for s_idx, spec in enumerate(cfg.decays):
-                pairs[spec].append((float(correlations[t_idx]), float(scores[s_idx, t_idx])))
-    return CorrelationSamples(
-        {spec: tuple(p) for spec, p in pairs.items()}, skipped, cfg.replicates, checksums
-    )
+    checksums, hits, correlations = _run_replicates(cfg, (cfg.kind,), workers, progress)
+    valid = ~np.isnan(correlations)
+    pairs = {
+        spec: tuple(zip(correlations[valid].tolist(), hits[:, 0, s_idx][valid].tolist()))
+        for s_idx, spec in enumerate(cfg.decays)
+    }
+    return CorrelationSamples(pairs, int(np.count_nonzero(~valid)), cfg.replicates, checksums)
 
 
 def compare_observables(
@@ -280,18 +256,9 @@ def compare_observables(
     so the comparison is paired replicate by replicate. cfg.kind is ignored;
     the horizon always covers the difference observables."""
     cfg = replace(cfg, kind=ObservableKind.NEW_CASES)
-    results = _run_replicates(_observables_replicate, cfg, workers, progress)
-    checksums = tuple(chk for chk, _ in results)
-    curves = {}
-    for kind in ObservableKind:
-        stacked = np.stack([per_kind[kind] for _, per_kind in results])
-        mean, stderr = {}, {}
-        for s_idx, spec in enumerate(cfg.decays):
-            m, e = _mean_stderr(stacked[:, s_idx, :])
-            mean[spec] = tuple(float(x) for x in m)
-            stderr[spec] = tuple(float(x) for x in e)
-        curves[kind] = HitCurve(cfg.observation_times, mean, stderr, cfg.replicates, checksums)
-    return curves
+    kinds = tuple(ObservableKind)
+    checksums, hits, _ = _run_replicates(cfg, kinds, workers, progress)
+    return {kind: _hit_curve(cfg, hits[:, k_idx], checksums) for k_idx, kind in enumerate(kinds)}
 
 
 def sweep_decay_parameter(
@@ -308,18 +275,11 @@ def sweep_decay_parameter(
     grid = [float(p) for p in grid]
     if not grid:
         raise ValueError("sweep grid must not be empty")
-    specs = tuple(DecaySpec(kind, p) for p in grid)
-    sweep_cfg = replace(cfg, decays=specs)
-    results = _run_replicates(_sweep_replicate, sweep_cfg, workers, progress)
-    checksums = tuple(chk for chk, _ in results)
-    stacked = np.stack([means for _, means in results])  # (reps, params)
-    mean_per_param = stacked.mean(axis=0)
-    best_idx = 0
-    for idx in range(1, len(grid)):
-        better = mean_per_param[idx] < mean_per_param[best_idx]
-        tie_smaller = mean_per_param[idx] == mean_per_param[best_idx] and grid[idx] < grid[best_idx]
-        if better or tie_smaller:
-            best_idx = idx
+    sweep_cfg = replace(cfg, decays=tuple(DecaySpec(kind, p) for p in grid))
+    checksums, hits, _ = _run_replicates(sweep_cfg, (cfg.kind,), workers, progress)
+    # Mean over the time grid per replicate, then over replicates.
+    mean_per_param = hits[:, 0].mean(axis=2).mean(axis=0)
+    best_idx = min(range(len(grid)), key=lambda i: (mean_per_param[i], grid[i]))
     mean = {grid[i]: float(mean_per_param[i]) for i in range(len(grid))}
     return SweepResult(kind, mean, grid[best_idx], cfg.replicates, checksums)
 

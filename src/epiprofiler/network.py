@@ -18,7 +18,7 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Network:
     """Undirected transport network over region nodes.
 
@@ -135,7 +135,7 @@ def _distance_dtype(n: int) -> np.dtype:
     return np.dtype(np.int16 if n <= np.iinfo(np.int16).max + 1 else np.int32)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """All-pairs hop counts; disconnected pairs hold UNREACHABLE.
 
@@ -168,7 +168,7 @@ class DistanceMatrix:
         return self.d.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MobilityMatrix:
     """Per-link travel rates (1/time); row sums equal the total mobility rate
     for every node with at least one neighbor, and are zero for isolated nodes."""

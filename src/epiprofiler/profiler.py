@@ -77,14 +77,7 @@ def _clip_unreachable(d: np.ndarray) -> np.ndarray:
     return d
 
 
-def decay_weights(spec: DecaySpec, distances: np.ndarray) -> np.ndarray:
-    """Vectorized decay_weight over an integer hop-distance array: one gather
-    from :func:`_weight_table`."""
-    d = _clip_unreachable(np.asarray(distances))
-    return _weight_table(spec, int(d.max()) if d.size else 0)[d]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LikelinessResult:
     """Per-node likeliness scores with the induced ranking.
 
@@ -135,7 +128,7 @@ class LikelinessResult:
 _ROW_BLOCK_ELEMENTS = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecayProfile:
     """Every candidate source's decay weights over hop distances (row i is
     candidate i's profile), kept as the hop distances, the spec's weight
@@ -211,14 +204,13 @@ def likeliness_scores(dist: DistanceMatrix, data: Dataset, spec: DecaySpec) -> L
     return DecayProfile.build(dist, spec).score(data.values)
 
 
-def hit_score(result: LikelinessResult, source: int, n: int | None = None) -> float:
-    """Fraction of nodes searched, in descending score order, before reaching
-    the true source; ties count against the algorithm."""
-    scores = result.scores
-    if n is None:
-        n = scores.shape[0]
-    elif n != scores.shape[0]:
-        raise ValueError(f"node count {n} does not match {scores.shape[0]} scores")
+def hit_score(scores: np.ndarray, source: int) -> float:
+    """Fraction of nodes searched, in descending order of the score vector
+    (such as ``LikelinessResult.scores``), before reaching the true source;
+    ties count against the algorithm."""
+    if scores.ndim != 1:
+        raise ValueError("scores must be a vector")
+    n = scores.shape[0]
     if not 0 <= source < n:
         raise ValueError(f"source index {source} out of range for {n} nodes")
     return float(np.count_nonzero(scores >= scores[source])) / n

@@ -84,7 +84,7 @@ class ObservableKind(str, enum.Enum):
         return self in (ObservableKind.INFECTIOUS_CHANGE, ObservableKind.NEW_CASES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """One observation vector (a number per node) plus its kind tag.
 
@@ -112,7 +112,7 @@ class Dataset:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Reported time series of one simulation run, on a uniform grid.
 

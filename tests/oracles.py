@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from epiprofiler.network import UNREACHABLE
-from epiprofiler.profiler import DecayKind
+from epiprofiler.profiler import DecayKind, _weight_table
 
 
 def relaxation_distances(adj):
@@ -46,6 +46,15 @@ def scalar_weight(spec, d):
     if spec.kind is DecayKind.POLYNOMIAL:
         return 1.0 / (d + 1) ** spec.param
     return math.exp(-spec.param * d)
+
+
+def decay_weights(spec, distances):
+    """The dense N x N decay-weight matrix: the library's weight table
+    gathered at every hop distance, values below UNREACHABLE weighing as
+    UNREACHABLE does. The library never builds this matrix; tests compare
+    its row-block scoring against it."""
+    d = np.maximum(np.asarray(distances), UNREACHABLE)
+    return _weight_table(spec, int(d.max()) if d.size else 0)[d]
 
 
 def oracle_scores(dist, values, spec):

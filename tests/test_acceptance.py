@@ -244,7 +244,7 @@ def test_criterion_06_random_baseline():
     for _ in range(trials):
         scores = rng.random(n)
         result = LikelinessResult(scores, np.lexsort((order, -scores)))
-        total += hit_score(result, int(rng.integers(n)))
+        total += hit_score(result.scores, int(rng.integers(n)))
     mean = total / trials
     expected = (n + 1) / (2 * n)
     report("06", "random-search baseline", abs(mean - expected) <= 0.02,

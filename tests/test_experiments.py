@@ -17,13 +17,19 @@ from epiprofiler.experiments import (
     sweep_decay_parameter,
     write_hit_curves_csv,
     write_sweep_csv,
-    _hit_replicate,
-    _replicate_parts,
-    _score_grid,
+    _replicate,
 )
-from epiprofiler.network import hop_distances
+from epiprofiler.network import generate_erdos_renyi, hop_distances
 from epiprofiler.profiler import DecayKind, DecaySpec, hit_score, likeliness_scores
-from epiprofiler.simulator import EpidemicParams, ObservableKind, ZeroVarianceError, synthesize_dataset
+from epiprofiler.simulator import (
+    EpidemicParams,
+    InitialCondition,
+    ObservableKind,
+    ZeroVarianceError,
+    initial_correlation,
+    simulate,
+    synthesize_dataset,
+)
 
 POLY = DecaySpec(DecayKind.POLYNOMIAL, 0.5)
 NAIVE = DecaySpec(DecayKind.NAIVE)
@@ -110,6 +116,19 @@ class TestHitExperiment:
         assert serial.trajectory_checksums == parallel.trajectory_checksums
         assert hit_curve_rows("hit", serial) == hit_curve_rows("hit", parallel)
 
+    def test_workers_do_not_change_any_experiment(self):
+        cfg = tiny_config(replicates=4)
+        assert hit_vs_correlation(cfg, workers=1) == hit_vs_correlation(cfg, workers=2)
+        assert compare_observables(cfg, workers=1) == compare_observables(cfg, workers=2)
+        grid = [0.25, 0.5, 2.0]
+        serial = sweep_decay_parameter(cfg, DecayKind.POLYNOMIAL, grid, workers=1)
+        assert serial == sweep_decay_parameter(cfg, DecayKind.POLYNOMIAL, grid, workers=2)
+
+    def test_pool_reports_progress_in_replicate_order(self):
+        seen = []
+        run_hit_experiment(tiny_config(), workers=2, progress=lambda done, total: seen.append((done, total)))
+        assert seen == [(1, 3), (2, 3), (3, 3)]
+
     def test_serial_import_loads_no_process_pool(self):
         # The pool machinery is imported only when workers > 1.
         import os
@@ -142,21 +161,40 @@ class TestHitExperiment:
 
 class TestScoreGrid:
     def test_spec_major_grid_matches_per_pair_scoring(self):
-        # One profile per spec must give the same bits as rebuilding the
-        # weights for every (time, spec) pair.
+        # The kernel scores one stack per spec; rebuilding each replicate
+        # from its documented seeds (master_seed, rep, 0|1|2) and scoring
+        # every (kind, time, spec) cell on its own must give the same bits.
         specs = (POLY, NAIVE, DecaySpec(DecayKind.POWER, 2.0), DecaySpec(DecayKind.EXPONENTIAL, 0.05))
         cfg = tiny_config(decays=specs, observation_times=(1.0, 2.0, 5.0, 10.0))
         kinds = tuple(ObservableKind)
         for rep in range(3):
-            net, source, traj = _replicate_parts(cfg, rep)
+            net = generate_erdos_renyi(cfg.n_nodes, cfg.mean_degree, seed=(cfg.master_seed, rep, 0))
+            source = int(np.random.default_rng((cfg.master_seed, rep, 1)).integers(cfg.n_nodes))
+            traj = simulate(
+                net,
+                cfg.params,
+                InitialCondition(source, cfg.index_cases, cfg.population),
+                cfg.t_end,
+                sim_dt=cfg.sim_dt,
+                report_dt=cfg.report_dt,
+                seed=(cfg.master_seed, rep, 2),
+                noise=cfg.noise,
+            )
             dist = hop_distances(net)
-            grid = _score_grid(traj, dist, source, cfg, specs, kinds)
+            checksum, grid, correlations = _replicate(cfg, kinds, rep)
+            assert checksum == traj.checksum()
+            assert grid.shape == (len(kinds), len(specs), len(cfg.observation_times))
             for k_idx, kind in enumerate(kinds):
                 for t_idx, t in enumerate(cfg.observation_times):
                     data = synthesize_dataset(traj, t, cfg.delta_t, kind)
                     for s_idx, spec in enumerate(specs):
-                        want = hit_score(likeliness_scores(dist, data, spec), source)
+                        want = hit_score(likeliness_scores(dist, data, spec).scores, source)
                         assert grid[k_idx, s_idx, t_idx] == want
+            for t_idx, t in enumerate(cfg.observation_times):
+                try:
+                    assert correlations[t_idx] == initial_correlation(traj, t)
+                except ZeroVarianceError:
+                    assert np.isnan(correlations[t_idx])
 
 
 class TestReplicateMemory:
@@ -173,10 +211,10 @@ class TestReplicateMemory:
             observation_times=(5.0, 10.0, 15.0, 20.0),
             master_seed=3,
         )
-        _hit_replicate(tiny_config(), 0)  # first-call imports
+        _replicate(tiny_config(), (ObservableKind.NEW_CASES,), 0)  # first-call imports
         tracemalloc.start()
         try:
-            _hit_replicate(cfg, 0)
+            _replicate(cfg, (cfg.kind,), 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

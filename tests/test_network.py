@@ -24,7 +24,6 @@ from epiprofiler.network import (
     mobility_matrix,
     save_adjacency,
 )
-from epiprofiler.profiler import DecayKind, DecaySpec, decay_weights
 
 
 def path_graph(n):
@@ -223,8 +222,7 @@ class TestStorage:
         # (8 bytes per entry) on any of these paths breaks its budget. Mean
         # degree 2 as in the acceptance ensembles.
         n = 600
-        spec = DecaySpec(DecayKind.POLYNOMIAL, 0.5)
-        decay_weights(spec, hop_distances(generate_erdos_renyi(10, 2.0, seed=0)).d)  # first-call imports
+        hop_distances(generate_erdos_renyi(10, 2.0, seed=0))  # first-call imports
         tracemalloc.start()
         try:
             net = generate_erdos_renyi(n, 2.0, seed=1)
@@ -233,17 +231,12 @@ class TestStorage:
             before = tracemalloc.get_traced_memory()[0]
             dist = hop_distances(net)
             bfs_peak = tracemalloc.get_traced_memory()[1] - before
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            decay_weights(spec, dist.d)
-            gather_peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert net.adjacency.nbytes == n * n
         assert dist.d.nbytes == 2 * n * n
         assert generate_peak <= 4 * n * n
         assert bfs_peak <= 7 * n * n
-        assert gather_peak <= 9 * n * n  # the float64 weights, no int64 copy of d
 
     def test_bfs_memory_budget_dense_network(self):
         # At mean degree 20 a level reaches 20 keys per frontier entry; the

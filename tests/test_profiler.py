@@ -11,18 +11,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epiprofiler import profiler
-from epiprofiler.network import UNREACHABLE, DistanceMatrix, Network, generate_erdos_renyi, hop_distances
+from epiprofiler.data_ingest import SARS_CASES_FILE, bundled_data_path, load_case_series
+from epiprofiler.network import (
+    UNREACHABLE,
+    DistanceMatrix,
+    Network,
+    generate_erdos_renyi,
+    hop_distances,
+    mobility_matrix,
+)
 from epiprofiler.profiler import (
     DecayKind,
     DecayProfile,
     DecaySpec,
     LikelinessResult,
     decay_weight,
-    decay_weights,
     hit_score,
     likeliness_scores,
 )
-from epiprofiler.simulator import Dataset, ObservableKind
+from epiprofiler.simulator import Dataset, EpidemicParams, InitialCondition, ObservableKind, simulate
 
 NAIVE = DecaySpec(DecayKind.NAIVE)
 POLY_HALF = DecaySpec(DecayKind.POLYNOMIAL, 0.5)
@@ -43,7 +50,7 @@ def new_cases(values):
     return Dataset(np.asarray(values, dtype=float), ObservableKind.NEW_CASES)
 
 
-from oracles import oracle_scores, scalar_weight
+from oracles import decay_weights, oracle_scores, scalar_weight
 
 
 class TestDecaySpec:
@@ -338,22 +345,22 @@ class TestDecayProfile:
 class TestHitScore:
     def test_counts_ties_against_the_algorithm(self):
         result = LikelinessResult(np.array([0.3, 0.9, 0.9, 0.1, 0.5]), np.array([1, 2, 4, 0, 3]))
-        assert hit_score(result, 4) == pytest.approx(0.6)
+        assert hit_score(result.scores, 4) == pytest.approx(0.6)
 
     def test_unique_maximum_is_perfect(self):
         result = LikelinessResult(np.array([0.1, 0.9, 0.3]), np.array([1, 2, 0]))
-        assert hit_score(result, 1) == pytest.approx(1.0 / 3.0)
+        assert hit_score(result.scores, 1) == pytest.approx(1.0 / 3.0)
 
     def test_all_equal_scores_hit_everything(self):
         result = LikelinessResult(np.zeros(6), np.arange(6))
-        assert hit_score(result, 2) == 1.0
+        assert hit_score(result.scores, 2) == 1.0
 
     def test_source_validation(self):
         result = LikelinessResult(np.zeros(3), np.arange(3))
         with pytest.raises(ValueError):
-            hit_score(result, 3)
-        with pytest.raises(ValueError):
-            hit_score(result, 0, n=5)
+            hit_score(result.scores, 3)
+        with pytest.raises(ValueError, match="vector"):
+            hit_score(np.zeros((2, 3)), 0)
 
     def test_random_scores_baseline(self):
         # i.i.d. continuous scores: mean hit fraction is (N+1)/(2N)
@@ -364,8 +371,41 @@ class TestHitScore:
         for _ in range(trials):
             scores = rng.random(n)
             result = LikelinessResult(scores, np.lexsort((np.arange(n), -scores)))
-            total += hit_score(result, int(rng.integers(n)))
+            total += hit_score(result.scores, int(rng.integers(n)))
         assert total / trials == pytest.approx((n + 1) / (2 * n), abs=0.02)
+
+
+ARRAY_DATACLASSES = {
+    "Network": lambda: generate_erdos_renyi(5, 2.0, seed=1),
+    "DistanceMatrix": lambda: hop_distances(generate_erdos_renyi(5, 2.0, seed=1)),
+    "MobilityMatrix": lambda: mobility_matrix(generate_erdos_renyi(5, 2.0, seed=1), 0.2),
+    "LikelinessResult": lambda: LikelinessResult.from_scores(np.array([0.3, 0.1, 0.3])),
+    "DecayProfile": lambda: DecayProfile.build(path_distances(3), POLY_HALF),
+    "Dataset": lambda: new_cases([1.0, 2.0, 0.0]),
+    "Trajectory": lambda: simulate(
+        generate_erdos_renyi(5, 2.0, seed=1),
+        EpidemicParams(0.16, 0.04, 0.2),
+        InitialCondition(0, 20.0, 1e4),
+        2.0,
+        sim_dt=0.1,
+        seed=3,
+    ),
+    "CaseReportSeries": lambda: load_case_series(bundled_data_path(SARS_CASES_FILE)),
+}
+
+
+class TestArrayDataclasses:
+    @pytest.mark.parametrize("name", sorted(ARRAY_DATACLASSES))
+    def test_identity_equality_and_hash(self, name):
+        # Array fields have no single truth value, so these compare by
+        # identity: equal content is not equality, and nothing raises.
+        a, b = ARRAY_DATACLASSES[name](), ARRAY_DATACLASSES[name]()
+        assert type(a).__name__ == name
+        assert a == a
+        assert not a == b
+        assert a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
 
 
 class TestRankingExport:
