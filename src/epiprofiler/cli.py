@@ -1,15 +1,18 @@
 """Batch command-line front end.
 
 Exit codes: 0 success, 2 usage or config error, 1 runtime failure. Every
-subcommand writes a run manifest next to its primary output; `rerun` replays
-a manifest and reproduces the output byte for byte. All randomness flows from
+subcommand but `rerun` writes a run manifest next to its primary output that
+records each parsed flag as the command normalised it; `rerun` replays a
+manifest and reproduces the output byte for byte. All randomness flows from
 explicit seed flags or config fields.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,11 +51,17 @@ def _manifest_path(out) -> Path:
     return Path(str(out) + ".manifest.json")
 
 
-def _write_manifest(subcommand: str, arguments: dict, outputs: list[str]) -> None:
+# The subcommands that write a manifest, and so the ones `rerun` may replay.
+MANIFEST_SUBCOMMANDS = ("gen-net", "simulate", "profile", "evaluate", "sweep", "rank-timeline")
+
+
+def _write_manifest(args, outputs: list[str]) -> None:
+    """Record every parsed flag of ``args`` as the command normalised it."""
+    arguments = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")}
     manifest = {
         "tool": "epiprofiler",
         "version": __version__,
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "arguments": arguments,
         "outputs": outputs,
     }
@@ -70,10 +79,7 @@ def _resolve_input(path_text: str) -> str:
 
 
 def _decay_spec(decay: str, param) -> DecaySpec:
-    try:
-        kind = DecayKind(decay)
-    except ValueError:
-        raise UsageError(f"unknown decay kind {decay!r}") from None
+    kind = DecayKind(decay)
     if kind is DecayKind.NAIVE:
         if param is not None:
             raise UsageError("--param is not accepted for the naive decay")
@@ -105,17 +111,14 @@ def cmd_gen_net(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     save_adjacency(net, args.out)
-    _write_manifest(
-        "gen-net",
-        {"nodes": args.nodes, "mean_degree": args.mean_degree, "seed": args.seed, "out": str(args.out)},
-        [str(args.out)],
-    )
+    _write_manifest(args, [args.out])
     return 0
 
 
 def cmd_simulate(args) -> int:
     try:
-        net = load_adjacency(_resolve_input(args.net))
+        args.net = _resolve_input(args.net)
+        net = load_adjacency(args.net)
         params = EpidemicParams(args.alpha, args.beta, args.gamma)
         if args.source == "random":
             source = int(np.random.default_rng((args.seed, 0)).integers(net.n))
@@ -125,6 +128,7 @@ def cmd_simulate(args) -> int:
                 raise ValueError(f"--source {source} out of range for {net.n} nodes")
         else:
             raise ValueError(f"--source must be a node index or 'random', got {args.source!r}")
+        args.source = str(source)
         init = InitialCondition(source, args.index_cases, args.population)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -139,34 +143,14 @@ def cmd_simulate(args) -> int:
         noise=not args.no_noise,
     )
     sidecar = write_trajectory_csv(traj, args.out)
-    _write_manifest(
-        "simulate",
-        {
-            "net": _resolve_input(args.net),
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "gamma": args.gamma,
-            "source": str(source),
-            "index_cases": args.index_cases,
-            "population": args.population,
-            "t_end": args.t_end,
-            "sim_dt": args.sim_dt,
-            "report_dt": args.report_dt,
-            "seed": args.seed,
-            "no_noise": args.no_noise,
-            "out": str(args.out),
-        },
-        [str(args.out), str(sidecar)],
-    )
+    _write_manifest(args, [args.out, str(sidecar)])
     return 0
 
 
 def _load_dataset_csv(path, net: Network) -> Dataset:
-    import csv as _csv
-
     rows: dict[str, float] = {}
     with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != ["node_label", "value"]:
             raise ValueError(f"{path}: expected header 'node_label,value', got {header!r}")
@@ -179,34 +163,36 @@ def _load_dataset_csv(path, net: Network) -> Dataset:
             if label in rows:
                 raise ValueError(f"{path}: line {line_no}: duplicate node {label!r}")
             try:
-                rows[label] = float(text)
+                value = float(text)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: bad value {text!r}") from exc
-    if sorted(rows) != sorted(net.labels):
-        raise ValueError(f"{path}: node labels do not match the network's labels")
+            if not np.isfinite(value):
+                raise ValueError(f"{path}: line {line_no}: value {text!r} is not finite")
+            if value < 0:
+                raise ValueError(f"{path}: line {line_no}: value {text!r} is negative")
+            rows[label] = value
+    labels = set(net.labels)
+    missing = next((lab for lab in net.labels if lab not in rows), None)
+    unknown = next((lab for lab in rows if lab not in labels), None)
+    if missing is not None or unknown is not None:
+        raise ValueError(
+            f"{path}: node labels do not match the network's labels "
+            f"(first missing: {missing!r}, first unknown: {unknown!r})"
+        )
     return Dataset(np.array([rows[lab] for lab in net.labels]), ObservableKind.NEW_CASES)
 
 
 def cmd_profile(args) -> int:
     try:
-        net = load_adjacency(_resolve_input(args.net))
-        data = _load_dataset_csv(_resolve_input(args.data), net)
+        args.net, args.data = _resolve_input(args.net), _resolve_input(args.data)
+        net = load_adjacency(args.net)
+        data = _load_dataset_csv(args.data, net)
         spec = _decay_spec(args.decay, args.param)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     result = likeliness_scores(hop_distances(net), data, spec)
     write_ranking_csv(result, net.labels, args.out)
-    _write_manifest(
-        "profile",
-        {
-            "net": _resolve_input(args.net),
-            "data": _resolve_input(args.data),
-            "decay": args.decay,
-            "param": args.param,
-            "out": str(args.out),
-        },
-        [str(args.out)],
-    )
+    _write_manifest(args, [args.out])
     if result.degenerate:
         print("note: observation vector is all zero; ranking is degenerate", file=sys.stderr)
     return 0
@@ -214,13 +200,12 @@ def cmd_profile(args) -> int:
 
 def cmd_evaluate(args) -> int:
     try:
-        exp_file = load_experiment_file(_resolve_input(args.config))
+        args.config = _resolve_input(args.config)
+        exp_file = load_experiment_file(args.config)
     except ConfigError as exc:
         raise UsageError(str(exc)) from exc
     cfg = exp_file.config
     if args.seed is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, master_seed=args.seed)
     progress = _progress_printer()
     if exp_file.experiment == "hit":
@@ -236,22 +221,14 @@ def cmd_evaluate(args) -> int:
         for kind, curve in curves.items():
             rows.extend(hit_curve_rows(f"observables[{kind.value}]", curve))
         write_hit_curves_csv(args.out, rows)
-    _write_manifest(
-        "evaluate",
-        {
-            "config": _resolve_input(args.config),
-            "seed": args.seed,
-            "workers": args.workers,
-            "out": str(args.out),
-        },
-        [str(args.out)],
-    )
+    _write_manifest(args, [args.out])
     return 0
 
 
 def cmd_sweep(args) -> int:
     try:
-        exp_file = load_experiment_file(_resolve_input(args.config))
+        args.config = _resolve_input(args.config)
+        exp_file = load_experiment_file(args.config)
         if exp_file.sweep_kind is None:
             raise UsageError(f"{args.config}: config has no 'sweep' block")
     except ConfigError as exc:
@@ -265,41 +242,25 @@ def cmd_sweep(args) -> int:
     )
     write_sweep_csv(args.out, "sweep", result)
     print(f"best {result.kind.value} parameter: {result.best_param:g}", file=sys.stderr)
-    _write_manifest(
-        "sweep",
-        {"config": _resolve_input(args.config), "workers": args.workers, "out": str(args.out)},
-        [str(args.out)],
-    )
+    _write_manifest(args, [args.out])
     return 0
 
 
 def cmd_rank_timeline(args) -> int:
     try:
-        net = load_adjacency(_resolve_input(args.net))
-        series = load_case_series(_resolve_input(args.cases))
+        args.net, args.cases = _resolve_input(args.net), _resolve_input(args.cases)
+        net = load_adjacency(args.net)
+        series = load_case_series(args.cases)
         series = filter_regions(series, min_cases=args.min_cases, window_days=args.window_days)
-        param = args.param
-        if param is None and args.decay == DecayKind.POLYNOMIAL.value:
-            param = 0.5
-        spec = _decay_spec(args.decay, param)
+        if args.param is None and args.decay == DecayKind.POLYNOMIAL.value:
+            args.param = 0.5
+        spec = _decay_spec(args.decay, args.param)
         datasets = daily_deltas(series, labels=net.labels)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     timeline = rank_timeline(net, datasets, spec, dates=series.dates[:-1])
     write_timeline_csv(timeline, args.out)
-    _write_manifest(
-        "rank-timeline",
-        {
-            "net": _resolve_input(args.net),
-            "cases": _resolve_input(args.cases),
-            "decay": args.decay,
-            "param": param,
-            "min_cases": args.min_cases,
-            "window_days": args.window_days,
-            "out": str(args.out),
-        },
-        [str(args.out)],
-    )
+    _write_manifest(args, [args.out])
     return 0
 
 
@@ -319,10 +280,19 @@ def cmd_rerun(args) -> int:
     try:
         with open(args.manifest) as fh:
             manifest = json.load(fh)
-        subcommand = manifest["subcommand"]
-        arguments = dict(manifest["arguments"])
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read manifest {args.manifest}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise UsageError(f"{args.manifest}: manifest must be a JSON object")
+    subcommand = manifest.get("subcommand")
+    if subcommand not in MANIFEST_SUBCOMMANDS:
+        raise UsageError(
+            f"{args.manifest}: 'subcommand' must be one of {', '.join(MANIFEST_SUBCOMMANDS)}, "
+            f"got {subcommand!r}"
+        )
+    arguments = manifest.get("arguments")
+    if not isinstance(arguments, dict):
+        raise UsageError(f"{args.manifest}: 'arguments' must be a JSON object")
     if args.out is not None:
         arguments["out"] = str(args.out)
     return main([subcommand] + _argv_from_arguments(arguments))

@@ -100,6 +100,8 @@ class Dataset:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1:
             raise ValueError("dataset values must be a vector")
+        if not np.isfinite(values).all():
+            raise ValueError("dataset values must be finite")
         if (values < 0).any():
             raise ValueError("dataset values must be non-negative")
         values = values.copy()

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -152,11 +153,31 @@ class TestProfile:
         assert "degenerate" in capsys.readouterr().err
         assert len(out.read_text().splitlines()) == 4
 
-    def test_label_mismatch_exits_2(self, tmp_path, path3_csv):
+    def test_label_mismatch_exits_2(self, tmp_path, path3_csv, capsys):
         data = tmp_path / "data.csv"
         data.write_text("node_label,value\nx,1\ny,2\nz,3\n")
         assert run("profile", "--net", str(path3_csv), "--data", str(data),
                    "--decay", "naive", "--out", str(tmp_path / "r.csv")) == 2
+        err = capsys.readouterr().err
+        assert "first missing: 'n0'" in err and "first unknown: 'x'" in err
+
+    @pytest.mark.parametrize("text,problem", [
+        ("nan", "not finite"),
+        ("inf", "not finite"),
+        ("-inf", "not finite"),
+        ("1e400", "not finite"),
+        ("-1", "negative"),
+    ])
+    def test_bad_observation_value_exits_2_naming_line(self, tmp_path, path3_csv, capsys,
+                                                       text, problem):
+        data = tmp_path / "data.csv"
+        data.write_text(f"node_label,value\nn0,0\nn1,{text}\nn2,0\n")
+        out = tmp_path / "r.csv"
+        assert run("profile", "--net", str(path3_csv), "--data", str(data),
+                   "--decay", "naive", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{data}: line 3:" in err and problem in err
+        assert not out.exists()
 
 
 class TestEvaluateAndSweep:
@@ -262,52 +283,73 @@ class TestRankTimeline:
         assert "labels" in capsys.readouterr().err
 
 
-class TestRerun:
-    def test_gen_net_rerun_byte_identical(self, tmp_path, net_csv):
-        manifest = net_csv.parent / "net.csv.manifest.json"
-        out2 = tmp_path / "net2.csv"
-        assert run("rerun", "--manifest", str(manifest), "--out", str(out2)) == 0
-        assert out2.read_bytes() == net_csv.read_bytes()
-
-    def test_evaluate_rerun_byte_identical(self, tmp_path):
-        cfg = small_config(tmp_path)
-        out = tmp_path / "curve.csv"
-        assert run("evaluate", "--config", str(cfg), "--out", str(out)) == 0
-        out2 = tmp_path / "curve2.csv"
-        assert run("rerun", "--manifest", str(tmp_path / "curve.csv.manifest.json"),
-                   "--out", str(out2)) == 0
-        assert out2.read_bytes() == out.read_bytes()
-
-    def test_simulate_rerun_byte_identical(self, tmp_path, net_csv):
-        out = tmp_path / "traj.csv"
-        assert run("simulate", "--net", str(net_csv), "--alpha", "0.16", "--beta", "0.04",
-                   "--gamma", "0.2", "--source", "random", "--population", "1e6",
-                   "--t-end", "10", "--seed", "21", "--out", str(out)) == 0
-        out2 = tmp_path / "traj2.csv"
-        assert run("rerun", "--manifest", str(tmp_path / "traj.csv.manifest.json"),
-                   "--out", str(out2)) == 0
-        assert out2.read_bytes() == out.read_bytes()
-
-    def test_sweep_rerun_byte_identical(self, tmp_path):
+def _rerun_first_argv(subcommand, tmp_path, net_csv, path3_csv):
+    """Flags (without --out) for one run of ``subcommand`` that writes a manifest."""
+    if subcommand == "gen-net":
+        return ["--nodes", "10", "--mean-degree", "2", "--seed", "7"]
+    if subcommand == "simulate":
+        return ["--net", str(net_csv), "--alpha", "0.16", "--beta", "0.04", "--gamma", "0.2",
+                "--source", "random", "--population", "1e6", "--t-end", "10", "--seed", "21"]
+    if subcommand == "profile":
+        data = tmp_path / "data.csv"
+        data.write_text("node_label,value\nn0,0\nn1,1\nn2,3\n")
+        return ["--net", str(path3_csv), "--data", str(data), "--decay", "polynomial",
+                "--param", "0.5"]
+    if subcommand == "evaluate":
+        return ["--config", str(small_config(tmp_path))]
+    if subcommand == "sweep":
         cfg = small_config(tmp_path, sweep={"kind": "polynomial", "grid": [0.5, 2.0]})
-        out = tmp_path / "sweep.csv"
-        assert run("sweep", "--config", str(cfg), "--out", str(out)) == 0
-        out2 = tmp_path / "sweep2.csv"
-        assert run("rerun", "--manifest", str(tmp_path / "sweep.csv.manifest.json"),
-                   "--out", str(out2)) == 0
-        assert out2.read_bytes() == out.read_bytes()
+        return ["--config", str(cfg)]
+    assert subcommand == "rank-timeline"
+    return ["--net", str(bundled_data_path(SARS_ADJACENCY_FILE)),
+            "--cases", str(bundled_data_path(SARS_CASES_FILE))]
 
-    def test_rank_timeline_rerun_byte_identical(self, tmp_path):
-        out = tmp_path / "timeline.csv"
-        assert run("rank-timeline", "--net", str(bundled_data_path(SARS_ADJACENCY_FILE)),
-                   "--cases", str(bundled_data_path(SARS_CASES_FILE)), "--out", str(out)) == 0
-        out2 = tmp_path / "timeline2.csv"
-        assert run("rerun", "--manifest", str(tmp_path / "timeline.csv.manifest.json"),
-                   "--out", str(out2)) == 0
-        assert out2.read_bytes() == out.read_bytes()
+
+def _manifest(out):
+    return json.loads(Path(str(out) + ".manifest.json").read_text())
+
+
+class TestRerun:
+    @pytest.mark.parametrize("subcommand", [
+        "gen-net", "simulate", "profile", "evaluate", "sweep", "rank-timeline",
+    ])
+    def test_rerun_byte_identical(self, tmp_path, net_csv, path3_csv, subcommand):
+        out = tmp_path / "first.csv"
+        argv = _rerun_first_argv(subcommand, tmp_path, net_csv, path3_csv)
+        assert run(subcommand, *argv, "--out", str(out)) == 0
+        out2 = tmp_path / "again.csv"
+        assert run("rerun", "--manifest", str(out) + ".manifest.json", "--out", str(out2)) == 0
+        first, again = _manifest(out), _manifest(out2)
+        assert again["subcommand"] == first["subcommand"] == subcommand
+        assert len(again["outputs"]) == len(first["outputs"]) >= 1
+        assert again["outputs"][0] == str(out2)
+        for original, replayed in zip(first["outputs"], again["outputs"]):
+            assert Path(replayed).read_bytes() == Path(original).read_bytes()
+        assert again["arguments"].pop("out") == str(out2)
+        assert first["arguments"].pop("out") == str(out)
+        assert again["arguments"] == first["arguments"]
 
     def test_missing_manifest_exits_2(self, tmp_path):
         assert run("rerun", "--manifest", str(tmp_path / "nope.json")) == 2
+
+    def test_top_level_list_exits_2(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text("[1, 2]")
+        assert run("rerun", "--manifest", str(manifest)) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_non_object_arguments_exits_2(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"subcommand": "gen-net", "arguments": 5}))
+        assert run("rerun", "--manifest", str(manifest)) == 2
+        assert "'arguments'" in capsys.readouterr().err
+
+    def test_self_replaying_rerun_manifest_exits_2(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(
+            {"subcommand": "rerun", "arguments": {"manifest": str(manifest)}}))
+        assert run("rerun", "--manifest", str(manifest)) == 2
+        assert "'subcommand'" in capsys.readouterr().err
 
 
 class TestTopLevel:

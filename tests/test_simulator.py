@@ -292,6 +292,11 @@ class TestDataset:
         with pytest.raises(ValueError, match="non-negative"):
             Dataset(np.array([1.0, -0.5]), ObservableKind.NEW_CASES)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(np.array([1.0, bad]), ObservableKind.NEW_CASES)
+
     def test_kind_coerced_from_string(self):
         data = Dataset(np.array([1.0]), "new_cases")
         assert data.kind is ObservableKind.NEW_CASES
