@@ -264,11 +264,20 @@ def cmd_rank_timeline(args) -> int:
     return 0
 
 
-def _argv_from_arguments(arguments: dict) -> list[str]:
+def _argv_from_arguments(subcommand: str, arguments: dict, where: str) -> list[str]:
+    """The command line that replays ``arguments``. A JSON boolean stands for
+    a ``store_true`` flag and is rejected for any other flag, which would
+    otherwise be dropped and replayed at its default."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    switches = {
+        a.dest for a in sub.choices[subcommand]._actions if isinstance(a, argparse._StoreTrueAction)
+    }
     argv = []
     for key, value in arguments.items():
         flag = "--" + key.replace("_", "-")
         if isinstance(value, bool):
+            if key not in switches:
+                raise UsageError(f"{where}: argument {key!r} takes a value, got {json.dumps(value)}")
             if value:
                 argv.append(flag)
         elif value is not None:
@@ -295,7 +304,7 @@ def cmd_rerun(args) -> int:
         raise UsageError(f"{args.manifest}: 'arguments' must be a JSON object")
     if args.out is not None:
         arguments["out"] = str(args.out)
-    return main([subcommand] + _argv_from_arguments(arguments))
+    return main([subcommand] + _argv_from_arguments(subcommand, arguments, args.manifest))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -138,6 +138,11 @@ def _replicate(cfg: ExperimentConfig, kinds: tuple[ObservableKind, ...], rep: in
     Returns the trajectory checksum, the hit scores shaped (len(kinds),
     len(cfg.decays), len(times)), and the initial correlation at each
     observation time, NaN where the correlation has zero variance.
+
+    The phases run in this order: simulate; take the checksum, the stacked
+    observations and the correlations from the trajectory and release it;
+    then compute the hop distances and score. So the trajectory and the
+    N x N distance matrix are never held at once.
     """
     net = generate_erdos_renyi(cfg.n_nodes, cfg.mean_degree, seed=(cfg.master_seed, rep, 0))
     source_rng = np.random.default_rng((cfg.master_seed, rep, 1))
@@ -156,23 +161,25 @@ def _replicate(cfg: ExperimentConfig, kinds: tuple[ObservableKind, ...], rep: in
         )
     except SimulationDiverged as exc:
         raise SimulationDiverged(f"replicate {rep}: {exc}") from exc
-    dist = hop_distances(net)
     times = cfg.observation_times
+    checksum = traj.checksum()
     values = np.stack(
         [synthesize_dataset(traj, t, cfg.delta_t, kind).values for kind in kinds for t in times]
     )
-    hits = np.empty((len(kinds), len(cfg.decays), len(times)))
-    for s_idx, spec in enumerate(cfg.decays):
-        scores, _ = DecayProfile.build(dist, spec).score_batch(values)
-        for row, (k_idx, t_idx) in enumerate(np.ndindex(len(kinds), len(times))):
-            hits[k_idx, s_idx, t_idx] = hit_score(scores[row], source)
     correlations = np.full(len(times), np.nan)
     for t_idx, t in enumerate(times):
         try:
             correlations[t_idx] = initial_correlation(traj, t)
         except ZeroVarianceError:
             pass
-    return traj.checksum(), hits, correlations
+    del traj
+    dist = hop_distances(net)
+    hits = np.empty((len(kinds), len(cfg.decays), len(times)))
+    for s_idx, spec in enumerate(cfg.decays):
+        scores, _ = DecayProfile.build(dist, spec).score_batch(values)
+        for row, (k_idx, t_idx) in enumerate(np.ndindex(len(kinds), len(times))):
+            hits[k_idx, s_idx, t_idx] = hit_score(scores[row], source)
+    return checksum, hits, correlations
 
 
 def _run_replicates(

@@ -131,18 +131,24 @@ def _validated_csr(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _distance_dtype(n: int) -> np.dtype:
-    """Narrowest hop-count dtype for N nodes: a hop count is at most N - 1."""
+    """Narrowest dtype that holds any hop count on N nodes (a hop count is at
+    most N - 1): where distances are kept when some value does not fit int8."""
     return np.dtype(np.int16 if n <= np.iinfo(np.int16).max + 1 else np.int32)
+
+
+_INT8 = np.iinfo(np.int8)
 
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """All-pairs hop counts; disconnected pairs hold UNREACHABLE.
 
-    Stored read-only in the narrowest dtype that holds any hop count on N
-    nodes: int16 up to N = 32768, int32 above (a hop count is at most
-    N - 1). Other integer input is narrowed after checking that every value
-    survives the cast.
+    Stored read-only in int8 when every value lies in [-128, 127], which
+    holds on any network of diameter below 128. Other values must fit the
+    dtype that holds any hop count on N nodes (int16 up to N = 32768, int32
+    above, since a hop count is at most N - 1) and are stored in it. Other
+    integer input is narrowed after checking that every value survives the
+    cast.
     """
 
     d: np.ndarray
@@ -152,7 +158,7 @@ class DistanceMatrix:
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {d.shape}")
         dtype = _distance_dtype(d.shape[0])
-        if d.dtype != dtype:
+        if d.dtype not in (dtype, np.int8):
             if not np.issubdtype(d.dtype, np.integer):
                 raise ValueError(f"distance matrix must hold integers, got dtype {d.dtype}")
             narrow = d.astype(dtype)
@@ -161,6 +167,8 @@ class DistanceMatrix:
                 i, j = bad[0]
                 raise ValueError(f"distance d[{i}][{j}] = {d[i, j]} does not fit in {dtype}")
             d = narrow
+        if d.dtype != np.int8 and d.size and d.min() >= _INT8.min and d.max() <= _INT8.max:
+            d = d.astype(np.int8)
         object.__setattr__(self, "d", _readonly(d))
 
     @property
@@ -229,13 +237,15 @@ def hop_distances(net: Network) -> DistanceMatrix:
     level costs time proportional to the edges it expands. A level is
     expanded in chunks of at most ``_BFS_CHUNK_KEYS`` (source, neighbor)
     keys. Each block runs in an int32 scratch, whose rows are then copied
-    into the narrower result.
+    into an int8 result. The first block that reaches a hop count above 127
+    (only on a network of diameter 128 or more) widens the result once to
+    ``_distance_dtype(N)``.
     """
     n = net.n
     degree = net.degrees()
     first_edge = net.indptr[:-1]
     dst = net.indices
-    d = np.empty((n, n), dtype=_distance_dtype(n))
+    d = np.empty((n, n), dtype=np.int8)
     block = max(1, min(n, _BFS_BLOCK_PAIRS // n))
     scratch = np.empty((block, n), dtype=np.int32)
     for lo in range(0, n, block):
@@ -268,7 +278,7 @@ def hop_distances(net: Network) -> DistanceMatrix:
                 # Keep one copy of each key: scatter distinct stamps, then keep
                 # the entry whose stamp survived. A chunk has at most
                 # max(_BFS_CHUNK_KEYS, largest degree) stamps, so they fit
-                # the int32 scratch but not always the int16 result.
+                # the int32 scratch but not always the int8 result.
                 stamps = UNREACHABLE - 1 - np.arange(keys.size)
                 flat[keys] = stamps
                 keys = keys[flat[keys] == stamps]
@@ -277,6 +287,10 @@ def hop_distances(net: Network) -> DistanceMatrix:
                 start = stop
             del ends
             frontier = np.concatenate(found)
+        # The last level expanded found nothing, so level - 1 is the block's
+        # largest hop count.
+        if level - 1 > _INT8.max and d.dtype == np.int8:
+            d = d.astype(_distance_dtype(n))
         d[lo : lo + rows.shape[0]] = rows
     return DistanceMatrix(d)
 

@@ -344,6 +344,27 @@ class TestRerun:
         assert run("rerun", "--manifest", str(manifest)) == 2
         assert "'arguments'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [False, True])
+    def test_boolean_for_valued_flag_exits_2_naming_field(self, tmp_path, capsys, value):
+        out = tmp_path / "x.csv"
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"subcommand": "gen-net", "arguments": {
+            "nodes": 6, "mean_degree": 2, "seed": value, "out": str(out)}}))
+        assert run("rerun", "--manifest", str(manifest)) == 2
+        assert "'seed'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boolean_switch_replays(self, tmp_path, net_csv):
+        # --no-noise is a store_true flag, so its manifest value is a boolean.
+        out = tmp_path / "first.csv"
+        argv = _rerun_first_argv("simulate", tmp_path, net_csv, None)
+        assert run("simulate", *argv, "--no-noise", "--out", str(out)) == 0
+        assert _manifest(out)["arguments"]["no_noise"] is True
+        out2 = tmp_path / "again.csv"
+        assert run("rerun", "--manifest", str(out) + ".manifest.json", "--out", str(out2)) == 0
+        assert out2.read_bytes() == out.read_bytes()
+        assert _manifest(out2)["arguments"]["no_noise"] is True
+
     def test_self_replaying_rerun_manifest_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps(

@@ -1,9 +1,11 @@
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from epiprofiler import experiments
 from epiprofiler.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -197,28 +199,59 @@ class TestScoreGrid:
                     assert np.isnan(correlations[t_idx])
 
 
+def _replicate_peak(n):
+    """tracemalloc peak of one replicate at the N=1000 benchmark's settings,
+    at N=n."""
+    cfg = ExperimentConfig(
+        replicates=1,
+        params=EpidemicParams(0.11, 0.09, 0.2),
+        decays=(POLY,),
+        n_nodes=n,
+        observation_times=(5.0, 10.0, 15.0, 20.0),
+        master_seed=3,
+    )
+    _replicate(tiny_config(), (ObservableKind.NEW_CASES,), 0)  # first-call imports
+    tracemalloc.start()
+    try:
+        _replicate(cfg, (cfg.kind,), 0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestReplicateMemory:
     def test_hop_distances_are_the_one_n_by_n_array(self):
-        # One replicate at the N=1000 benchmark's settings, at N=600: the
-        # int16 distances (2 N^2 bytes) are its only N x N array; the
-        # trajectory adds about 1.2 N^2 and the scoring blocks stay small.
+        # The int8 distances (N^2 bytes) are a replicate's only N x N array;
+        # the scoring blocks stay small.
         n = 600
-        cfg = ExperimentConfig(
-            replicates=1,
-            params=EpidemicParams(0.11, 0.09, 0.2),
-            decays=(POLY,),
-            n_nodes=n,
-            observation_times=(5.0, 10.0, 15.0, 20.0),
-            master_seed=3,
-        )
-        _replicate(tiny_config(), (ObservableKind.NEW_CASES,), 0)  # first-call imports
-        tracemalloc.start()
-        try:
-            _replicate(cfg, (cfg.kind,), 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6 * n * n
+        assert _replicate_peak(n) <= 6 * n * n
+
+    def test_trajectory_and_distances_are_not_held_at_once(self):
+        # The trajectory (about 1.2 N^2 bytes here) is released before the
+        # hop distances are built, so the peak is the larger of the two
+        # phases, not their sum.
+        n = 600
+        assert _replicate_peak(n) <= 3.5 * n * n
+
+    def test_trajectory_is_released_before_hop_distances(self, monkeypatch):
+        trajectories = []
+        alive_at_bfs = []
+
+        def tracked_simulate(*args, **kwargs):
+            traj = simulate(*args, **kwargs)
+            trajectories.append(weakref.ref(traj))
+            return traj
+
+        def tracked_hop_distances(net):
+            alive_at_bfs.append([ref() is not None for ref in trajectories])
+            return hop_distances(net)
+
+        monkeypatch.setattr(experiments, "simulate", tracked_simulate)
+        monkeypatch.setattr(experiments, "hop_distances", tracked_hop_distances)
+        cfg = tiny_config()
+        for rep in range(cfg.replicates):
+            _replicate(cfg, (cfg.kind,), rep)
+        assert alive_at_bfs == [[False] * (rep + 1) for rep in range(cfg.replicates)]
 
 
 class TestPairedArms:

@@ -170,7 +170,15 @@ class TestStorage:
         assert generate_erdos_renyi(10, 2.0, seed=1).adjacency.dtype == bool
 
     def test_hop_distances_are_int16(self):
-        assert hop_distances(path_graph(4)).d.dtype == np.int16
+        # int8 holds every hop count below 128; a path of 129 nodes has one
+        # of 128, so its distances widen to int16.
+        assert hop_distances(path_graph(4)).d.dtype == np.int8
+        assert hop_distances(path_graph(128)).d.dtype == np.int8
+        assert hop_distances(path_graph(129)).d.dtype == np.int16
+
+    def test_sparse_random_network_distances_are_int8(self):
+        # The N=1000 benchmark's network: its diameter is far below 128.
+        assert hop_distances(generate_erdos_renyi(1000, 2.0, seed=1)).d.dtype == np.int8
 
     def test_distance_dtype_follows_node_count(self):
         # A hop count is at most N - 1, so int16 holds every one up to N = 32768.
@@ -178,18 +186,30 @@ class TestStorage:
         assert network._distance_dtype(32768) == np.int16
         assert network._distance_dtype(32769) == np.int32
 
-    def test_hop_distances_fill_the_wider_dtype(self):
-        # The int32 result that N > 32768 gets, without an N x N array that size.
-        with mock.patch.object(network, "_distance_dtype", lambda n: np.dtype(np.int32)):
-            d = hop_distances(path_graph(4)).d
-        assert d.dtype == np.int32
-        assert np.array_equal(d, relaxation_distances(path_graph(4).adjacency))
+    def test_hop_distances_fill_the_wider_dtype(self, monkeypatch):
+        # A 129-node path (the shortest that widens) labelled from the middle
+        # out, in blocks of 8 sources: the early blocks fill int8 rows, and
+        # the first block to reach hop 128 (one of the last two) widens the
+        # result with those rows kept.
+        n = 129
+        order = np.argsort(np.abs(np.arange(n) - (n - 1) / 2), kind="stable")
+        adj = path_graph(n).adjacency[np.ix_(order, order)]
+        monkeypatch.setattr(network, "_BFS_BLOCK_PAIRS", 8 * n)
+        d = hop_distances(Network(adj)).d
+        assert d.dtype == np.int16
+        assert np.array_equal(d, relaxation_distances(adj))
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint16, np.uint64])
     def test_distance_matrix_narrows_integers(self, dtype):
         d = DistanceMatrix(np.array([[0, 1], [1, 0]], dtype=dtype)).d
-        assert d.dtype == np.int16
+        assert d.dtype == np.int8
         assert d.tolist() == [[0, 1], [1, 0]]
+
+    @pytest.mark.parametrize("value", [128, -129, 2**15 - 1, -(2**15)])
+    def test_distance_matrix_keeps_int16_past_int8(self, value):
+        d = DistanceMatrix(np.array([[0, value], [1, 0]])).d
+        assert d.dtype == np.int16
+        assert d.tolist() == [[0, value], [1, 0]]
 
     def test_distance_matrix_keeps_negative_values(self):
         assert DistanceMatrix([[0, -1], [-5, 0]]).d.tolist() == [[0, -1], [-5, 0]]
@@ -234,14 +254,14 @@ class TestStorage:
         finally:
             tracemalloc.stop()
         assert net.adjacency.nbytes == n * n
-        assert dist.d.nbytes == 2 * n * n
+        assert dist.d.nbytes == n * n
         assert generate_peak <= 4 * n * n
         assert bfs_peak <= 7 * n * n
 
     def test_bfs_memory_budget_dense_network(self):
         # At mean degree 20 a level reaches 20 keys per frontier entry; the
         # BFS expands them in bounded chunks, so its peak stays within the
-        # degree-2 budget (the int16 result is 2 N^2 of it).
+        # degree-2 budget (the int8 result is N^2 of it).
         n = 600
         hop_distances(generate_erdos_renyi(10, 2.0, seed=0))  # first-call imports
         net = generate_erdos_renyi(n, 20.0, seed=1)
