@@ -1,105 +1,74 @@
 """Stochastic metapopulation SIR simulation and source profiling for
-multiregional outbreaks."""
+multiregional outbreaks.
+
+Each public name is imported from its submodule on first access (PEP 562),
+so ``import epiprofiler`` loads no submodule and a run loads only the
+modules it uses.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .network import (
-    UNREACHABLE,
-    DistanceMatrix,
-    MobilityMatrix,
-    Network,
-    generate_erdos_renyi,
-    hop_distances,
-    is_interchangeable,
-    load_adjacency,
-    mobility_matrix,
-    save_adjacency,
-)
-from .profiler import (
-    DecayKind,
-    DecaySpec,
-    LikelinessResult,
-    decay_weight,
-    hit_score,
-    likeliness_scores,
-)
-from .simulator import (
-    Dataset,
-    EpidemicParams,
-    InitialCondition,
-    ObservableKind,
-    SimulationDiverged,
-    Trajectory,
-    ZeroVarianceError,
-    initial_correlation,
-    simulate,
-    synthesize_dataset,
-    write_trajectory_csv,
-)
-from .experiments import (
-    CorrelationSamples,
-    ExperimentConfig,
-    HitCurve,
-    SweepResult,
-    compare_observables,
-    hit_vs_correlation,
-    rank_correlation,
-    run_hit_experiment,
-    sweep_decay_parameter,
-)
-from .data_ingest import (
-    CaseReportSeries,
-    RankingTimeline,
-    bundled_data_path,
-    daily_deltas,
-    filter_regions,
-    load_case_series,
-    rank_timeline,
-)
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    "UNREACHABLE": "network",
+    "Network": "network",
+    "DistanceMatrix": "network",
+    "MobilityMatrix": "network",
+    "generate_erdos_renyi": "network",
+    "hop_distances": "network",
+    "mobility_matrix": "network",
+    "is_interchangeable": "network",
+    "load_adjacency": "network",
+    "save_adjacency": "network",
+    "EpidemicParams": "simulator",
+    "InitialCondition": "simulator",
+    "Trajectory": "simulator",
+    "Dataset": "simulator",
+    "ObservableKind": "simulator",
+    "SimulationDiverged": "simulator",
+    "ZeroVarianceError": "simulator",
+    "simulate": "simulator",
+    "synthesize_dataset": "simulator",
+    "initial_correlation": "simulator",
+    "write_trajectory_csv": "simulator",
+    "DecayKind": "profiler",
+    "DecaySpec": "profiler",
+    "LikelinessResult": "profiler",
+    "decay_weight": "profiler",
+    "likeliness_scores": "profiler",
+    "hit_score": "profiler",
+    "ExperimentConfig": "experiments",
+    "HitCurve": "experiments",
+    "CorrelationSamples": "experiments",
+    "SweepResult": "experiments",
+    "run_hit_experiment": "experiments",
+    "hit_vs_correlation": "experiments",
+    "compare_observables": "experiments",
+    "sweep_decay_parameter": "experiments",
+    "rank_correlation": "experiments",
+    "CaseReportSeries": "data_ingest",
+    "RankingTimeline": "data_ingest",
+    "load_case_series": "data_ingest",
+    "filter_regions": "data_ingest",
+    "daily_deltas": "data_ingest",
+    "rank_timeline": "data_ingest",
+    "bundled_data_path": "data_ingest",
+}
 
-__all__ = [
-    "__version__",
-    "UNREACHABLE",
-    "Network",
-    "DistanceMatrix",
-    "MobilityMatrix",
-    "generate_erdos_renyi",
-    "hop_distances",
-    "mobility_matrix",
-    "is_interchangeable",
-    "load_adjacency",
-    "save_adjacency",
-    "EpidemicParams",
-    "InitialCondition",
-    "Trajectory",
-    "Dataset",
-    "ObservableKind",
-    "SimulationDiverged",
-    "ZeroVarianceError",
-    "simulate",
-    "synthesize_dataset",
-    "initial_correlation",
-    "write_trajectory_csv",
-    "DecayKind",
-    "DecaySpec",
-    "LikelinessResult",
-    "decay_weight",
-    "likeliness_scores",
-    "hit_score",
-    "ExperimentConfig",
-    "HitCurve",
-    "CorrelationSamples",
-    "SweepResult",
-    "run_hit_experiment",
-    "hit_vs_correlation",
-    "compare_observables",
-    "sweep_decay_parameter",
-    "rank_correlation",
-    "CaseReportSeries",
-    "RankingTimeline",
-    "load_case_series",
-    "filter_regions",
-    "daily_deltas",
-    "rank_timeline",
-    "bundled_data_path",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    try:
+        submodule = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -4,12 +4,15 @@ Exit codes: 0 success, 2 usage or config error, 1 runtime failure. Every
 subcommand but `rerun` writes a run manifest next to its primary output that
 records each parsed flag as the command normalised it; `rerun` replays a
 manifest and reproduces the output byte for byte. All randomness flows from
-explicit seed flags or config fields.
+explicit seed flags or config fields. A subcommand imports `experiments` or
+`data_ingest` only when it runs them, so the other subcommands never load
+either module.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -18,19 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data_ingest import daily_deltas, filter_regions, load_case_series, rank_timeline, write_timeline_csv
-from .experiments import (
-    ConfigError,
-    hit_curve_rows,
-    hit_vs_correlation,
-    compare_observables,
-    load_experiment_file,
-    run_hit_experiment,
-    sweep_decay_parameter,
-    write_correlation_csv,
-    write_hit_curves_csv,
-    write_sweep_csv,
-)
 from .network import Network, generate_erdos_renyi, hop_distances, load_adjacency, save_adjacency
 from .profiler import DecayKind, DecaySpec, likeliness_scores, write_ranking_csv
 from .simulator import (
@@ -199,6 +189,19 @@ def cmd_profile(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    # Imported here, as in cmd_sweep and cmd_rank_timeline, so that only the
+    # subcommands that run a module load it.
+    from .experiments import (
+        ConfigError,
+        compare_observables,
+        hit_curve_rows,
+        hit_vs_correlation,
+        load_experiment_file,
+        run_hit_experiment,
+        write_correlation_csv,
+        write_hit_curves_csv,
+    )
+
     try:
         args.config = _resolve_input(args.config)
         exp_file = load_experiment_file(args.config)
@@ -226,6 +229,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .experiments import ConfigError, load_experiment_file, sweep_decay_parameter, write_sweep_csv
+
     try:
         args.config = _resolve_input(args.config)
         exp_file = load_experiment_file(args.config)
@@ -247,6 +252,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_rank_timeline(args) -> int:
+    from .data_ingest import daily_deltas, filter_regions, load_case_series, rank_timeline, write_timeline_csv
+
     try:
         args.net, args.cases = _resolve_input(args.net), _resolve_input(args.cases)
         net = load_adjacency(args.net)
@@ -307,7 +314,11 @@ def cmd_rerun(args) -> int:
     return main([subcommand] + _argv_from_arguments(subcommand, arguments, args.manifest))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each build leaves
+    argparse's help formatters and actions in reference cycles, which would
+    otherwise pile up over in-process calls of ``main``."""
     parser = argparse.ArgumentParser(
         prog="epiprofiler",
         description="Simulate multiregional outbreaks and profile their likely source node.",

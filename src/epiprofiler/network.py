@@ -13,7 +13,13 @@ import numpy as np
 UNREACHABLE = -1  # hop-distance sentinel; never a large stand-in integer
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
+def _readonly(arr: np.ndarray, given=None) -> np.ndarray:
+    """``arr`` marked read-only. When ``arr`` is a writable array that shares
+    memory with the caller's array ``given``, a copy is marked instead, so
+    the caller's array stays writable and its later writes cannot reach the
+    instance that keeps ``arr``."""
+    if arr.flags.writeable and isinstance(given, np.ndarray) and np.may_share_memory(arr, given):
+        arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -148,7 +154,7 @@ class DistanceMatrix:
     dtype that holds any hop count on N nodes (int16 up to N = 32768, int32
     above, since a hop count is at most N - 1) and are stored in it. Other
     integer input is narrowed after checking that every value survives the
-    cast.
+    cast. A writable caller array is copied, never frozen in place.
     """
 
     d: np.ndarray
@@ -169,7 +175,7 @@ class DistanceMatrix:
             d = narrow
         if d.dtype != np.int8 and d.size and d.min() >= _INT8.min and d.max() <= _INT8.max:
             d = d.astype(np.int8)
-        object.__setattr__(self, "d", _readonly(d))
+        object.__setattr__(self, "d", _readonly(d, self.d))
 
     @property
     def n(self) -> int:
@@ -179,7 +185,8 @@ class DistanceMatrix:
 @dataclass(frozen=True, eq=False)
 class MobilityMatrix:
     """Per-link travel rates (1/time); row sums equal the total mobility rate
-    for every node with at least one neighbor, and are zero for isolated nodes."""
+    for every node with at least one neighbor, and are zero for isolated nodes.
+    Stored read-only; a writable caller array is copied, never frozen in place."""
 
     g: np.ndarray
 
@@ -187,7 +194,7 @@ class MobilityMatrix:
         g = np.asarray(self.g, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError(f"mobility matrix must be square, got shape {g.shape}")
-        object.__setattr__(self, "g", _readonly(g))
+        object.__setattr__(self, "g", _readonly(g, self.g))
 
     @property
     def n(self) -> int:
@@ -292,7 +299,8 @@ def hop_distances(net: Network) -> DistanceMatrix:
         if level - 1 > _INT8.max and d.dtype == np.int8:
             d = d.astype(_distance_dtype(n))
         d[lo : lo + rows.shape[0]] = rows
-    return DistanceMatrix(d)
+    # Read-only already, so DistanceMatrix keeps it without a copy.
+    return DistanceMatrix(_readonly(d))
 
 
 def mobility_edges(net: Network, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -320,7 +328,7 @@ def mobility_matrix(net: Network, gamma: float) -> MobilityMatrix:
     src, dst, rate = mobility_edges(net, gamma)
     g = np.zeros((net.n, net.n))
     g[src, dst] = rate
-    return MobilityMatrix(g)
+    return MobilityMatrix(_readonly(g))
 
 
 def is_interchangeable(dist: DistanceMatrix, nodes: Sequence[int]) -> bool:

@@ -1,10 +1,12 @@
+import argparse
+import gc
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from epiprofiler.cli import main
+from epiprofiler.cli import build_parser, main
 from epiprofiler.data_ingest import SARS_ADJACENCY_FILE, SARS_CASES_FILE, bundled_data_path
 from epiprofiler.network import load_adjacency
 
@@ -371,6 +373,31 @@ class TestRerun:
             {"subcommand": "rerun", "arguments": {"manifest": str(manifest)}}))
         assert run("rerun", "--manifest", str(manifest)) == 2
         assert "'subcommand'" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_leave_no_argparse_garbage(self, tmp_path):
+        # A parser build leaves its help formatters in reference cycles, so
+        # building one per call would pile them up in the oldest gc
+        # generation over in-process calls.
+        argv = ["rank-timeline", "--net", str(bundled_data_path(SARS_ADJACENCY_FILE)),
+                "--cases", str(bundled_data_path(SARS_CASES_FILE)), "--out", str(tmp_path / "t.csv")]
+        assert main(argv) == 0  # the first call in this process may build the parser
+        gc.collect()
+        old_debug = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(3):
+                assert main(argv) == 0
+            gc.collect()
+            formatters = sum(isinstance(obj, argparse.HelpFormatter) for obj in gc.garbage)
+        finally:
+            gc.set_debug(old_debug)
+            gc.garbage.clear()
+        assert formatters == 0
 
 
 class TestTopLevel:

@@ -15,6 +15,7 @@ from epiprofiler.data_ingest import SARS_ADJACENCY_FILE, bundled_data_path
 from epiprofiler.network import (
     UNREACHABLE,
     DistanceMatrix,
+    MobilityMatrix,
     Network,
     generate_erdos_renyi,
     hop_distances,
@@ -236,6 +237,29 @@ class TestStorage:
         d[2, 1] = value
         with pytest.raises(ValueError, match=rf"d\[2\]\[1\] = {value} does not fit in int16"):
             DistanceMatrix(d)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16])
+    def test_distance_matrix_leaves_the_callers_array_writable(self, dtype):
+        # int8 is kept as is and int16 is the N-derived dtype, so neither
+        # needs a cast: the instance must still not freeze or alias the
+        # caller's array.
+        a = np.array([[0, 1], [1, 0]], dtype=dtype)
+        dist = DistanceMatrix(a)
+        a[0, 0] = 3
+        assert a.flags.writeable
+        assert dist.d.tolist() == [[0, 1], [1, 0]]
+        assert not dist.d.flags.writeable
+
+    def test_hop_distances_are_wrapped_without_a_copy(self, monkeypatch):
+        # hop_distances freezes its own result, so DistanceMatrix keeps it.
+        given = []
+
+        def spy(d):
+            given.append(d)
+            return DistanceMatrix(d)
+
+        monkeypatch.setattr(network, "DistanceMatrix", spy)
+        assert hop_distances(generate_erdos_renyi(50, 2.0, seed=2)).d is given[0]
 
     def test_memory_budget(self):
         # tracemalloc sees numpy's allocations. An N x N int64 temporary
@@ -478,6 +502,14 @@ class TestMobilityMatrix:
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError, match="gamma"):
             mobility_matrix(path_graph(3), 0.0)
+
+    def test_leaves_the_callers_array_writable(self):
+        g = np.array([[0.0, 0.2], [0.2, 0.0]])
+        mob = MobilityMatrix(g)
+        g[0, 1] = 5.0
+        assert g.flags.writeable
+        assert mob.g.tolist() == [[0.0, 0.2], [0.2, 0.0]]
+        assert not mob.g.flags.writeable
 
 
 class TestPermutationEquivariance:
