@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .network import Network, generate_erdos_renyi, hop_distances, load_adjacency, save_adjacency
+from .network import Network, _write_json, generate_erdos_renyi, hop_distances, load_adjacency, save_adjacency
 from .profiler import DecayKind, DecaySpec, likeliness_scores, write_ranking_csv
 from .simulator import (
     Dataset,
@@ -55,10 +55,7 @@ def _write_manifest(args, outputs: list[str]) -> None:
         "arguments": arguments,
         "outputs": outputs,
     }
-    path = _manifest_path(outputs[0])
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(_manifest_path(outputs[0]), manifest)
 
 
 def _resolve_input(path_text: str) -> str:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .network import Network, hop_distances
+from .network import Network, _ReadOnlyArrays, _write_csv, hop_distances
 from .profiler import DecayProfile, DecaySpec, LikelinessResult
 from .simulator import Dataset, ObservableKind
 
@@ -34,7 +34,7 @@ def bundled_data_path(name: str) -> Path:
 
 
 @dataclass(frozen=True, eq=False)
-class CaseReportSeries:
+class CaseReportSeries(_ReadOnlyArrays):
     """Cumulative reported cases per (date, region); missing entries are NaN."""
 
     regions: tuple[str, ...]
@@ -53,9 +53,7 @@ class CaseReportSeries:
             )
         if np.any(cum[~np.isnan(cum)] < 0):
             raise ValueError("cumulative counts must be non-negative")
-        cum = cum.copy()
-        cum.setflags(write=False)
-        object.__setattr__(self, "cumulative", cum)
+        self._keep("cumulative", cum, self.cumulative)
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "regions", tuple(self.regions))
 
@@ -237,20 +235,14 @@ def rank_timeline(
 
 
 def write_timeline_csv(timeline: RankingTimeline, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["day_index", "date", "rank", "region", "score", "degenerate_flag"])
+    def rows():
+        labels = timeline.labels
         for entry in timeline.entries:
-            flag = "true" if entry.result.degenerate else "false"
+            # Per-entry fields, computed once for all the entry's rows.
             date_text = entry.date.isoformat() if entry.date is not None else ""
+            flag = "true" if entry.result.degenerate else "false"
+            scores = entry.result.scores
             for pos, node in enumerate(entry.result.ranking, start=1):
-                writer.writerow(
-                    [
-                        entry.day_index,
-                        date_text,
-                        pos,
-                        timeline.labels[node],
-                        repr(float(entry.result.scores[node])),
-                        flag,
-                    ]
-                )
+                yield [entry.day_index, date_text, pos, labels[node], repr(float(scores[node])), flag]
+
+    _write_csv(path, ["day_index", "date", "rank", "region", "score", "degenerate_flag"], rows())

@@ -4,7 +4,6 @@ sweeps. Each replicate derives its RNG streams from (master_seed, replicate
 index), so results are identical no matter how replicates are scheduled."""
 from __future__ import annotations
 
-import csv
 import json
 import math
 from contextlib import ExitStack
@@ -15,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .network import generate_erdos_renyi, hop_distances
+from .network import _write_csv, generate_erdos_renyi, hop_distances
 from .profiler import DecayKind, DecayProfile, DecaySpec, hit_score
 from .simulator import (
     EpidemicParams,
@@ -328,56 +327,39 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 HIT_CSV_HEADER = ["experiment", "decay_kind", "param", "t", "mean_H", "stderr", "replicates"]
 
 
+def _param_text(spec: DecaySpec) -> str:
+    return "" if spec.param is None else repr(spec.param)
+
+
 def hit_curve_rows(experiment: str, curve: HitCurve) -> list[list[str]]:
-    rows = []
-    for spec in curve.mean:
-        for t_idx, t in enumerate(curve.times):
-            rows.append(
-                [
-                    experiment,
-                    spec.kind.value,
-                    "" if spec.param is None else repr(spec.param),
-                    repr(float(t)),
-                    repr(curve.mean[spec][t_idx]),
-                    repr(curve.stderr[spec][t_idx]),
-                    str(curve.replicates),
-                ]
-            )
-    return rows
+    reps = str(curve.replicates)
+    return [
+        [experiment, spec.kind.value, _param_text(spec), repr(float(t)), repr(mean), repr(err), reps]
+        for spec in curve.mean
+        for t, mean, err in zip(curve.times, curve.mean[spec], curve.stderr[spec])
+    ]
 
 
 def write_hit_curves_csv(path, rows: list[list[str]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HIT_CSV_HEADER)
-        writer.writerows(rows)
+    _write_csv(path, HIT_CSV_HEADER, rows)
 
 
 def write_correlation_csv(path, experiment: str, samples: CorrelationSamples) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["experiment", "decay_kind", "param", "initial_correlation", "hit_score"])
-        for spec, pairs in samples.pairs.items():
-            param = "" if spec.param is None else repr(spec.param)
-            for corr, h in pairs:
-                writer.writerow([experiment, spec.kind.value, param, repr(corr), repr(h)])
+    rows = (
+        [experiment, spec.kind.value, _param_text(spec), repr(corr), repr(h)]
+        for spec, pairs in samples.pairs.items()
+        for corr, h in pairs
+    )
+    _write_csv(path, ["experiment", "decay_kind", "param", "initial_correlation", "hit_score"], rows)
 
 
 def write_sweep_csv(path, experiment: str, result: SweepResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["experiment", "decay_kind", "param", "mean_H", "replicates", "selected"])
-        for param in sorted(result.mean):
-            writer.writerow(
-                [
-                    experiment,
-                    result.kind.value,
-                    repr(param),
-                    repr(result.mean[param]),
-                    str(result.replicates),
-                    "true" if param == result.best_param else "false",
-                ]
-            )
+    kind, replicates, best = result.kind.value, str(result.replicates), result.best_param
+    rows = (
+        [experiment, kind, repr(p), repr(result.mean[p]), replicates, "true" if p == best else "false"]
+        for p in sorted(result.mean)
+    )
+    _write_csv(path, ["experiment", "decay_kind", "param", "mean_H", "replicates", "selected"], rows)
 
 
 @dataclass(frozen=True)

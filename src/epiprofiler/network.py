@@ -3,6 +3,7 @@ and the degree-weighted mobility law used by the simulator."""
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
@@ -24,8 +25,40 @@ def _readonly(arr: np.ndarray, given=None) -> np.ndarray:
     return arr
 
 
+class _ReadOnlyArrays:
+    """Base of the frozen dataclasses whose array fields are read-only. Each
+    keeps its arrays through :meth:`_keep`, and unpickling freezes them
+    again."""
+
+    def _keep(self, name: str, arr: np.ndarray, given=None) -> None:
+        """Store ``arr`` read-only as field ``name``; see :func:`_readonly`."""
+        object.__setattr__(self, name, _readonly(arr, given))
+
+    def __setstate__(self, state):
+        # Unpickled arrays come back writable.
+        for name, value in state.items():
+            object.__setattr__(self, name, _readonly(value) if isinstance(value, np.ndarray) else value)
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and then each of ``rows`` to a CSV file at ``path``:
+    the one place that sets the package's CSV dialect (csv's default)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path, obj) -> None:
+    """Write ``obj`` to a JSON file at ``path``: indented by 2, keys sorted,
+    ending in a newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 @dataclass(frozen=True, init=False, eq=False)
-class Network:
+class Network(_ReadOnlyArrays):
     """Undirected transport network over region nodes.
 
     ``Network(adjacency, labels=None)`` takes a square adjacency matrix with
@@ -67,14 +100,9 @@ class Network:
                 raise ValueError(f"expected {n} labels, got {len(labels)}")
             if len(set(labels)) != n:
                 raise ValueError("node labels must be unique")
-        object.__setattr__(self, "indptr", _readonly(indptr))
-        object.__setattr__(self, "indices", _readonly(indices))
+        self._keep("indptr", indptr)
+        self._keep("indices", indices)
         object.__setattr__(self, "labels", labels)
-
-    def __setstate__(self, state):
-        # Unpickled arrays come back writable.
-        for name, value in state.items():
-            object.__setattr__(self, name, _readonly(value) if isinstance(value, np.ndarray) else value)
 
     @property
     def n(self) -> int:
@@ -93,47 +121,27 @@ class Network:
 
 def _validated_csr(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR ``(indptr, indices)`` of a square adjacency matrix, after checking
-    the 0/1, diagonal and symmetry rules in that order; each error names the
-    rule's first offending cell in row-major order. The rules are checked
-    over blocks of rows of ``_BFS_BLOCK_PAIRS`` cells, so no N x N temporary
-    is made."""
-    n = adj.shape[0]
-    block = max(1, _BFS_BLOCK_PAIRS // n)
-    loop = asym = None  # first violation of each later rule, if any
-    counts, indices = [], []
-    for lo in range(0, n, block):
-        rows = adj[lo : lo + block]
-        if adj.dtype != bool:
-            bad = np.argwhere((rows != 0) & (rows != 1))
-            if bad.size:
-                i, j = bad[0]
-                i += lo
-                raise ValueError(f"adjacency[{i}][{j}] = {adj[i, j]!r} is not 0 or 1")
-        r, c = np.nonzero(rows)
-        counts.append(np.bincount(r, minlength=rows.shape[0]))
-        indices.append(c)
-        r += lo
-        if loop is None:
-            diag = np.flatnonzero(r == c)
-            if diag.size:
-                loop = r[diag[0]]
-        # A set cell whose mirror is 0: both cells break symmetry, and the
-        # earlier one in row-major order may lie in an earlier block.
-        lone = adj[c, r] == 0
-        if lone.any():
-            first = int(np.minimum(r[lone] * n + c[lone], c[lone] * n + r[lone]).min())
-            asym = first if asym is None else min(asym, first)
-    if loop is not None:
-        raise ValueError(f"adjacency[{loop}][{loop}] must be 0 (no self-loops)")
-    if asym is not None:
-        i, j = divmod(asym, n)
+    the 0/1, diagonal and symmetry rules in that order over the whole matrix;
+    each error names the rule's first offending cell in row-major order."""
+    if adj.dtype != bool:
+        bad = np.argwhere((adj != 0) & (adj != 1))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"adjacency[{i}][{j}] = {adj[i, j]!r} is not 0 or 1")
+    loops = np.flatnonzero(np.diagonal(adj))
+    if loops.size:
+        raise ValueError(f"adjacency[{loops[0]}][{loops[0]}] must be 0 (no self-loops)")
+    asym = np.argwhere(adj != adj.T)
+    if asym.size:
+        i, j = asym[0]
         raise ValueError(
             f"adjacency must be symmetric: adjacency[{i}][{j}]={adj[i, j] != 0:d} "
             f"but adjacency[{j}][{i}]={adj[j, i] != 0:d}"
         )
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.concatenate(counts), out=indptr[1:])
-    return indptr, np.concatenate(indices)
+    rows, indices = np.nonzero(adj)
+    indptr = np.zeros(adj.shape[0] + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=adj.shape[0]), out=indptr[1:])
+    return indptr, indices
 
 
 def _distance_dtype(n: int) -> np.dtype:
@@ -146,7 +154,7 @@ _INT8 = np.iinfo(np.int8)
 
 
 @dataclass(frozen=True, eq=False)
-class DistanceMatrix:
+class DistanceMatrix(_ReadOnlyArrays):
     """All-pairs hop counts; disconnected pairs hold UNREACHABLE.
 
     Stored read-only in int8 when every value lies in [-128, 127], which
@@ -175,7 +183,7 @@ class DistanceMatrix:
             d = narrow
         if d.dtype != np.int8 and d.size and d.min() >= _INT8.min and d.max() <= _INT8.max:
             d = d.astype(np.int8)
-        object.__setattr__(self, "d", _readonly(d, self.d))
+        self._keep("d", d, self.d)
 
     @property
     def n(self) -> int:
@@ -183,7 +191,7 @@ class DistanceMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class MobilityMatrix:
+class MobilityMatrix(_ReadOnlyArrays):
     """Per-link travel rates (1/time); row sums equal the total mobility rate
     for every node with at least one neighbor, and are zero for isolated nodes.
     Stored read-only; a writable caller array is copied, never frozen in place."""
@@ -194,7 +202,7 @@ class MobilityMatrix:
         g = np.asarray(self.g, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError(f"mobility matrix must be square, got shape {g.shape}")
-        object.__setattr__(self, "g", _readonly(g, self.g))
+        self._keep("g", g, self.g)
 
     @property
     def n(self) -> int:
@@ -227,8 +235,7 @@ def generate_erdos_renyi(n: int, mean_degree: float, seed) -> Network:
 
 
 # Sources x nodes covered by one BFS block, which bounds the (source, node)
-# pairs a frontier can hold; also the cells of one block of adjacency rows
-# that Network validates at a time.
+# pairs a frontier can hold.
 _BFS_BLOCK_PAIRS = 1 << 15
 # (source, neighbor) keys one expansion step makes at most (more only when a
 # single node has more neighbors), which bounds a level's scratch however
@@ -348,14 +355,15 @@ def is_interchangeable(dist: DistanceMatrix, nodes: Sequence[int]) -> bool:
 def save_adjacency(net: Network, path) -> None:
     """Write the adjacency CSV: label row, then one row per node of
     label followed by the 0/1 entries."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(net.labels)
+
+    def rows():
         for i, label in enumerate(net.labels):
             row = ["0"] * net.n
             for j in net.indices[net.indptr[i] : net.indptr[i + 1]]:
                 row[j] = "1"
-            writer.writerow([label] + row)
+            yield [label] + row
+
+    _write_csv(path, net.labels, rows())
 
 
 def load_adjacency(path) -> Network:

@@ -2,14 +2,13 @@
 case-count snapshot, and the hit-score search metric."""
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import UNREACHABLE, DistanceMatrix
+from .network import UNREACHABLE, DistanceMatrix, _readonly, _ReadOnlyArrays, _write_csv
 from .simulator import Dataset
 
 # Above this, d! overflows comfort; switch to the log-gamma route.
@@ -78,7 +77,7 @@ def _clip_unreachable(d: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class LikelinessResult:
+class LikelinessResult(_ReadOnlyArrays):
     """Per-node likeliness scores with the induced ranking.
 
     The ranking is in descending score order, ties broken by ascending node
@@ -91,19 +90,14 @@ class LikelinessResult:
     degenerate: bool = False
 
     def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=float).copy()
-        ranking = np.asarray(self.ranking, dtype=np.int64).copy()
+        scores = np.asarray(self.scores, dtype=float)
+        ranking = np.asarray(self.ranking, dtype=np.int64)
         if scores.ndim != 1 or ranking.shape != scores.shape:
             raise ValueError("scores and ranking must be vectors of equal length")
         if not np.array_equal(np.sort(ranking), np.arange(scores.shape[0])):
             raise ValueError("ranking must be a permutation of node indices")
-        self._freeze(scores, ranking)
-
-    def _freeze(self, scores: np.ndarray, ranking: np.ndarray) -> None:
-        scores.setflags(write=False)
-        ranking.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "ranking", ranking)
+        self._keep("scores", scores, self.scores)
+        self._keep("ranking", ranking, self.ranking)
 
     @property
     def n(self) -> int:
@@ -114,12 +108,13 @@ class LikelinessResult:
         """The result whose ranking orders ``scores`` descending, ties by
         ascending node index. The ranking is a permutation by construction,
         so unlike one passed to the constructor it is not checked again."""
-        scores = np.array(scores, dtype=float)
+        given, scores = scores, np.asarray(scores, dtype=float)
         if scores.ndim != 1:
             raise ValueError("scores must be a vector")
         result = object.__new__(cls)
         object.__setattr__(result, "degenerate", bool(degenerate))
-        result._freeze(scores, np.lexsort((np.arange(scores.shape[0]), -scores)))
+        result._keep("scores", scores, given)
+        result._keep("ranking", np.lexsort((np.arange(scores.shape[0]), -scores)))
         return result
 
 
@@ -128,8 +123,17 @@ class LikelinessResult:
 _ROW_BLOCK_ELEMENTS = 1 << 14
 
 
+def _row_blocks(d: np.ndarray, table: np.ndarray):
+    """(first row, weights of the block's rows) over all row blocks of the
+    distances ``d``, each distance looked up in the weight ``table``."""
+    n = d.shape[0]
+    block = max(1, _ROW_BLOCK_ELEMENTS // max(n, 1))
+    for lo in range(0, n, block):
+        yield lo, table[d[lo : lo + block]]
+
+
 @dataclass(frozen=True, eq=False)
-class DecayProfile:
+class DecayProfile(_ReadOnlyArrays):
     """Every candidate source's decay weights over hop distances (row i is
     candidate i's profile), kept as the hop distances, the spec's weight
     table and the rows' Euclidean norms. No N x N weight matrix is ever
@@ -141,22 +145,21 @@ class DecayProfile:
     table: np.ndarray
     norms: np.ndarray
 
+    def __post_init__(self):
+        for name in ("d", "table", "norms"):
+            given = getattr(self, name)
+            self._keep(name, np.asarray(given), given)
+
     @classmethod
     def build(cls, dist: DistanceMatrix, spec: DecaySpec) -> "DecayProfile":
         d = _clip_unreachable(dist.d)
         table = _weight_table(spec, int(d.max()) if d.size else 0)
-        profile = cls(d, table, np.empty(dist.n))
+        norms = np.empty(dist.n)
         # Each row is summed pairwise exactly as a whole-matrix norm would.
-        for lo, rows in profile._row_blocks():
-            profile.norms[lo : lo + rows.shape[0]] = np.sqrt(np.add.reduce(rows * rows, axis=1))
-        return profile
-
-    def _row_blocks(self):
-        """(first row, weights of the block's rows) over all row blocks."""
-        n = self.d.shape[0]
-        block = max(1, _ROW_BLOCK_ELEMENTS // max(n, 1))
-        for lo in range(0, n, block):
-            yield lo, self.table[self.d[lo : lo + block]]
+        for lo, rows in _row_blocks(d, table):
+            norms[lo : lo + rows.shape[0]] = np.sqrt(np.add.reduce(rows * rows, axis=1))
+        # Read-only already, so the profile keeps them uncopied.
+        return cls(_readonly(d), _readonly(table), _readonly(norms))
 
     def score_batch(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Score every candidate against each row of an ``(m, N)`` stack of
@@ -177,7 +180,7 @@ class DecayProfile:
         if values.ndim != 2 or values.shape[1] != n:
             raise ValueError(f"dataset has {values.shape[-1]} entries but the network has {n} nodes")
         scores = np.empty((values.shape[0], n))
-        for lo, rows in self._row_blocks():
+        for lo, rows in _row_blocks(self.d, self.table):
             np.einsum("ij,mj->mi", rows, values, out=scores[:, lo : lo + rows.shape[0]])
         data_norms = np.sqrt(np.add.reduce(values * values, axis=1))
         degenerate = data_norms == 0.0
@@ -217,9 +220,6 @@ def hit_score(scores: np.ndarray, source: int) -> float:
 
 
 def write_ranking_csv(result: LikelinessResult, labels, path) -> None:
-    labels = list(labels)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "node_label", "score"])
-        for pos, node in enumerate(result.ranking, start=1):
-            writer.writerow([pos, labels[node], repr(float(result.scores[node]))])
+    labels, scores = list(labels), result.scores
+    rows = ([pos, labels[node], repr(float(scores[node]))] for pos, node in enumerate(result.ranking, 1))
+    _write_csv(path, ["rank", "node_label", "score"], rows)

@@ -9,17 +9,15 @@ extension documented in the README.
 """
 from __future__ import annotations
 
-import csv
 import enum
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .network import Network, mobility_edges
+from .network import Network, _readonly, _ReadOnlyArrays, _write_csv, _write_json, mobility_edges
 
 
 class SimulationDiverged(RuntimeError):
@@ -85,7 +83,7 @@ class ObservableKind(str, enum.Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class Dataset:
+class Dataset(_ReadOnlyArrays):
     """One observation vector (a number per node) plus its kind tag.
 
     ``t_obs`` is provenance for synthetic data only; real pipelines leave it
@@ -104,9 +102,7 @@ class Dataset:
             raise ValueError("dataset values must be finite")
         if (values < 0).any():
             raise ValueError("dataset values must be non-negative")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        self._keep("values", values, self.values)
         object.__setattr__(self, "kind", ObservableKind(self.kind))
 
     @property
@@ -115,7 +111,7 @@ class Dataset:
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(_ReadOnlyArrays):
     """Reported time series of one simulation run, on a uniform grid.
 
     Arrays are shaped (reports, nodes). Provenance (network, parameters, seed,
@@ -134,6 +130,11 @@ class Trajectory:
     sim_dt: float
     report_dt: float
     noise: bool
+
+    def __post_init__(self):
+        for name in ("times", "susceptible", "infectious", "removed", "cases"):
+            given = getattr(self, name)
+            self._keep(name, np.asarray(given), given)
 
     @property
     def n_nodes(self) -> int:
@@ -300,11 +301,10 @@ def simulate(
                     )
         out_x[:, report], out_j[report] = x.reshape(3, n), cases
 
-    times = np.arange(n_reports + 1, dtype=float) * report_dt
-    for arr in (times, out_x, out_j):
-        arr.setflags(write=False)
+    # Read-only before they are sliced, so Trajectory keeps them uncopied.
+    out_x, out_j = _readonly(out_x), _readonly(out_j)
     return Trajectory(
-        times=times,
+        times=_readonly(np.arange(n_reports + 1, dtype=float) * report_dt),
         susceptible=out_x[0],
         infectious=out_x[1],
         removed=out_x[2],
@@ -363,21 +363,13 @@ def write_trajectory_csv(traj: Trajectory, path) -> Path:
     """Export the reported series as CSV (time, node_label, S, I, R, J) and
     echo all run parameters into a .meta.json sidecar."""
     path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "node_label", "S", "I", "R", "J"])
-        for k, t in enumerate(traj.times):
-            for i, label in enumerate(traj.network.labels):
-                writer.writerow(
-                    [
-                        repr(float(t)),
-                        label,
-                        repr(float(traj.susceptible[k, i])),
-                        repr(float(traj.infectious[k, i])),
-                        repr(float(traj.removed[k, i])),
-                        repr(float(traj.cases[k, i])),
-                    ]
-                )
+    series = (traj.susceptible, traj.infectious, traj.removed, traj.cases)
+    rows = (
+        [repr(float(t)), label, *(repr(float(x[k, i])) for x in series)]
+        for k, t in enumerate(traj.times)
+        for i, label in enumerate(traj.network.labels)
+    )
+    _write_csv(path, ["time", "node_label", "S", "I", "R", "J"], rows)
     sidecar = path.with_suffix(".meta.json")
     meta = {
         "alpha": traj.params.alpha,
@@ -395,7 +387,5 @@ def write_trajectory_csv(traj: Trajectory, path) -> Path:
         "labels": list(traj.network.labels),
         "checksum": traj.checksum(),
     }
-    with open(sidecar, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(sidecar, meta)
     return sidecar

@@ -1,15 +1,24 @@
 """The package's top level: lazy public names, and which submodules an import
-loads. Import checks run in a fresh interpreter, because this test process
-has loaded every submodule already."""
+loads, and the decisions every module shares. Import checks run in a fresh
+interpreter, because this test process has loaded every submodule already."""
+import datetime as dt
 import importlib
+import inspect
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import epiprofiler
+from epiprofiler import network
+from epiprofiler.data_ingest import CaseReportSeries
+from epiprofiler.network import generate_erdos_renyi, hop_distances, mobility_matrix
+from epiprofiler.profiler import DecayKind, DecayProfile, DecaySpec, LikelinessResult
+from epiprofiler.simulator import Dataset, EpidemicParams, InitialCondition, ObservableKind, simulate
 
 
 def modules_after(statement: str) -> set[str]:
@@ -85,3 +94,91 @@ class TestPublicNames:
         exec("from epiprofiler import *", namespace)
         for name in epiprofiler.__all__:
             assert namespace[name] is getattr(epiprofiler, name)
+
+
+def small_net():
+    return generate_erdos_renyi(6, 2.0, seed=1)
+
+
+# Each frozen class with array fields: a factory and its array fields.
+READ_ONLY_CASES = {
+    "Network": (small_net, ("indptr", "indices")),
+    "DistanceMatrix": (lambda: hop_distances(small_net()), ("d",)),
+    "MobilityMatrix": (lambda: mobility_matrix(small_net(), 0.3), ("g",)),
+    "Dataset": (lambda: Dataset(np.array([1.0, 0.0, 2.5]), ObservableKind.NEW_CASES), ("values",)),
+    "Trajectory": (
+        lambda: simulate(small_net(), EpidemicParams(0.4, 0.2, 0.1), InitialCondition(0, 5.0, 600.0), 2.0, seed=3),
+        ("times", "susceptible", "infectious", "removed", "cases"),
+    ),
+    "LikelinessResult": (
+        lambda: LikelinessResult(np.array([0.5, 0.25, 1.0]), np.array([2, 0, 1])),
+        ("scores", "ranking"),
+    ),
+    "CaseReportSeries": (
+        lambda: CaseReportSeries(
+            ("A", "B"), (dt.date(2003, 3, 17), dt.date(2003, 3, 18)), np.array([[1.0, np.nan], [2.0, 3.0]])
+        ),
+        ("cumulative",),
+    ),
+    "DecayProfile": (
+        lambda: DecayProfile.build(hop_distances(small_net()), DecaySpec(DecayKind.POLYNOMIAL, 0.5)),
+        ("d", "table", "norms"),
+    ),
+}
+
+
+class TestReadOnlyArrays:
+    @pytest.mark.parametrize("name", READ_ONLY_CASES)
+    def test_arrays_stay_read_only_through_pickle(self, name):
+        make, fields = READ_ONLY_CASES[name]
+        obj = make()
+        copy = pickle.loads(pickle.dumps(obj))
+        assert type(obj).__name__ == name
+        for field in fields:
+            arr, back = getattr(obj, field), getattr(copy, field)
+            assert not arr.flags.writeable, field
+            assert not back.flags.writeable, field
+            assert back.dtype == arr.dtype and np.array_equal(back, arr, equal_nan=arr.dtype.kind == "f")
+
+    @pytest.mark.parametrize(
+        "make,field",
+        [
+            (lambda a: Dataset(a, ObservableKind.NEW_CASES), "values"),
+            (lambda a: LikelinessResult(a, np.arange(a.size)[::-1]), "scores"),
+            (lambda a: LikelinessResult.from_scores(a), "scores"),
+            (lambda a: CaseReportSeries(("A", "B", "C"), (dt.date(2003, 3, 17),), a[None, :]), "cumulative"),
+        ],
+        ids=["Dataset", "LikelinessResult", "LikelinessResult.from_scores", "CaseReportSeries"],
+    )
+    def test_callers_array_stays_writable(self, make, field):
+        # The float64 input needs no cast: the instance must still neither
+        # freeze nor alias the caller's array.
+        a = np.array([3.0, 2.0, 1.0])
+        kept = getattr(make(a), field)
+        a[0] = 9.0
+        assert a.flags.writeable
+        assert kept.ravel().tolist() == [3.0, 2.0, 1.0]
+        assert not kept.flags.writeable
+
+    def test_callers_ranking_stays_writable(self):
+        ranking = np.array([0, 1, 2])
+        result = LikelinessResult(np.array([3.0, 2.0, 1.0]), ranking)
+        ranking[0] = 2
+        assert ranking.flags.writeable
+        assert result.ranking.tolist() == [0, 1, 2]
+
+
+# network.py helpers that alone write CSV, write JSON, or set array flags.
+SHARED_HELPERS = ("_readonly", "_write_csv", "_write_json")
+
+
+def test_each_shared_decision_has_one_home():
+    helpers = [inspect.getsource(getattr(network, name)) for name in SHARED_HELPERS]
+    for path in sorted(Path(epiprofiler.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        if path.name == "network.py":
+            for source in helpers:
+                assert source in text
+                text = text.replace(source, "")
+        for call in ("csv.writer(", "json.dump(", "setflags("):
+            assert call not in text, f"{path.name} calls {call} outside the network.py helpers"
