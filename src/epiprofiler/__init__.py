@@ -25,14 +25,14 @@ _EXPORTS = {
     "EpidemicParams": "simulator",
     "InitialCondition": "simulator",
     "Trajectory": "simulator",
-    "Dataset": "simulator",
-    "ObservableKind": "simulator",
     "SimulationDiverged": "simulator",
     "ZeroVarianceError": "simulator",
     "simulate": "simulator",
     "synthesize_dataset": "simulator",
     "initial_correlation": "simulator",
     "write_trajectory_csv": "simulator",
+    "Dataset": "profiler",
+    "ObservableKind": "profiler",
     "DecayKind": "profiler",
     "DecaySpec": "profiler",
     "LikelinessResult": "profiler",

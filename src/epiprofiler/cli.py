@@ -4,9 +4,9 @@ Exit codes: 0 success, 2 usage or config error, 1 runtime failure. Every
 subcommand but `rerun` writes a run manifest next to its primary output that
 records each parsed flag as the command normalised it; `rerun` replays a
 manifest and reproduces the output byte for byte. All randomness flows from
-explicit seed flags or config fields. A subcommand imports `experiments` or
-`data_ingest` only when it runs them, so the other subcommands never load
-either module.
+explicit seed flags or config fields. A subcommand imports `simulator`,
+`experiments` or `data_ingest` only when it runs them, so the other
+subcommands never load those modules.
 """
 from __future__ import annotations
 
@@ -21,16 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .network import Network, _write_json, generate_erdos_renyi, hop_distances, load_adjacency, save_adjacency
-from .profiler import DecayKind, DecaySpec, likeliness_scores, write_ranking_csv
-from .simulator import (
-    Dataset,
-    EpidemicParams,
-    InitialCondition,
-    ObservableKind,
-    simulate,
-    write_trajectory_csv,
+from .network import (
+    Network,
+    _open_text,
+    _write_json,
+    generate_erdos_renyi,
+    hop_distances,
+    load_adjacency,
+    save_adjacency,
 )
+from .profiler import Dataset, DecayKind, DecaySpec, ObservableKind, likeliness_scores, write_ranking_csv
 
 
 class UsageError(Exception):
@@ -62,7 +62,21 @@ def _resolve_input(path_text: str) -> str:
     path = Path(path_text)
     if not path.exists():
         raise UsageError(f"input file not found: {path}")
+    if not path.is_file():
+        raise UsageError(f"input is not a regular file: {path}")
     return str(path.resolve())
+
+
+def _check_output(out) -> None:
+    """Reject an ``--out`` that cannot be written as a file before any work
+    is done."""
+    if out is None:
+        return
+    path = Path(out)
+    if not path.parent.is_dir():
+        raise UsageError(f"output directory does not exist: {path.parent}")
+    if path.is_dir():
+        raise UsageError(f"output path is a directory: {path}")
 
 
 def _decay_spec(decay: str, param) -> DecaySpec:
@@ -103,6 +117,10 @@ def cmd_gen_net(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # Imported here, as in cmd_evaluate, cmd_sweep and cmd_rank_timeline, so
+    # that only the subcommands that run a module load it.
+    from .simulator import EpidemicParams, InitialCondition, simulate, write_trajectory_csv
+
     try:
         args.net = _resolve_input(args.net)
         net = load_adjacency(args.net)
@@ -136,7 +154,7 @@ def cmd_simulate(args) -> int:
 
 def _load_dataset_csv(path, net: Network) -> Dataset:
     rows: dict[str, float] = {}
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != ["node_label", "value"]:
@@ -186,8 +204,6 @@ def cmd_profile(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    # Imported here, as in cmd_sweep and cmd_rank_timeline, so that only the
-    # subcommands that run a module load it.
     from .experiments import (
         ConfigError,
         compare_observables,
@@ -291,9 +307,9 @@ def _argv_from_arguments(subcommand: str, arguments: dict, where: str) -> list[s
 
 def cmd_rerun(args) -> int:
     try:
-        with open(args.manifest) as fh:
+        with _open_text(args.manifest) as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read manifest {args.manifest}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise UsageError(f"{args.manifest}: manifest must be a JSON object")
@@ -393,6 +409,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        _check_output(getattr(args, "out", None))
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,9 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .network import Network, _ReadOnlyArrays, _write_csv, hop_distances
-from .profiler import DecayProfile, DecaySpec, LikelinessResult
-from .simulator import Dataset, ObservableKind
+from .network import Network, _open_text, _ReadOnlyArrays, _write_csv, hop_distances
+from .profiler import Dataset, DecaySpec, LikelinessResult, ObservableKind, score_batch
 
 log = logging.getLogger(__name__)
 
@@ -67,7 +66,7 @@ def load_case_series(path) -> CaseReportSeries:
     path = Path(path)
     entries: dict[tuple[dt.date, str], int] = {}
     first_seen: dict[tuple[dt.date, str], int] = {}
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != ["date", "region", "cumulative_cases"]:
@@ -214,9 +213,9 @@ def rank_timeline(
     spec: DecaySpec,
     dates: Sequence[dt.date] | None = None,
 ) -> RankingTimeline:
-    """Score every day's snapshot against the network, all days in one batch
-    against one decay profile. Degenerate (all-zero) days are kept, flagged, and
-    carry the identity ranking."""
+    """Score every day's snapshot against the network, all days in one
+    :func:`~epiprofiler.profiler.score_batch` call. Degenerate (all-zero)
+    days are kept, flagged, and carry the identity ranking."""
     if dates is not None and len(dates) != len(datasets):
         raise ValueError(f"got {len(dates)} dates for {len(datasets)} datasets")
     for idx, data in enumerate(datasets):
@@ -225,7 +224,7 @@ def rank_timeline(
                 f"dataset {idx} has {data.n} regions but the network has {net.n} nodes"
             )
     values = np.stack([data.values for data in datasets]) if datasets else np.empty((0, net.n))
-    scores, degenerate = DecayProfile.build(hop_distances(net), spec).score_batch(values)
+    scores, degenerate = score_batch(hop_distances(net), spec, values)
     entries = []
     for idx, data in enumerate(datasets):
         result = LikelinessResult.from_scores(scores[idx], degenerate[idx])

@@ -14,12 +14,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .network import _write_csv, generate_erdos_renyi, hop_distances
-from .profiler import DecayKind, DecayProfile, DecaySpec, hit_score
+from .network import _open_text, _write_csv, generate_erdos_renyi, hop_distances
+from .profiler import DecayKind, DecaySpec, ObservableKind, hit_score, score_batch
 from .simulator import (
     EpidemicParams,
     InitialCondition,
-    ObservableKind,
     SimulationDiverged,
     ZeroVarianceError,
     _step_multiple,
@@ -132,7 +131,7 @@ class SweepResult:
 def _replicate(cfg: ExperimentConfig, kinds: tuple[ObservableKind, ...], rep: int):
     """One replicate: a topology, source and trajectory drawn from the seeds
     (master_seed, rep, 0|1|2), with every (kind, time) observation stacked
-    once and scored by one decay profile per spec.
+    once and scored once per spec.
 
     Returns the trajectory checksum, the hit scores shaped (len(kinds),
     len(cfg.decays), len(times)), and the initial correlation at each
@@ -175,7 +174,7 @@ def _replicate(cfg: ExperimentConfig, kinds: tuple[ObservableKind, ...], rep: in
     dist = hop_distances(net)
     hits = np.empty((len(kinds), len(cfg.decays), len(times)))
     for s_idx, spec in enumerate(cfg.decays):
-        scores, _ = DecayProfile.build(dist, spec).score_batch(values)
+        scores, _ = score_batch(dist, spec, values)
         for row, (k_idx, t_idx) in enumerate(np.ndindex(len(kinds), len(times))):
             hits[k_idx, s_idx, t_idx] = hit_score(scores[row], source)
     return checksum, hits, correlations
@@ -296,6 +295,8 @@ def rank_correlation(x: Sequence[float], y: Sequence[float]) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("rank correlation needs two equal-length vectors of size >= 2")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("rank correlation needs finite values")
     rx = _average_ranks(x)
     ry = _average_ranks(y)
     rx -= rx.mean()
@@ -307,17 +308,10 @@ def rank_correlation(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=float)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks of finite ``values``, each tie group at its average
+    rank: the group's last rank minus (count - 1) / 2."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[group]
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +491,10 @@ def experiment_file_from_dict(raw: dict, where: str = "config") -> ExperimentFil
 def load_experiment_file(path) -> ExperimentFile:
     path = Path(path)
     try:
-        with open(path) as fh:
+        with _open_text(path) as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return experiment_file_from_dict(raw, where=str(path))

@@ -3,6 +3,7 @@ and the degree-weighted mobility law used by the simulator."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from itertools import permutations
@@ -38,6 +39,19 @@ class _ReadOnlyArrays:
         # Unpickled arrays come back writable.
         for name, value in state.items():
             object.__setattr__(self, name, _readonly(value) if isinstance(value, np.ndarray) else value)
+
+
+def _open_text(path) -> io.StringIO:
+    """The UTF-8 text of the file at ``path`` as a stream whose line endings
+    are left as they are, like ``open(path, newline="")``: the one place that
+    decodes an input file. Bytes that are not UTF-8 raise a ``ValueError``
+    naming the path and the line."""
+    data = Path(path).read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline="")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _write_csv(path, header, rows) -> None:
@@ -373,7 +387,7 @@ def load_adjacency(path) -> Network:
     naming the offending cell.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"{path}: empty adjacency file")

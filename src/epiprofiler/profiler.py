@@ -1,5 +1,5 @@
-"""Source profiling: hop-distance decay functions, likeliness scores over a
-case-count snapshot, and the hit-score search metric."""
+"""Source profiling: observation snapshots, hop-distance decay functions,
+likeliness scores over a snapshot, and the hit-score search metric."""
 from __future__ import annotations
 
 import enum
@@ -8,11 +8,51 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import UNREACHABLE, DistanceMatrix, _readonly, _ReadOnlyArrays, _write_csv
-from .simulator import Dataset
+from .network import UNREACHABLE, DistanceMatrix, _ReadOnlyArrays, _write_csv
 
 # Above this, d! overflows comfort; switch to the log-gamma route.
 _EXACT_FACTORIAL_MAX = 20
+
+
+class ObservableKind(str, enum.Enum):
+    """What a Dataset records per node."""
+
+    INFECTIOUS = "infectious"
+    CUMULATIVE_CASES = "cumulative_cases"
+    INFECTIOUS_CHANGE = "infectious_change"
+    NEW_CASES = "new_cases"
+
+    @property
+    def is_difference(self) -> bool:
+        return self in (ObservableKind.INFECTIOUS_CHANGE, ObservableKind.NEW_CASES)
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset(_ReadOnlyArrays):
+    """One observation vector (a number per node) plus its kind tag.
+
+    ``t_obs`` is provenance for synthetic data only; real pipelines leave it
+    unset because the outbreak start time is unknown.
+    """
+
+    values: np.ndarray
+    kind: ObservableKind
+    t_obs: float | None = None
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 1:
+            raise ValueError("dataset values must be a vector")
+        if not np.isfinite(values).all():
+            raise ValueError("dataset values must be finite")
+        if (values < 0).any():
+            raise ValueError("dataset values must be non-negative")
+        self._keep("values", values, self.values)
+        object.__setattr__(self, "kind", ObservableKind(self.kind))
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
 
 
 class DecayKind(str, enum.Enum):
@@ -123,88 +163,54 @@ class LikelinessResult(_ReadOnlyArrays):
 _ROW_BLOCK_ELEMENTS = 1 << 14
 
 
-def _row_blocks(d: np.ndarray, table: np.ndarray):
-    """(first row, weights of the block's rows) over all row blocks of the
-    distances ``d``, each distance looked up in the weight ``table``."""
-    n = d.shape[0]
+def score_batch(dist: DistanceMatrix, spec: DecaySpec, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Score every candidate source against each row of an ``(m, N)`` stack
+    of observation vectors.
+
+    Candidate i's profile is its row of decay weights over hop distances.
+    It is compared with the observations by normalized scalar product
+    (Euclidean norms), so scaling the observations leaves scores unchanged.
+    Returns the ``(m, N)`` scores and an ``(m,)`` flag that is set for an
+    all-zero row, whose scores are all 0.
+
+    No N x N weight matrix is held: each block of rows of weights is
+    gathered once, and both its row norms and its products are taken from
+    it. Each row norm is summed pairwise exactly as a whole-matrix norm
+    would be, and row products are summed by ``np.einsum``, not BLAS, so a
+    score does not depend on the block size, on the stack it came in or on
+    the BLAS thread count.
+    """
+    # C order keeps each row's products contiguous, so einsum sums them in
+    # one order whatever the caller's memory layout.
+    values = np.ascontiguousarray(values, dtype=float)
+    n = dist.n
+    if values.ndim != 2 or values.shape[1] != n:
+        raise ValueError(f"dataset has {values.shape[-1]} entries but the network has {n} nodes")
+    d = _clip_unreachable(dist.d)
+    table = _weight_table(spec, int(d.max()) if d.size else 0)
+    scores = np.empty((values.shape[0], n))
+    norms = np.empty(n)
     block = max(1, _ROW_BLOCK_ELEMENTS // max(n, 1))
     for lo in range(0, n, block):
-        yield lo, table[d[lo : lo + block]]
-
-
-@dataclass(frozen=True, eq=False)
-class DecayProfile(_ReadOnlyArrays):
-    """Every candidate source's decay weights over hop distances (row i is
-    candidate i's profile), kept as the hop distances, the spec's weight
-    table and the rows' Euclidean norms. No N x N weight matrix is ever
-    held: weights are gathered one row block at a time. Build it once per
-    distance matrix and decay spec, then score any number of observation
-    vectors."""
-
-    d: np.ndarray
-    table: np.ndarray
-    norms: np.ndarray
-
-    def __post_init__(self):
-        for name in ("d", "table", "norms"):
-            given = getattr(self, name)
-            self._keep(name, np.asarray(given), given)
-
-    @classmethod
-    def build(cls, dist: DistanceMatrix, spec: DecaySpec) -> "DecayProfile":
-        d = _clip_unreachable(dist.d)
-        table = _weight_table(spec, int(d.max()) if d.size else 0)
-        norms = np.empty(dist.n)
-        # Each row is summed pairwise exactly as a whole-matrix norm would.
-        for lo, rows in _row_blocks(d, table):
-            norms[lo : lo + rows.shape[0]] = np.sqrt(np.add.reduce(rows * rows, axis=1))
-        # Read-only already, so the profile keeps them uncopied.
-        return cls(_readonly(d), _readonly(table), _readonly(norms))
-
-    def score_batch(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Score every candidate against each row of an ``(m, N)`` stack of
-        observation vectors.
-
-        Returns the ``(m, N)`` scores and an ``(m,)`` flag that is set for an
-        all-zero row, whose scores are all 0. Each candidate's profile is
-        compared with the observations by normalized scalar product
-        (Euclidean norms), so scaling the observations leaves scores
-        unchanged. Row products are summed by ``np.einsum``, not BLAS, so a
-        score does not depend on the block size, on the stack it came in or
-        on the BLAS thread count.
-        """
-        # C order keeps each row's products contiguous, so einsum sums them
-        # in one order whatever the caller's memory layout.
-        values = np.ascontiguousarray(values, dtype=float)
-        n = self.norms.shape[0]
-        if values.ndim != 2 or values.shape[1] != n:
-            raise ValueError(f"dataset has {values.shape[-1]} entries but the network has {n} nodes")
-        scores = np.empty((values.shape[0], n))
-        for lo, rows in _row_blocks(self.d, self.table):
-            np.einsum("ij,mj->mi", rows, values, out=scores[:, lo : lo + rows.shape[0]])
-        data_norms = np.sqrt(np.add.reduce(values * values, axis=1))
-        degenerate = data_norms == 0.0
-        # Profile norms are >= 1 because every kind gives weight 1 at distance 0.
-        np.divide(scores, self.norms * data_norms[:, None], out=scores, where=~degenerate[:, None])
-        scores[degenerate] = 0.0
-        return scores, degenerate
-
-    def score(self, values: np.ndarray) -> LikelinessResult:
-        """Score every candidate against one observation vector; see
-        :meth:`score_batch`. An all-zero vector yields all-zero scores with
-        the degenerate flag set instead of an error, so day-by-day pipelines
-        can proceed past empty days."""
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError("observations must be a vector")
-        scores, degenerate = self.score_batch(values[None, :])
-        return LikelinessResult.from_scores(scores[0], degenerate[0])
+        rows = table[d[lo : lo + block]]
+        hi = lo + rows.shape[0]
+        norms[lo:hi] = np.sqrt(np.add.reduce(rows * rows, axis=1))
+        np.einsum("ij,mj->mi", rows, values, out=scores[:, lo:hi])
+    data_norms = np.sqrt(np.add.reduce(values * values, axis=1))
+    degenerate = data_norms == 0.0
+    # Profile norms are >= 1 because every kind gives weight 1 at distance 0.
+    np.divide(scores, norms * data_norms[:, None], out=scores, where=~degenerate[:, None])
+    scores[degenerate] = 0.0
+    return scores, degenerate
 
 
 def likeliness_scores(dist: DistanceMatrix, data: Dataset, spec: DecaySpec) -> LikelinessResult:
-    """Score every candidate source against an observation snapshot; see
-    :meth:`DecayProfile.score`."""
-    return DecayProfile.build(dist, spec).score(data.values)
+    """Score every candidate source against one observation snapshot; see
+    :func:`score_batch`. An all-zero snapshot yields all-zero scores with the
+    degenerate flag set instead of an error, so day-by-day pipelines can
+    proceed past empty days."""
+    scores, degenerate = score_batch(dist, spec, data.values[None, :])
+    return LikelinessResult.from_scores(scores[0], degenerate[0])
 
 
 def hit_score(scores: np.ndarray, source: int) -> float:

@@ -9,7 +9,6 @@ extension documented in the README.
 """
 from __future__ import annotations
 
-import enum
 import hashlib
 import math
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .network import Network, _readonly, _ReadOnlyArrays, _write_csv, _write_json, mobility_edges
+from .profiler import Dataset, ObservableKind
 
 
 class SimulationDiverged(RuntimeError):
@@ -67,47 +67,6 @@ class InitialCondition:
             raise ValueError(f"index_cases must be positive, got {self.index_cases!r}")
         if self.population <= 0:
             raise ValueError(f"population must be positive, got {self.population!r}")
-
-
-class ObservableKind(str, enum.Enum):
-    """What a Dataset records per node."""
-
-    INFECTIOUS = "infectious"
-    CUMULATIVE_CASES = "cumulative_cases"
-    INFECTIOUS_CHANGE = "infectious_change"
-    NEW_CASES = "new_cases"
-
-    @property
-    def is_difference(self) -> bool:
-        return self in (ObservableKind.INFECTIOUS_CHANGE, ObservableKind.NEW_CASES)
-
-
-@dataclass(frozen=True, eq=False)
-class Dataset(_ReadOnlyArrays):
-    """One observation vector (a number per node) plus its kind tag.
-
-    ``t_obs`` is provenance for synthetic data only; real pipelines leave it
-    unset because the outbreak start time is unknown.
-    """
-
-    values: np.ndarray
-    kind: ObservableKind
-    t_obs: float | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError("dataset values must be a vector")
-        if not np.isfinite(values).all():
-            raise ValueError("dataset values must be finite")
-        if (values < 0).any():
-            raise ValueError("dataset values must be non-negative")
-        self._keep("values", values, self.values)
-        object.__setattr__(self, "kind", ObservableKind(self.kind))
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True, eq=False)

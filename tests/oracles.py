@@ -68,3 +68,20 @@ def oracle_scores(dist, values, spec):
         dot = math.fsum(w[j] * float(values[j]) for j in range(n))
         scores.append(dot / (w_norm * data_norm))
     return scores
+
+
+def average_ranks(values):
+    """1-based ranks with each run of equal values at its average rank, by a
+    scan over the stably sorted values."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(values.size, dtype=float)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks

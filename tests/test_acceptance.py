@@ -6,6 +6,7 @@ here is reproducible. Expect a few minutes of runtime.
 """
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -48,6 +49,10 @@ LOW_R_PARAMS = EpidemicParams(0.11, 0.09, 0.2)  # r = 1.2
 MID_R_PARAMS = EpidemicParams(0.133, 0.067, 0.2)  # r = 2
 HIGH_R_PARAMS = EpidemicParams(0.16, 0.04, 0.2)  # r = 4
 
+# Ensemble results do not depend on the worker count (tests/test_experiments.py
+# checks workers=1 against workers=2), so the fixtures use up to two.
+WORKERS = min(2, os.cpu_count() or 1)
+
 
 def report(number: str, name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
@@ -67,7 +72,7 @@ def high_r_sparse_curve():
         replicates=100, params=HIGH_R_PARAMS, decays=(POLY,),
         observation_times=SHORT_TIMES, master_seed=MASTER_SEED,
     )
-    return run_hit_experiment(cfg)
+    return run_hit_experiment(cfg, workers=WORKERS)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +81,7 @@ def high_r_dense_curve():
         replicates=100, params=HIGH_R_PARAMS, decays=(POLY,), mean_degree=4.0,
         observation_times=SHORT_TIMES, master_seed=MASTER_SEED,
     )
-    return run_hit_experiment(cfg)
+    return run_hit_experiment(cfg, workers=WORKERS)
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +90,7 @@ def low_r_curves():
         replicates=100, params=LOW_R_PARAMS, decays=OPTIMAL_SPECS,
         observation_times=LONG_TIMES, master_seed=MASTER_SEED,
     )
-    return run_hit_experiment(cfg)
+    return run_hit_experiment(cfg, workers=WORKERS)
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +99,7 @@ def low_r_correlation_samples():
         replicates=100, params=LOW_R_PARAMS, decays=OPTIMAL_SPECS,
         observation_times=LONG_TIMES, master_seed=MASTER_SEED + 1,
     )
-    return hit_vs_correlation(cfg)
+    return hit_vs_correlation(cfg, workers=WORKERS)
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +108,7 @@ def mid_r_observable_curves():
         replicates=100, params=MID_R_PARAMS, decays=(POLY,),
         observation_times=LONG_TIMES, master_seed=MASTER_SEED,
     )
-    return compare_observables(cfg)
+    return compare_observables(cfg, workers=WORKERS)
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +117,7 @@ def sweep_result():
         replicates=100, params=MID_R_PARAMS, decays=(POLY,),
         observation_times=LONG_TIMES, master_seed=MASTER_SEED,
     )
-    return sweep_decay_parameter(cfg, DecayKind.POLYNOMIAL, [0.25, 0.5, 1.0, 2.0, 5.0])
+    return sweep_decay_parameter(cfg, DecayKind.POLYNOMIAL, [0.25, 0.5, 1.0, 2.0, 5.0], workers=WORKERS)
 
 
 # ---------------------------------------------------------------------------

@@ -375,6 +375,97 @@ class TestRerun:
         assert "'subcommand'" in capsys.readouterr().err
 
 
+def error_line(capsys) -> str:
+    """The run's one ``error:`` line, after checking that nothing else failed."""
+    err = capsys.readouterr().err
+    assert "runtime failure" not in err and "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(lines) == 1, err
+    return lines[0]
+
+
+class TestBadFiles:
+    """Unusable input or output paths exit 2 with a message naming the file."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path, path3_csv):
+        data = tmp_path / "data.csv"
+        data.write_text("node_label,value\nn0,0\nn1,1\nn2,0\n")
+        return {
+            "net": path3_csv,
+            "data": data,
+            "cases": bundled_data_path(SARS_CASES_FILE),
+            "config": small_config(tmp_path),
+        }
+
+    @staticmethod
+    def argv(inputs, flag, path, out):
+        paths = {**inputs, flag: path}
+        if flag in ("net", "data"):
+            return ["profile", "--net", str(paths["net"]), "--data", str(paths["data"]),
+                    "--decay", "naive", "--out", str(out)]
+        if flag == "cases":
+            return ["rank-timeline", "--net", str(bundled_data_path(SARS_ADJACENCY_FILE)),
+                    "--cases", str(paths["cases"]), "--out", str(out)]
+        return ["evaluate", "--config", str(paths["config"]), "--out", str(out)]
+
+    @pytest.mark.parametrize("flag", ["net", "data", "cases", "config"])
+    def test_directory_input_exits_2_naming_it(self, tmp_path, inputs, capsys, flag):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        assert main(self.argv(inputs, flag, folder, tmp_path / "o.csv")) == 2
+        assert "not a regular file" in error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "flag,bad",
+        [
+            ("net", b"n0,n1\nn0,0,1\nn\xe91,1,0\n"),
+            ("data", b"node_label,value\nn0,0\nn\xe91,1\nn2,0\n"),
+            ("cases", b"date,region,cumulative_cases\n2003-03-17,HKG,5\n2003-03-18,H\xe9KG,7\n"),
+        ],
+        ids=["adjacency", "observation", "cases"],
+    )
+    def test_non_utf8_csv_exits_2_naming_file_and_line(self, tmp_path, inputs, capsys, flag, bad):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(bad)
+        assert main(self.argv(inputs, flag, path, tmp_path / "o.csv")) == 2
+        line = error_line(capsys)
+        assert str(path) in line and "line 3" in line and "UTF-8" in line
+
+    @pytest.mark.parametrize("subcommand", ["evaluate", "sweep"])
+    def test_non_utf8_config_exits_2_naming_file(self, tmp_path, capsys, subcommand):
+        config = small_config(tmp_path)
+        config.write_bytes(config.read_bytes().replace(b"polynomial", b"polyn\xf4mial"))
+        assert run(subcommand, "--config", str(config), "--out", str(tmp_path / "o.csv")) == 2
+        line = error_line(capsys)
+        assert str(config) in line and "UTF-8" in line
+
+    def test_non_utf8_manifest_exits_2_naming_file(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_bytes(b'{"subcommand": "gen-n\xe9t"}')
+        assert run("rerun", "--manifest", str(manifest)) == 2
+        line = error_line(capsys)
+        assert str(manifest) in line and "UTF-8" in line
+
+    def test_output_in_missing_directory_exits_2_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "o.csv"
+        assert run("evaluate", "--config", str(small_config(tmp_path)), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "replicate" not in err
+        assert err == f"error: output directory does not exist: {out.parent}\n"
+
+    def test_rerun_redirect_into_missing_directory_exits_2(self, tmp_path, net_csv, capsys):
+        out = tmp_path / "missing_dir" / "o.csv"
+        manifest = str(net_csv) + ".manifest.json"
+        assert run("rerun", "--manifest", manifest, "--out", str(out)) == 2
+        assert "output directory does not exist" in error_line(capsys)
+        assert not out.parent.exists()
+
+    def test_output_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        assert run("gen-net", "--nodes", "5", "--mean-degree", "2", "--out", str(tmp_path)) == 2
+        assert "output path is a directory" in error_line(capsys)
+
+
 class TestParser:
     def test_built_once_per_process(self):
         assert build_parser() is build_parser()
@@ -408,10 +499,15 @@ class TestTopLevel:
         assert run("frobnicate") == 2
 
     def test_unwritable_output_is_runtime_failure(self, tmp_path, path3_csv, capsys):
+        # A write that fails while the run writes (here a full device) is a
+        # runtime failure; an output directory that does not exist is caught
+        # before any work (TestBadFiles).
+        if not Path("/dev/full").exists():
+            pytest.skip("no /dev/full")
         data = tmp_path / "data.csv"
         data.write_text("node_label,value\nn0,0\nn1,1\nn2,0\n")
         code = run("profile", "--net", str(path3_csv), "--data", str(data),
-                   "--decay", "naive", "--out", str(tmp_path / "missing_dir" / "r.csv"))
+                   "--decay", "naive", "--out", "/dev/full")
         assert code == 1
         assert "runtime failure" in capsys.readouterr().err
 

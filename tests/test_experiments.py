@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epiprofiler import experiments
 from epiprofiler.experiments import (
@@ -19,6 +21,7 @@ from epiprofiler.experiments import (
     sweep_decay_parameter,
     write_hit_curves_csv,
     write_sweep_csv,
+    _average_ranks,
     _replicate,
 )
 from epiprofiler.network import generate_erdos_renyi, hop_distances
@@ -32,6 +35,8 @@ from epiprofiler.simulator import (
     simulate,
     synthesize_dataset,
 )
+
+from oracles import average_ranks
 
 POLY = DecaySpec(DecayKind.POLYNOMIAL, 0.5)
 NAIVE = DecaySpec(DecayKind.NAIVE)
@@ -364,6 +369,26 @@ class TestRankCorrelation:
         x = [86, 97, 99, 100, 101, 103, 106, 110, 112, 113]
         y = [0, 20, 28, 27, 50, 29, 7, 17, 6, 12]
         assert rank_correlation(x, y) == pytest.approx(-0.17575757575, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.integers(-3, 3).map(float), st.floats(allow_nan=False, allow_infinity=False)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_average_ranks_match_the_scan_oracle(self, values):
+        # Small integers make long tie runs; -0.0 ties with 0.0.
+        values = np.array(values)
+        assert _average_ranks(values).tobytes() == average_ranks(values).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            rank_correlation([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            rank_correlation([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
 
 
 class TestExport:

@@ -15,9 +15,9 @@ import pytest
 
 import epiprofiler
 from epiprofiler import network
-from epiprofiler.data_ingest import CaseReportSeries
+from epiprofiler.data_ingest import SARS_ADJACENCY_FILE, SARS_CASES_FILE, CaseReportSeries, bundled_data_path
 from epiprofiler.network import generate_erdos_renyi, hop_distances, mobility_matrix
-from epiprofiler.profiler import DecayKind, DecayProfile, DecaySpec, LikelinessResult
+from epiprofiler.profiler import LikelinessResult
 from epiprofiler.simulator import Dataset, EpidemicParams, InitialCondition, ObservableKind, simulate
 
 
@@ -64,6 +64,39 @@ class TestImports:
         loaded = modules_after("import epiprofiler.experiments")
         assert "epiprofiler.experiments" in loaded
         assert not loaded & {"concurrent.futures.process", "multiprocessing"}
+
+    def test_profiler_loads_no_simulator(self):
+        loaded = loaded_after("import epiprofiler.profiler")
+        assert "profiler" in loaded
+        assert "simulator" not in loaded
+
+    @pytest.mark.parametrize(
+        "subcommand,absent",
+        [
+            # gen-net draws from numpy.random, which imports hashlib itself.
+            ("gen-net", {"epiprofiler.simulator"}),
+            ("profile", {"epiprofiler.simulator", "hashlib"}),
+            ("rank-timeline", {"epiprofiler.simulator", "hashlib"}),
+        ],
+    )
+    def test_subcommands_without_simulation_load_no_simulator(self, tmp_path, subcommand, absent):
+        # These subcommands run no simulation, so neither the integrator nor
+        # the hashlib it imports for checksums is loaded.
+        net, obs = tmp_path / "net.csv", tmp_path / "obs.csv"
+        net.write_text("a,b,c\na,0,1,0\nb,1,0,1\nc,0,1,0\n")
+        obs.write_text("node_label,value\na,1\nb,2\nc,0\n")
+        argv = {
+            "gen-net": ["--nodes", "5", "--mean-degree", "2"],
+            "profile": ["--net", str(net), "--data", str(obs), "--decay", "naive"],
+            "rank-timeline": [
+                "--net", str(bundled_data_path(SARS_ADJACENCY_FILE)),
+                "--cases", str(bundled_data_path(SARS_CASES_FILE)),
+            ],
+        }[subcommand]
+        argv = [subcommand, *argv, "--out", str(tmp_path / "out.csv")]
+        loaded = modules_after(f"from epiprofiler.cli import main\nassert main({argv!r}) == 0")
+        assert "epiprofiler.cli" in loaded
+        assert not loaded & absent
 
     def test_a_public_name_loads_its_module_only(self):
         loaded = loaded_after("from epiprofiler import DecaySpec")
@@ -119,10 +152,6 @@ READ_ONLY_CASES = {
             ("A", "B"), (dt.date(2003, 3, 17), dt.date(2003, 3, 18)), np.array([[1.0, np.nan], [2.0, 3.0]])
         ),
         ("cumulative",),
-    ),
-    "DecayProfile": (
-        lambda: DecayProfile.build(hop_distances(small_net()), DecaySpec(DecayKind.POLYNOMIAL, 0.5)),
-        ("d", "table", "norms"),
     ),
 }
 

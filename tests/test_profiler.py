@@ -22,12 +22,12 @@ from epiprofiler.network import (
 )
 from epiprofiler.profiler import (
     DecayKind,
-    DecayProfile,
     DecaySpec,
     LikelinessResult,
     decay_weight,
     hit_score,
     likeliness_scores,
+    score_batch,
 )
 from epiprofiler.simulator import Dataset, EpidemicParams, InitialCondition, ObservableKind, simulate
 
@@ -235,36 +235,44 @@ class TestLikelinessScores:
 
 
 class TestDecayProfile:
+    """Candidate i's decay profile is its row of decay weights over hop
+    distances; ``score_batch`` gathers the profiles one row block at a time."""
+
     def test_row_norms_bitwise_equal_whole_matrix_norms(self):
-        # n=300 spans two row blocks.
+        # n=300 spans two row blocks. Against the unit vector at node m,
+        # candidate i scores w_im / |w_i| exactly, so the scores carry the
+        # row norms.
         dist = hop_distances(generate_erdos_renyi(300, 2.0, seed=17))
         for spec in ALL_KINDS:
-            profile = DecayProfile.build(dist, spec)
-            want = np.linalg.norm(decay_weights(spec, dist.d), axis=1)
-            assert np.array_equal(profile.norms, want)
+            scores, _ = score_batch(dist, spec, np.eye(dist.n))
+            weights = decay_weights(spec, dist.d)
+            want = weights / np.linalg.norm(weights, axis=1)[:, None]
+            assert np.array_equal(scores, want.T)
 
     def test_one_profile_scores_many_vectors(self):
         dist = hop_distances(generate_erdos_renyi(40, 2.0, seed=18))
         rng = np.random.default_rng(19)
-        profile = DecayProfile.build(dist, POLY_HALF)
         values = rng.random((5, 40))
         values[2] = 0.0
-        scores, degenerate = profile.score_batch(values)
+        scores, degenerate = score_batch(dist, POLY_HALF, values)
         assert degenerate.tolist() == [False, False, True, False, False]
         for row, vector in enumerate(values):
             want = likeliness_scores(dist, new_cases(vector), POLY_HALF)
             assert np.array_equal(scores[row], want.scores)
-            got = profile.score(vector)
-            assert np.array_equal(got.scores, want.scores)
-            assert np.array_equal(got.ranking, want.ranking)
-            assert got.degenerate == want.degenerate == degenerate[row]
+            assert want.degenerate == degenerate[row]
+            assert np.array_equal(want.ranking, LikelinessResult.from_scores(scores[row]).ranking)
 
     def test_distances_below_unreachable_weigh_zero(self):
         d = np.array([[0, -5], [-1, 0]])
-        profile = DecayProfile.build(DistanceMatrix(d), POLY_HALF)
-        scores, _ = profile.score_batch(np.array([[1.0, 2.0]]))
+        scores, _ = score_batch(DistanceMatrix(d), POLY_HALF, np.array([[1.0, 2.0]]))
         want = (decay_weights(POLY_HALF, d) @ [1.0, 2.0]) / math.sqrt(5.0)
         assert np.array_equal(scores[0], want)
+
+    def test_rejects_a_stack_of_the_wrong_width(self):
+        dist = path_distances(3)
+        for values in (np.ones((2, 4)), np.ones(3)):
+            with pytest.raises(ValueError, match="network has 3 nodes"):
+                score_batch(dist, POLY_HALF, values)
 
     @pytest.mark.parametrize("spec", ALL_KINDS)
     def test_scores_do_not_depend_on_block_size(self, spec, monkeypatch):
@@ -272,13 +280,10 @@ class TestDecayProfile:
         n = 1031
         dist = hop_distances(generate_erdos_renyi(n, 2.0, seed=21))
         values = np.random.default_rng(22).random((3, n))
-        default = DecayProfile.build(dist, spec)
-        want, _ = default.score_batch(values)
+        want, _ = score_batch(dist, spec, values)
         for rows in (1, 8, n):
             monkeypatch.setattr(profiler, "_ROW_BLOCK_ELEMENTS", rows * n)
-            profile = DecayProfile.build(dist, spec)
-            got, _ = profile.score_batch(values)
-            assert np.array_equal(profile.norms, default.norms)
+            got, _ = score_batch(dist, spec, values)
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("spec", ALL_KINDS)
@@ -286,27 +291,25 @@ class TestDecayProfile:
         n = 300
         dist = hop_distances(generate_erdos_renyi(n, 2.0, seed=23))
         values = np.random.default_rng(24).random((9, n))
-        profile = DecayProfile.build(dist, spec)
-        stacked, _ = profile.score_batch(values)
+        stacked, _ = score_batch(dist, spec, values)
         for lo, hi in ((0, 1), (1, 4), (4, 9)):
-            part, _ = profile.score_batch(values[lo:hi])
+            part, _ = score_batch(dist, spec, values[lo:hi])
             assert np.array_equal(part, stacked[lo:hi])
         for row, vector in enumerate(values):
-            assert np.array_equal(profile.score(vector).scores, stacked[row])
+            assert np.array_equal(likeliness_scores(dist, new_cases(vector), spec).scores, stacked[row])
 
     def test_scores_do_not_depend_on_blas_threads(self):
         script = (
             "import hashlib, numpy as np\n"
             "from epiprofiler.network import generate_erdos_renyi, hop_distances\n"
-            "from epiprofiler.profiler import DecayKind, DecayProfile, DecaySpec\n"
+            "from epiprofiler.profiler import Dataset, DecayKind, DecaySpec, likeliness_scores, score_batch\n"
             "dist = hop_distances(generate_erdos_renyi(700, 2.0, seed=25))\n"
             "values = np.random.default_rng(26).random((4, 700))\n"
             "h = hashlib.sha256()\n"
             "for spec in (DecaySpec(DecayKind.NAIVE), DecaySpec(DecayKind.POWER, 2.0),\n"
             "             DecaySpec(DecayKind.POLYNOMIAL, 0.5), DecaySpec(DecayKind.EXPONENTIAL, 0.05)):\n"
-            "    profile = DecayProfile.build(dist, spec)\n"
-            "    h.update(profile.score_batch(values)[0].tobytes())\n"
-            "    h.update(profile.score(values[0]).scores.tobytes())\n"
+            "    h.update(score_batch(dist, spec, values)[0].tobytes())\n"
+            "    h.update(likeliness_scores(dist, Dataset(values[0], 'new_cases'), spec).scores.tobytes())\n"
             "print(h.hexdigest())\n"
         )
         src = str(Path(profiler.__file__).resolve().parents[1])
@@ -323,19 +326,17 @@ class TestDecayProfile:
 
     def test_memory_budget(self):
         # tracemalloc sees numpy's allocations; one N x N float64 array is
-        # 8 N^2 bytes, so building and scoring must gather weights by row
-        # block.
+        # 8 N^2 bytes, so scoring must gather weights by row block.
         n = 600
         dist = hop_distances(generate_erdos_renyi(n, 2.0, seed=27))
         values = np.random.default_rng(28).random((4, n))
-        DecayProfile.build(dist, POLY_HALF).score_batch(values)  # first-call imports
+        score_batch(dist, POLY_HALF, values)  # first-call imports
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            profile = DecayProfile.build(dist, POLY_HALF)
             for vector in values:
-                profile.score(vector)
-            profile.score_batch(values)
+                likeliness_scores(dist, new_cases(vector), POLY_HALF)
+            score_batch(dist, POLY_HALF, values)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -380,7 +381,6 @@ ARRAY_DATACLASSES = {
     "DistanceMatrix": lambda: hop_distances(generate_erdos_renyi(5, 2.0, seed=1)),
     "MobilityMatrix": lambda: mobility_matrix(generate_erdos_renyi(5, 2.0, seed=1), 0.2),
     "LikelinessResult": lambda: LikelinessResult.from_scores(np.array([0.3, 0.1, 0.3])),
-    "DecayProfile": lambda: DecayProfile.build(path_distances(3), POLY_HALF),
     "Dataset": lambda: new_cases([1.0, 2.0, 0.0]),
     "Trajectory": lambda: simulate(
         generate_erdos_renyi(5, 2.0, seed=1),
