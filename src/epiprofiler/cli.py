@@ -79,20 +79,6 @@ def _check_output(out) -> None:
         raise UsageError(f"output path is a directory: {path}")
 
 
-def _decay_spec(decay: str, param) -> DecaySpec:
-    kind = DecayKind(decay)
-    if kind is DecayKind.NAIVE:
-        if param is not None:
-            raise UsageError("--param is not accepted for the naive decay")
-        return DecaySpec(kind)
-    if param is None:
-        raise UsageError(f"--param is required for the {kind.value} decay")
-    try:
-        return DecaySpec(kind, param)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _progress_printer(stream=None):
     stream = stream or sys.stderr
     def report(done: int, total: int) -> None:
@@ -119,7 +105,7 @@ def cmd_gen_net(args) -> int:
 def cmd_simulate(args) -> int:
     # Imported here, as in cmd_evaluate, cmd_sweep and cmd_rank_timeline, so
     # that only the subcommands that run a module load it.
-    from .simulator import EpidemicParams, InitialCondition, simulate, write_trajectory_csv
+    from .simulator import EpidemicParams, InitialCondition, _check_run, simulate, write_trajectory_csv
 
     try:
         args.net = _resolve_input(args.net)
@@ -129,12 +115,11 @@ def cmd_simulate(args) -> int:
             source = int(np.random.default_rng((args.seed, 0)).integers(net.n))
         elif args.source.lstrip("-").isdigit():
             source = int(args.source)
-            if not 0 <= source < net.n:
-                raise ValueError(f"--source {source} out of range for {net.n} nodes")
         else:
             raise ValueError(f"--source must be a node index or 'random', got {args.source!r}")
         args.source = str(source)
         init = InitialCondition(source, args.index_cases, args.population)
+        _check_run(net.n, init, args.t_end, args.sim_dt, args.report_dt)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     traj = simulate(
@@ -192,7 +177,7 @@ def cmd_profile(args) -> int:
         args.net, args.data = _resolve_input(args.net), _resolve_input(args.data)
         net = load_adjacency(args.net)
         data = _load_dataset_csv(args.data, net)
-        spec = _decay_spec(args.decay, args.param)
+        spec = DecaySpec(args.decay, args.param)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     result = likeliness_scores(hop_distances(net), data, spec)
@@ -205,7 +190,6 @@ def cmd_profile(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from .experiments import (
-        ConfigError,
         compare_observables,
         hit_curve_rows,
         hit_vs_correlation,
@@ -218,11 +202,11 @@ def cmd_evaluate(args) -> int:
     try:
         args.config = _resolve_input(args.config)
         exp_file = load_experiment_file(args.config)
-    except ConfigError as exc:
+        cfg = exp_file.config
+        if args.seed is not None:
+            cfg = replace(cfg, master_seed=args.seed)
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    cfg = exp_file.config
-    if args.seed is not None:
-        cfg = replace(cfg, master_seed=args.seed)
     progress = _progress_printer()
     if exp_file.experiment == "hit":
         curve = run_hit_experiment(cfg, workers=args.workers, progress=progress)
@@ -242,14 +226,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .experiments import ConfigError, load_experiment_file, sweep_decay_parameter, write_sweep_csv
+    from .experiments import load_experiment_file, sweep_decay_parameter, write_sweep_csv
 
     try:
         args.config = _resolve_input(args.config)
         exp_file = load_experiment_file(args.config)
         if exp_file.sweep_kind is None:
             raise UsageError(f"{args.config}: config has no 'sweep' block")
-    except ConfigError as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
     result = sweep_decay_parameter(
         exp_file.config,
@@ -274,10 +258,13 @@ def cmd_rank_timeline(args) -> int:
         series = filter_regions(series, min_cases=args.min_cases, window_days=args.window_days)
         if args.param is None and args.decay == DecayKind.POLYNOMIAL.value:
             args.param = 0.5
-        spec = _decay_spec(args.decay, args.param)
-        datasets = daily_deltas(series, labels=net.labels)
+        spec = DecaySpec(args.decay, args.param)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    try:
+        datasets = daily_deltas(series, labels=net.labels)
+    except ValueError as exc:
+        raise UsageError(f"{args.cases}: {exc}") from exc
     timeline = rank_timeline(net, datasets, spec, dates=series.dates[:-1])
     write_timeline_csv(timeline, args.out)
     _write_manifest(args, [args.out])
@@ -410,6 +397,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         _check_output(getattr(args, "out", None))
+        if (getattr(args, "seed", None) or 0) < 0:
+            raise UsageError(f"--seed must be non-negative, got {args.seed}")
+        if getattr(args, "workers", 1) < 1:
+            raise UsageError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

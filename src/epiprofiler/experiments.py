@@ -21,7 +21,8 @@ from .simulator import (
     InitialCondition,
     SimulationDiverged,
     ZeroVarianceError,
-    _step_multiple,
+    _check_run,
+    _grid_steps,
     initial_correlation,
     simulate,
     synthesize_dataset,
@@ -62,38 +63,33 @@ class ExperimentConfig:
             raise ValueError(f"nodes must be >= 2, got {self.n_nodes!r}")
         if not 0 < self.mean_degree < self.n_nodes:
             raise ValueError(f"mean_degree must lie in (0, {self.n_nodes}), got {self.mean_degree!r}")
-        for name in ("population", "sim_dt", "report_dt", "delta_t"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        _step_multiple(self.report_dt, self.sim_dt, "report_dt", "sim_dt")
-        _step_multiple(self.delta_t, self.report_dt, "delta_t", "report_dt")
-        share = self.population / self.n_nodes
-        if not 0 < self.index_cases <= share:
-            raise ValueError(
-                f"index_cases must lie in (0, population / nodes = {share!r}], got {self.index_cases!r}"
-            )
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed!r}")
         if not self.decays:
             raise ValueError("at least one decay spec is required")
         object.__setattr__(self, "decays", tuple(self.decays))
         times = tuple(float(t) for t in self.observation_times)
-        if not times or any(t < 0 for t in times) or list(times) != sorted(times):
-            raise ValueError("observation_times must be a non-empty increasing sequence of t >= 0")
-        for t in times:
-            if abs(t / self.report_dt - round(t / self.report_dt)) > 1e-9:
-                raise ValueError(
-                    f"observation time {t} is not on the reporting grid (report_dt={self.report_dt})"
-                )
+        if not times or list(times) != sorted(times):
+            raise ValueError("observation_times must be a non-empty increasing sequence")
         object.__setattr__(self, "observation_times", times)
         object.__setattr__(self, "kind", ObservableKind(self.kind))
+        # The recipe of a one-report run: everything simulate checks but the
+        # horizon, which is a whole number of reports by construction.
+        init = InitialCondition(0, self.index_cases, self.population)
+        _check_run(self.n_nodes, init, self.report_dt, self.sim_dt, self.report_dt)
+        if _grid_steps(self.delta_t, self.report_dt, "delta_t") == 0:
+            raise ValueError(f"delta_t must be positive, got {self.delta_t!r}")
+        # Every time a replicate looks up, by the rule the lookup applies:
+        # t, and t + delta_t, which compare_observables reads for any kind.
+        for t in times:
+            _grid_steps(t, self.report_dt, "observation time")
+            _grid_steps(t + self.delta_t, self.report_dt, f"observation time {t!r} + delta_t")
 
     @property
     def t_end(self) -> float:
         """Shortest reporting horizon covering every observation."""
-        need = max(self.observation_times)
-        if self.kind.is_difference:
-            need += self.delta_t
-        reports = max(1, math.ceil(need / self.report_dt - 1e-9))
-        return reports * self.report_dt
+        need = max(self.observation_times) + (self.delta_t if self.kind.is_difference else 0.0)
+        return max(1, _grid_steps(need, self.report_dt, "t_end")) * self.report_dt
 
 
 @dataclass(frozen=True)
@@ -194,6 +190,8 @@ def _run_replicates(
     checksums = []
     hits = np.empty((cfg.replicates, len(kinds), len(cfg.decays), times))
     correlations = np.empty((cfg.replicates, times))
+    # A pool starts all its workers at once, so it is never larger than the work.
+    workers = min(workers, cfg.replicates)
     with ExitStack() as stack:
         mapper = map
         if workers > 1:

@@ -64,7 +64,7 @@ class DecayKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class DecaySpec:
-    """Decay function choice plus its positive parameter (absent for naive)."""
+    """Decay function choice plus its finite positive parameter (absent for naive)."""
 
     kind: DecayKind
     param: float | None = None
@@ -76,8 +76,8 @@ class DecaySpec:
             if self.param is not None:
                 raise ValueError("naive decay takes no parameter")
         else:
-            if self.param is None or not self.param > 0:
-                raise ValueError(f"{kind.value} decay needs a positive parameter, got {self.param!r}")
+            if self.param is None or not (math.isfinite(self.param) and self.param > 0):
+                raise ValueError(f"{kind.value} decay needs a finite positive parameter, got {self.param!r}")
             object.__setattr__(self, "param", float(self.param))
 
 

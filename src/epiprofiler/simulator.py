@@ -63,10 +63,10 @@ class InitialCondition:
     population: float = 1e8
 
     def __post_init__(self):
-        if self.index_cases <= 0:
-            raise ValueError(f"index_cases must be positive, got {self.index_cases!r}")
-        if self.population <= 0:
-            raise ValueError(f"population must be positive, got {self.population!r}")
+        for name in ("index_cases", "population"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,14 +102,9 @@ class Trajectory(_ReadOnlyArrays):
     def report_index(self, t: float) -> int:
         """Index of reporting time t; errors if t is off-grid or out of range."""
         times = self.times
-        if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
-            raise ValueError(
-                f"t={t!r} outside the simulated range [{times[0]}, {times[-1]}]"
-            )
-        idx = int(round((t - times[0]) / self.report_dt))
-        idx = min(max(idx, 0), len(times) - 1)
-        if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"t={t!r} is not on the reporting grid (spacing {self.report_dt})")
+        idx = _grid_steps(t - times[0], self.report_dt, "t")
+        if idx >= len(times):
+            raise ValueError(f"t={t!r} outside the simulated range [{times[0]}, {times[-1]}]")
         return idx
 
     def checksum(self) -> str:
@@ -128,12 +123,33 @@ def _normalize_seed(seed) -> tuple[int, ...]:
     return tuple(int(s) for s in seed)
 
 
-def _step_multiple(big: float, small: float, big_name: str, small_name: str) -> int:
-    ratio = big / small
-    k = int(round(ratio))
-    if k < 1 or abs(ratio - k) > 1e-9 * max(1.0, ratio):
-        raise ValueError(f"{big_name} ({big}) must be a positive multiple of {small_name} ({small})")
-    return k
+def _grid_steps(t: float, dt: float, name: str, grid: str = "reporting grid (report_dt)") -> int:
+    """The number of steps of ``dt`` (finite and positive) in time ``t``: the
+    one rule for "t is on a time grid". ``t`` must be finite, non-negative and
+    within a relative 1e-9 of a whole number of steps; a nonzero ``t`` must
+    come to at least one step. ``name`` and ``grid`` name both in the error."""
+    ratio = t / dt
+    steps = int(round(ratio)) if t >= 0 and math.isfinite(ratio) else -1
+    if steps < 0 or abs(ratio - steps) > 1e-9 * max(1.0, ratio) or (steps == 0 and t != 0):
+        raise ValueError(f"{name} ({t!r}) is not on the {grid}: it must be a whole number of steps of {dt}")
+    return steps
+
+
+def _check_run(n: int, init: InitialCondition, t_end, sim_dt, report_dt) -> tuple[int, int]:
+    """Check the recipe of a run on ``n`` nodes before any work. Returns the
+    integration steps per report and the number of reports."""
+    for name, value in (("t_end", t_end), ("sim_dt", sim_dt), ("report_dt", report_dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+    if not 0 <= init.source < n:
+        raise ValueError(f"source index {init.source} out of range for {n} nodes")
+    share = init.population / n
+    if init.index_cases > share:
+        raise ValueError(
+            f"index_cases ({init.index_cases}) exceeds the per-node population share ({share})"
+        )
+    steps_per_report = _grid_steps(report_dt, sim_dt, "report_dt", "integration grid (sim_dt)")
+    return steps_per_report, _grid_steps(t_end, report_dt, "t_end")
 
 
 def simulate(
@@ -163,20 +179,9 @@ def simulate(
     Raises SimulationDiverged if any state becomes non-finite, naming the
     node and time.
     """
-    if sim_dt <= 0:
-        raise ValueError(f"sim_dt must be positive, got {sim_dt!r}")
-    if t_end <= 0:
-        raise ValueError(f"t_end must be positive, got {t_end!r}")
     n = net.n
-    if not 0 <= init.source < n:
-        raise ValueError(f"source index {init.source} out of range for {n} nodes")
+    steps_per_report, n_reports = _check_run(n, init, t_end, sim_dt, report_dt)
     share = init.population / n
-    if init.index_cases > share:
-        raise ValueError(
-            f"index_cases ({init.index_cases}) exceeds the per-node population share ({share})"
-        )
-    steps_per_report = _step_multiple(report_dt, sim_dt, "report_dt", "sim_dt")
-    n_reports = _step_multiple(t_end, report_dt, "t_end", "report_dt")
     seed_tuple = _normalize_seed(seed)
 
     if params.gamma > 0:

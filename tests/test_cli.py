@@ -71,6 +71,11 @@ class TestGenNet:
     def test_missing_required_flag_exits_2(self, tmp_path):
         assert run("gen-net", "--nodes", "10", "--out", str(tmp_path / "x.csv")) == 2
 
+    def test_negative_seed_exits_2_naming_flag(self, tmp_path, capsys):
+        assert run("gen-net", "--nodes", "10", "--mean-degree", "2", "--seed=-1",
+                   "--out", str(tmp_path / "x.csv")) == 2
+        assert "--seed" in error_line(capsys)
+
     def test_manifest_written(self, net_csv):
         manifest = json.loads((net_csv.parent / "net.csv.manifest.json").read_text())
         assert manifest["subcommand"] == "gen-net"
@@ -116,6 +121,30 @@ class TestSimulate:
         assert code == 2
         assert "--source" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,field", [
+        ("--t-end=0", "t_end"),
+        ("--t-end=10.5", "t_end"),
+        ("--t-end=nan", "t_end"),
+        ("--t-end=inf", "t_end"),
+        ("--sim-dt=0", "sim_dt"),
+        ("--sim-dt=0.03", "sim_dt"),
+        ("--report-dt=0", "report_dt"),
+        ("--index-cases=1e6", "index_cases"),
+        ("--index-cases=nan", "index_cases"),
+        ("--population=nan", "population"),
+        ("--source=10", "source"),
+        ("--source=-1", "source"),
+        ("--seed=-1", "--seed"),
+    ])
+    def test_bad_recipe_exits_2_before_any_work(self, tmp_path, net_csv, capsys, flag, field):
+        out = tmp_path / "x.csv"
+        code = run("simulate", "--net", str(net_csv), "--alpha", "0.16", "--beta", "0.04",
+                   "--gamma", "0.2", "--source", "0", "--population", "1e6", "--t-end", "5",
+                   flag, "--out", str(out))
+        assert code == 2
+        assert field in error_line(capsys)
+        assert not out.exists()
+
     def test_random_source_resolved_in_manifest(self, tmp_path, net_csv):
         out = tmp_path / "traj.csv"
         assert run("simulate", "--net", str(net_csv), "--alpha", "0.16", "--beta", "0.04",
@@ -144,6 +173,18 @@ class TestProfile:
                    "--decay", "naive", "--param", "1.0", "--out", str(tmp_path / "r.csv"))
         assert code == 2
         assert "naive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("decay,param", [
+        ("exponential", "inf"), ("power", "nan"), ("polynomial", "-1"), ("polynomial", None),
+    ])
+    def test_bad_param_exits_2_naming_it(self, tmp_path, path3_csv, capsys, decay, param):
+        data = tmp_path / "data.csv"
+        data.write_text("node_label,value\nn0,0\nn1,1\nn2,0\n")
+        flags = [] if param is None else [f"--param={param}"]
+        code = run("profile", "--net", str(path3_csv), "--data", str(data), "--decay", decay,
+                   *flags, "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert "param" in error_line(capsys)
 
     def test_all_zero_data_succeeds_degenerate(self, tmp_path, path3_csv, capsys):
         data = tmp_path / "data.csv"
@@ -222,6 +263,9 @@ class TestEvaluateAndSweep:
         ({"sim_dt": -1.0}, "sim_dt"),
         ({"sim_dt": 0.03}, "sim_dt"),
         ({"nodes": 1}, "nodes"),
+        ({"observation_times": [5e-9], "report_dt": 10, "delta_t": 10}, "observation time"),
+        ({"observation_times": [1e-9]}, "observation time"),
+        ({"master_seed": -3}, "master_seed"),
     ])
     def test_invalid_config_value_exits_2_naming_field(self, tmp_path, capsys, extra, field):
         cfg = small_config(tmp_path, **extra)
@@ -230,6 +274,49 @@ class TestEvaluateAndSweep:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand,flag", [
+        ("evaluate", "--workers=0"),
+        ("evaluate", "--workers=-3"),
+        ("evaluate", "--seed=-1"),
+        ("sweep", "--workers=0"),
+        ("sweep", "--workers=-3"),
+    ])
+    def test_bad_count_flag_exits_2_before_any_work(self, tmp_path, capsys, subcommand, flag):
+        cfg = small_config(tmp_path, sweep={"kind": "polynomial", "grid": [0.5]})
+        out = tmp_path / "x.csv"
+        assert run(subcommand, "--config", str(cfg), flag, "--out", str(out)) == 2
+        assert flag.split("=")[0] in error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["evaluate", "sweep"])
+    def test_pool_never_larger_than_replicates(self, tmp_path, monkeypatch, subcommand):
+        # A pool forks all its workers at once; this fake starts none.
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = small_config(tmp_path, sweep={"kind": "polynomial", "grid": [0.5]})
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(subcommand, "--config", str(cfg), "--workers", "5000", "--out", str(a)) == 0
+        assert sizes == [2]
+        assert run(subcommand, "--config", str(cfg), "--out", str(b)) == 0
+        assert sizes == [2]
+        assert a.read_bytes() == b.read_bytes()
 
     def test_correlation_mode(self, tmp_path):
         cfg = small_config(tmp_path, experiment="correlation")
@@ -279,10 +366,12 @@ class TestRankTimeline:
 
     def test_label_mismatch_exits_2(self, tmp_path, net_csv, capsys):
         out = tmp_path / "timeline.csv"
-        code = run("rank-timeline", "--net", str(net_csv),
-                   "--cases", str(bundled_data_path(SARS_CASES_FILE)), "--out", str(out))
+        cases = bundled_data_path(SARS_CASES_FILE)
+        code = run("rank-timeline", "--net", str(net_csv), "--cases", str(cases), "--out", str(out))
         assert code == 2
-        assert "labels" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "labels" in err
+        assert err.startswith(f"error: {Path(cases).resolve()}: region set")
 
 
 def _rerun_first_argv(subcommand, tmp_path, net_csv, path3_csv):

@@ -86,6 +86,14 @@ class TestConfig:
         (dict(sim_dt=0.03), "sim_dt"),
         (dict(delta_t=0.5), "delta_t"),
         (dict(index_cases=2e4), "index_cases"),
+        (dict(population=float("nan")), "population"),
+        (dict(delta_t=0.0), "delta_t"),
+        (dict(delta_t=-1.0), "delta_t"),
+        (dict(delta_t=1e-12), "delta_t"),
+        (dict(observation_times=(-1.0, 2.0)), "observation time"),
+        (dict(observation_times=(1e-9,)), "observation time"),
+        (dict(observation_times=(5e-9,), report_dt=10.0, delta_t=10.0), "observation time"),
+        (dict(master_seed=-3), "master_seed"),
     ])
     def test_rejects_values_that_would_fail_a_replicate(self, overrides, field):
         with pytest.raises(ValueError, match=field):
@@ -94,6 +102,31 @@ class TestConfig:
     def test_rejects_empty_decays(self):
         with pytest.raises(ValueError, match="decay"):
             tiny_config(decays=())
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), report_dt=st.sampled_from([0.1, 0.25, 1.0, 10.0]) | st.floats(0.01, 10.0))
+    def test_accepted_times_can_all_be_looked_up(self, data, report_dt):
+        # Times near the grid: k steps, scaled by up to a few 1e-9 and
+        # shifted by a few 1e-9, both sides of the rule's tolerance.
+        near_grid = st.builds(
+            lambda k, scale, shift: k * report_dt * (1 + scale) + shift,
+            st.integers(0, 6),
+            st.sampled_from([0.0, 1e-12, -1e-12, 5e-10, -5e-10, 2e-9, -2e-9, 1e-6]),
+            st.sampled_from([0.0, 0.0, 1e-9, -1e-9, 5e-9]),
+        )
+        times = sorted(data.draw(st.lists(near_grid, min_size=1, max_size=3), label="times"))
+        delta_t = data.draw(near_grid | st.floats(-1.0, 3.0), label="delta_t")
+        try:
+            cfg = tiny_config(replicates=1, n_nodes=2, mean_degree=1.0, observation_times=times,
+                              delta_t=delta_t, sim_dt=report_dt, report_dt=report_dt, noise=False)
+        except ValueError:
+            return
+        net = generate_erdos_renyi(2, 1.0, seed=0)
+        traj = simulate(net, cfg.params, InitialCondition(0, cfg.index_cases, cfg.population),
+                        cfg.t_end, sim_dt=cfg.sim_dt, report_dt=cfg.report_dt, seed=0, noise=False)
+        for kind in ObservableKind:
+            for t in cfg.observation_times:
+                synthesize_dataset(traj, t, cfg.delta_t, kind)
 
 
 class TestHitExperiment:

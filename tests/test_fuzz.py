@@ -1,8 +1,10 @@
-"""Mutation fuzz of the four input parsers through ``cli.main``: the
-experiment config JSON, the adjacency CSV, the observation CSV and the case
-CSV. Each example deletes bytes from, or inserts bytes into, a valid input.
-Every run must exit 0 or 2, and an exit 2 must print an ``error:`` line with
-no traceback and no "runtime failure".
+"""Fuzz of ``cli.main``. The mutation tests cover the four input parsers:
+the experiment config JSON, the adjacency CSV, the observation CSV and the
+case CSV; each example deletes bytes from, or inserts bytes into, a valid
+input. The flag tests set one numeric flag of ``simulate`` or ``profile`` to
+zero, a negative, an off-grid, a tiny or a non-finite value. Every run must
+exit 0 or 2, and an exit 2 must print an ``error:`` line with no traceback
+and no "runtime failure"; a flag test's error must also name the flag.
 
 The examples are derandomized, so a run of the suite is repeatable; raise
 ``max_examples`` (or drop ``derandomize``) for a longer campaign.
@@ -10,12 +12,13 @@ The examples are derandomized, so a run of the suite is repeatable; raise
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epiprofiler import experiments
+from epiprofiler import experiments, simulator
 from epiprofiler.cli import main
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
@@ -57,8 +60,16 @@ CONFIG = json.dumps(
 ).encode()
 
 # Node-steps (replicates x nodes x integration steps) above which a config
-# that parsed is not run: the parsers are under test, not the simulator.
+# or a simulate command that parsed is not run: the parsers are under test,
+# not the simulator.
 RUN_BUDGET = 20_000
+
+# The values a flag test draws; None keeps the flag's valid value.
+FLAG_VALUES = ["0", "-1", "0.03", "10.5", "1e-9", "nan", "inf", "-inf", None]
+SIMULATE_FLAGS = {
+    "alpha": "0.16", "beta": "0.04", "gamma": "0.2", "source": "0", "index-cases": "20",
+    "population": "6000", "t-end": "10", "sim-dt": "0.25", "report-dt": "1", "seed": "3",
+}
 
 
 class _TooCostly(BaseException):
@@ -102,18 +113,40 @@ def bounded_runs():
         yield
 
 
-def check_contract(argv) -> None:
+@pytest.fixture(scope="module")
+def bounded_simulate():
+    simulate = simulator.simulate
+
+    def bounded(net, params, init, t_end, *, sim_dt, **kwargs):
+        if net.n * t_end / sim_dt > RUN_BUDGET:
+            raise _TooCostly
+        return simulate(net, params, init, t_end, sim_dt=sim_dt, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "simulate", bounded)
+        yield
+
+
+def check_contract(argv, names=()) -> int | None:
+    """Run argv; returns the exit code, or None for a run over budget. An
+    exit 2 must name one of ``names`` (the flag or its field) when given."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         try:
             code = main([str(a) for a in argv])
         except _TooCostly:
-            return
+            return None
     text = err.getvalue()
     assert code in (0, 2), text
     assert "Traceback" not in text and "runtime failure" not in text, text
     if code == 2:
-        assert any(line.startswith("error: ") for line in text.splitlines()), text
+        # cli.main prints "error: ..."; argparse, which only the flag tests
+        # reach, prints "epiprofiler <subcommand>: error: ...".
+        prefixes = ("error: ", "epiprofiler ") if names else ("error: ",)
+        errors = [line for line in text.splitlines() if line.startswith(prefixes) and "error: " in line]
+        assert errors, text
+        assert not names or any(name in errors[0] for name in names), text
+    return code
 
 
 def test_valid_inputs_exit_0(workdir, bounded_runs):
@@ -160,3 +193,27 @@ def test_case_csv(workdir, data):
     path.write_bytes(data)
     check_contract(["rank-timeline", "--net", workdir / "net.csv", "--cases", path, "--window-days", "2",
                     "--out", workdir / "out.csv"])
+
+
+@FUZZ
+@given(flag=st.sampled_from(sorted(SIMULATE_FLAGS)), value=st.sampled_from(FLAG_VALUES))
+def test_simulate_flag(workdir, bounded_simulate, flag, value):
+    flags = {**SIMULATE_FLAGS, flag: value or SIMULATE_FLAGS[flag]}
+    # --flag=value, so that argparse takes "-1" and "-inf" as values.
+    argv = ["simulate", "--net", workdir / "net.csv", *(f"--{k}={v}" for k, v in flags.items()),
+            "--out", workdir / "traj.csv"]
+    check_contract(argv, names=(f"--{flag}", flag.replace("-", "_")))
+
+
+@FUZZ
+@given(decay=st.sampled_from(["naive", "power", "polynomial", "exponential"]),
+       value=st.sampled_from(FLAG_VALUES))
+def test_profile_param(workdir, decay, value):
+    out = workdir / "ranking.csv"
+    out.unlink(missing_ok=True)
+    param = [] if value is None else [f"--param={value}"]
+    argv = ["profile", "--net", workdir / "net.csv", "--data", workdir / "obs.csv", "--decay", decay,
+            *param, "--out", out]
+    if check_contract(argv, names=("param",)) == 0:
+        scores = [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
+        assert all(math.isfinite(x) for x in scores), scores

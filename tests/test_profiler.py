@@ -62,8 +62,9 @@ class TestDecaySpec:
     def test_param_required_and_positive(self, kind):
         with pytest.raises(ValueError):
             DecaySpec(kind)
-        with pytest.raises(ValueError):
-            DecaySpec(kind, -0.5)
+        for bad in (-0.5, 0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite positive"):
+                DecaySpec(kind, bad)
 
     def test_kind_coerced_from_string(self):
         assert DecaySpec("polynomial", 0.5) == POLY_HALF

@@ -188,6 +188,27 @@ class TestSimulate:
             simulate(net, HIGH_R_PARAMS, InitialCondition(0, index_cases=200, population=100),
                      10.0, seed=0)
 
+    @pytest.mark.parametrize("field", ["index_cases", "population"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_initial_condition_needs_finite_positive_counts(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            InitialCondition(0, **{field: bad})
+
+    @pytest.mark.parametrize("t_end,sim_dt,report_dt,field", [
+        (0.0, 0.05, 1.0, "t_end"),
+        (np.nan, 0.05, 1.0, "t_end"),
+        (np.inf, 0.05, 1.0, "t_end"),
+        (10.5, 0.05, 1.0, "t_end"),
+        (1e-9, 0.05, 1.0, "t_end"),
+        (10.0, 0.0, 1.0, "sim_dt"),
+        (10.0, 0.05, -1.0, "report_dt"),
+    ])
+    def test_bad_time_grid_rejected_naming_it(self, t_end, sim_dt, report_dt, field):
+        net = two_isolated_nodes()
+        with pytest.raises(ValueError, match=field):
+            simulate(net, HIGH_R_PARAMS, InitialCondition(0), t_end, sim_dt=sim_dt,
+                     report_dt=report_dt, seed=0)
+
     def test_source_out_of_range(self):
         net = two_isolated_nodes()
         with pytest.raises(ValueError, match="source"):
@@ -249,8 +270,9 @@ class TestSynthesizeDataset:
 
     def test_off_grid_rejected(self):
         traj = make_trajectory([0.0, 1.0, 2.0], [[0.0], [1.0], [2.0]])
-        with pytest.raises(ValueError, match="grid"):
-            synthesize_dataset(traj, 0.25, 1.0, ObservableKind.CUMULATIVE_CASES)
+        for t in (0.25, 1e-9, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="grid"):
+                synthesize_dataset(traj, t, 1.0, ObservableKind.CUMULATIVE_CASES)
 
 
 class TestInitialCorrelation:
