@@ -156,18 +156,26 @@ def daily_deltas(series: CaseReportSeries, labels: Sequence[str] | None = None) 
     """New-case vectors for each consecutive pair of report dates.
 
     Downward revisions clamp to zero new cases with a logged warning. When
-    ``labels`` is given the vectors are aligned to that node order; the region
-    set must then match exactly. Each dataset's t_obs is the day offset of the
-    interval start from the first observation.
+    ``labels`` is given the vectors are aligned to that node order: regions
+    of the series that are not among the labels are dropped, with one
+    logged warning naming them, and a label missing from the series is an
+    error naming it. Each dataset's t_obs is the day offset of the interval
+    start from the first observation.
     """
     if labels is not None:
         labels = list(labels)
-        if sorted(labels) != sorted(series.regions):
-            missing = sorted(set(labels) - set(series.regions))
-            extra = sorted(set(series.regions) - set(labels))
+        missing = [lab for lab in labels if lab not in series.regions]
+        if missing:
             raise ValueError(
-                f"region set does not match network labels "
-                f"(missing from series: {missing}, not in network: {extra})"
+                "region set does not match network labels "
+                f"(network nodes missing from series: {missing})"
+            )
+        extra = [region for region in series.regions if region not in labels]
+        if extra:
+            log.warning("dropping case-series regions the network lacks: %s", ", ".join(extra))
+            kept = [j for j, region in enumerate(series.regions) if region in labels]
+            series = CaseReportSeries(
+                tuple(series.regions[j] for j in kept), series.dates, series.cumulative[:, kept]
             )
         order = [series.regions.index(lab) for lab in labels]
     else:

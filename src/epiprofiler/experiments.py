@@ -14,8 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .network import _open_text, _write_csv, generate_erdos_renyi, hop_distances
-from .profiler import DecayKind, DecaySpec, ObservableKind, hit_score, score_batch
+from .network import _bfs_blocks, _open_text, _write_csv, generate_erdos_renyi, hop_distances
+from .profiler import DecayKind, DecaySpec, ObservableKind, hit_score, score_batch, score_blocks
 from .simulator import (
     EpidemicParams,
     InitialCondition,
@@ -23,6 +23,7 @@ from .simulator import (
     ZeroVarianceError,
     _check_run,
     _grid_steps,
+    _observation_reads,
     initial_correlation,
     simulate,
     synthesize_dataset,
@@ -84,6 +85,8 @@ class ExperimentConfig:
         for t in times:
             _grid_steps(t, self.report_dt, "observation time")
             _grid_steps(t + self.delta_t, self.report_dt, f"observation time {t!r} + delta_t")
+        # The longest run a replicate makes, within the run budget.
+        _check_run(self.n_nodes, init, times[-1] + self.delta_t, self.sim_dt, self.report_dt)
 
     @property
     def t_end(self) -> float:
@@ -133,17 +136,25 @@ def _replicate(cfg: ExperimentConfig, kinds: tuple[ObservableKind, ...], rep: in
     len(cfg.decays), len(times)), and the initial correlation at each
     observation time, NaN where the correlation has zero variance.
 
-    The phases run in this order: simulate; take the checksum, the stacked
-    observations and the correlations from the trajectory and release it;
-    then compute the hop distances and score. So the trajectory and the
-    N x N distance matrix are never held at once.
+    The phases run in this order: simulate, keeping only the rows that the
+    observations and the correlations read; take the stacked observations
+    and the correlations from them and release them; then score, by the
+    rule of :func:`_streams`.
     """
     net = generate_erdos_renyi(cfg.n_nodes, cfg.mean_degree, seed=(cfg.master_seed, rep, 0))
     source_rng = np.random.default_rng((cfg.master_seed, rep, 1))
     source = int(source_rng.integers(cfg.n_nodes))
     init = InitialCondition(source, cfg.index_cases, cfg.population)
+    times = cfg.observation_times
+    # Report indices each series is read at. The correlations read the
+    # infectious rows at 0 and, as INFECTIOUS observations would, at each t.
+    record = {"infectious": {0}, "cases": set()}
+    for kind in (ObservableKind.INFECTIOUS, *kinds):
+        for t in times:
+            series, read = _observation_reads(kind, t, cfg.delta_t)
+            record[series].update(_grid_steps(u, cfg.report_dt, "t") for u in read)
     try:
-        traj = simulate(
+        rows = simulate(
             net,
             cfg.params,
             init,
@@ -152,28 +163,48 @@ def _replicate(cfg: ExperimentConfig, kinds: tuple[ObservableKind, ...], rep: in
             report_dt=cfg.report_dt,
             seed=(cfg.master_seed, rep, 2),
             noise=cfg.noise,
+            record=record,
         )
     except SimulationDiverged as exc:
         raise SimulationDiverged(f"replicate {rep}: {exc}") from exc
-    times = cfg.observation_times
-    checksum = traj.checksum()
+    checksum = rows.checksum
     values = np.stack(
-        [synthesize_dataset(traj, t, cfg.delta_t, kind).values for kind in kinds for t in times]
+        [synthesize_dataset(rows, t, cfg.delta_t, kind).values for kind in kinds for t in times]
     )
     correlations = np.full(len(times), np.nan)
     for t_idx, t in enumerate(times):
         try:
-            correlations[t_idx] = initial_correlation(traj, t)
+            correlations[t_idx] = initial_correlation(rows, t)
         except ZeroVarianceError:
             pass
-    del traj
-    dist = hop_distances(net)
+    del rows
     hits = np.empty((len(kinds), len(cfg.decays), len(times)))
-    for s_idx, spec in enumerate(cfg.decays):
-        scores, _ = score_batch(dist, spec, values)
+    for s_idx, scores in enumerate(_spec_scores(net, cfg.decays, values)):
         for row, (k_idx, t_idx) in enumerate(np.ndindex(len(kinds), len(times))):
             hits[k_idx, s_idx, t_idx] = hit_score(scores[row], source)
     return checksum, hits, correlations
+
+
+def _streams(n: int, specs: int, rows: int) -> bool:
+    """The stream-or-hold rule for scoring ``rows`` stacked observations
+    with ``specs`` decay specs on N = ``n`` nodes: stream when the float64
+    scores of every spec (8 specs rows N bytes) fit in the N^2 bytes of the
+    int8 distance matrix, that is, when 8 specs rows <= N."""
+    return 8 * specs * rows <= n
+
+
+def _spec_scores(net, specs, values: np.ndarray):
+    """Each spec's (m, N) scores of the stacked observations ``values``, in
+    spec order. When :func:`_streams` holds, the hop distances are streamed
+    block by block from the BFS into every spec at once, so the N x N
+    distance matrix is never built; otherwise the matrix is built and the
+    specs are scored one after another. Both give the same bits."""
+    if _streams(net.n, len(specs), values.shape[0]):
+        yield from score_blocks(_bfs_blocks(net), net.n, specs, values)[0]
+    else:
+        dist = hop_distances(net)
+        for spec in specs:
+            yield score_batch(dist, spec, values)[0]
 
 
 def _run_replicates(

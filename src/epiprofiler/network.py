@@ -65,10 +65,28 @@ def _write_csv(path, header, rows) -> None:
 
 def _write_json(path, obj) -> None:
     """Write ``obj`` to a JSON file at ``path``: indented by 2, keys sorted,
-    ending in a newline."""
+    ending in a newline. These are the bytes of ``json.dump(obj, fh,
+    indent=2, sort_keys=True)``, built by :func:`_json_text` because json's
+    indenting encoder leaves reference cycles behind on every call."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(obj, "\n") + "\n")
+
+
+def _json_text(value, newline: str) -> str:
+    """``value`` as indented JSON with sorted keys. ``newline`` is a newline
+    followed by the indent of the line ``value`` starts on; each item of a
+    non-empty object or array goes on its own line, 2 spaces further in.
+    Scalars go through ``json.dumps``, whose C encoder keeps no cycles."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("JSON object keys must be strings")
+        items = [f"{json.dumps(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    return json.dumps(value)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -257,23 +275,24 @@ _BFS_BLOCK_PAIRS = 1 << 15
 _BFS_CHUNK_KEYS = 1 << 13
 
 
-def hop_distances(net: Network) -> DistanceMatrix:
-    """Breadth-first all-pairs shortest hop counts.
+def _bfs_blocks(net: Network):
+    """Breadth-first all-pairs shortest hop counts, one block of source rows
+    at a time: yields ``(lo, rows)``, where ``rows`` is an int32 view whose
+    row b holds the hop counts from source ``lo + b`` (UNREACHABLE where
+    there is no path). Blocks come in source order and cover every source
+    once. ``rows`` is a scratch array that the next block overwrites, so a
+    caller reads or copies it before asking for the next one.
 
     A level-synchronous BFS over the CSR neighbour list runs from a block of
     sources at once; a frontier is a list of (source, node) pairs, so each
     level costs time proportional to the edges it expands. A level is
     expanded in chunks of at most ``_BFS_CHUNK_KEYS`` (source, neighbor)
-    keys. Each block runs in an int32 scratch, whose rows are then copied
-    into an int8 result. The first block that reaches a hop count above 127
-    (only on a network of diameter 128 or more) widens the result once to
-    ``_distance_dtype(N)``.
+    keys. A block covers at most ``_BFS_BLOCK_PAIRS`` (source, node) pairs.
     """
     n = net.n
     degree = net.degrees()
     first_edge = net.indptr[:-1]
     dst = net.indices
-    d = np.empty((n, n), dtype=np.int8)
     block = max(1, min(n, _BFS_BLOCK_PAIRS // n))
     scratch = np.empty((block, n), dtype=np.int32)
     for lo in range(0, n, block):
@@ -315,9 +334,19 @@ def hop_distances(net: Network) -> DistanceMatrix:
                 start = stop
             del ends
             frontier = np.concatenate(found)
-        # The last level expanded found nothing, so level - 1 is the block's
-        # largest hop count.
-        if level - 1 > _INT8.max and d.dtype == np.int8:
+        yield lo, rows
+
+
+def hop_distances(net: Network) -> DistanceMatrix:
+    """Breadth-first all-pairs shortest hop counts: the blocks of
+    :func:`_bfs_blocks` copied into an int8 result. The first block that
+    holds a hop count above 127 (only on a network of diameter 128 or more)
+    widens the result once to ``_distance_dtype(N)``.
+    """
+    n = net.n
+    d = np.empty((n, n), dtype=np.int8)
+    for lo, rows in _bfs_blocks(net):
+        if d.dtype == np.int8 and rows.max() > _INT8.max:
             d = d.astype(_distance_dtype(n))
         d[lo : lo + rows.shape[0]] = rows
     # Read-only already, so DistanceMatrix keeps it without a copy.

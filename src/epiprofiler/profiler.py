@@ -173,35 +173,76 @@ def score_batch(dist: DistanceMatrix, spec: DecaySpec, values: np.ndarray) -> tu
     Returns the ``(m, N)`` scores and an ``(m,)`` flag that is set for an
     all-zero row, whose scores are all 0.
 
-    No N x N weight matrix is held: each block of rows of weights is
-    gathered once, and both its row norms and its products are taken from
-    it. Each row norm is summed pairwise exactly as a whole-matrix norm
-    would be, and row products are summed by ``np.einsum``, not BLAS, so a
-    score does not depend on the block size, on the stack it came in or on
-    the BLAS thread count.
+    This is :func:`score_blocks` for one spec, with the whole matrix as its
+    one block of candidates.
+    """
+    scores, degenerate = score_blocks([(0, dist.d)], dist.n, (spec,), values)
+    return scores[0], degenerate
+
+
+def score_blocks(blocks, n: int, specs, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`score_batch` for every spec in ``specs`` at once, from hop
+    distances that arrive as blocks of candidate rows.
+
+    ``blocks`` yields ``(lo, rows)``: the distance rows of candidates lo,
+    lo + 1, ..., each of length ``n``, with UNREACHABLE (or any value below
+    it) where there is no path. Together they cover every candidate once,
+    in any order, and each block is read before the next is asked for (so
+    ``network._bfs_blocks`` can feed it without building the N x N matrix).
+    Returns the ``(len(specs), m, n)`` scores and the ``(m,)`` degenerate
+    flags.
+
+    No N x N weight matrix is held: :func:`_score_rows` scores one block of
+    candidates at a time. A spec's table of weights by distance grows to the
+    largest distance seen so far; a weight does not depend on the table's
+    length, so neither do the scores.
     """
     # C order keeps each row's products contiguous, so einsum sums them in
     # one order whatever the caller's memory layout.
     values = np.ascontiguousarray(values, dtype=float)
-    n = dist.n
     if values.ndim != 2 or values.shape[1] != n:
         raise ValueError(f"dataset has {values.shape[-1]} entries but the network has {n} nodes")
-    d = _clip_unreachable(dist.d)
-    table = _weight_table(spec, int(d.max()) if d.size else 0)
-    scores = np.empty((values.shape[0], n))
-    norms = np.empty(n)
-    block = max(1, _ROW_BLOCK_ELEMENTS // max(n, 1))
-    for lo in range(0, n, block):
+    scores = np.empty((len(specs), values.shape[0], n))
+    norms = np.empty((len(specs), n))
+    # An empty table, which the first block replaces.
+    tables = [np.empty(0)] * len(specs)
+    for lo, rows in blocks:
+        rows = _clip_unreachable(rows)
+        hi = lo + rows.shape[0]
+        top = int(rows.max()) if rows.size else 0
+        for s_idx, spec in enumerate(specs):
+            if top >= tables[s_idx].size - 1:
+                tables[s_idx] = _weight_table(spec, top)
+            _score_rows(tables[s_idx], rows, values, scores[s_idx, :, lo:hi], norms[s_idx, lo:hi])
+    data_norms = np.sqrt(np.add.reduce(values * values, axis=1))
+    degenerate = data_norms == 0.0
+    for spec_scores, spec_norms in zip(scores, norms):
+        # Profile norms are >= 1 because every kind gives weight 1 at distance 0.
+        np.divide(spec_scores, spec_norms * data_norms[:, None], out=spec_scores, where=~degenerate[:, None])
+    scores[:, degenerate] = 0.0
+    return scores, degenerate
+
+
+def _score_rows(
+    table: np.ndarray, d: np.ndarray, values: np.ndarray, products: np.ndarray, norms: np.ndarray
+) -> None:
+    """Score one block of candidates: for the hop-distance rows ``d`` of b
+    candidates, write each candidate's profile norm into ``norms`` (b,) and
+    its products with every row of ``values`` into ``products`` (m, b).
+
+    The weights ``table[d]`` are gathered ``_ROW_BLOCK_ELEMENTS`` at a time,
+    and both the norms and the products are taken from each gather. Each row
+    norm is summed pairwise exactly as a whole-matrix norm would be, and row
+    products are summed by ``np.einsum``, not BLAS, so a score does not
+    depend on the block size, on the stack it came in or on the BLAS thread
+    count.
+    """
+    block = max(1, _ROW_BLOCK_ELEMENTS // max(d.shape[1], 1))
+    for lo in range(0, d.shape[0], block):
         rows = table[d[lo : lo + block]]
         hi = lo + rows.shape[0]
         norms[lo:hi] = np.sqrt(np.add.reduce(rows * rows, axis=1))
-        np.einsum("ij,mj->mi", rows, values, out=scores[:, lo:hi])
-    data_norms = np.sqrt(np.add.reduce(values * values, axis=1))
-    degenerate = data_norms == 0.0
-    # Profile norms are >= 1 because every kind gives weight 1 at distance 0.
-    np.divide(scores, norms * data_norms[:, None], out=scores, where=~degenerate[:, None])
-    scores[degenerate] = 0.0
-    return scores, degenerate
+        np.einsum("ij,mj->mi", rows, values, out=products[:, lo:hi])
 
 
 def likeliness_scores(dist: DistanceMatrix, data: Dataset, spec: DecaySpec) -> LikelinessResult:

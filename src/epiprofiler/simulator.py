@@ -20,6 +20,18 @@ from .network import Network, _readonly, _ReadOnlyArrays, _write_csv, _write_jso
 from .profiler import Dataset, ObservableKind
 
 
+# The reported series of a run, in the order the state keeps them; the
+# checksum takes them in this order.
+SERIES = ("susceptible", "infectious", "removed", "cases")
+# The series a run can record only some rows of: those observations read.
+RECORDABLE = ("infectious", "cases")
+
+# The largest run simulate accepts, checked before any work: integration
+# steps in all, and report values (reports x nodes) in each reported series.
+MAX_STEPS = 10**8
+MAX_REPORT_VALUES = 10**8
+
+
 class SimulationDiverged(RuntimeError):
     """Raised when a state becomes non-finite during integration."""
 
@@ -107,12 +119,65 @@ class Trajectory(_ReadOnlyArrays):
             raise ValueError(f"t={t!r} outside the simulated range [{times[0]}, {times[-1]}]")
         return idx
 
+    def row(self, series: str, report: int) -> np.ndarray:
+        """The vector of ``series`` (one of :data:`SERIES`) at report
+        index ``report``."""
+        return getattr(self, series)[report]
+
     def checksum(self) -> str:
-        """Content hash of the reported series; equal runs hash equally."""
+        """Content hash of the reported series; equal runs hash equally. For
+        each report k, in order, it takes the float64 bytes of t_k, then S_k,
+        I_k, R_k and J_k: the digest :func:`simulate` also computes report by
+        report when it records only some rows."""
         h = hashlib.sha256()
-        for arr in (self.times, self.susceptible, self.infectious, self.removed, self.cases):
-            h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+        for k, t in enumerate(self.times):
+            _digest_report(h, t, *(self.row(name, k) for name in SERIES))
         return h.hexdigest()
+
+
+@dataclass(frozen=True, eq=False)
+class RecordedRows(_ReadOnlyArrays):
+    """The rows of a run that its caller asked :func:`simulate` to record,
+    with the checksum of the whole run (the one :meth:`Trajectory.checksum`
+    gives for the same run).
+
+    ``reports[name]`` lists, ascending, the report indices kept of series
+    ``name``, and the array field ``name`` holds those rows in that order.
+    Like a :class:`Trajectory` it answers ``report_index`` and ``row``, so
+    :func:`synthesize_dataset` and :func:`initial_correlation` read either,
+    as long as the rows they read were recorded.
+    """
+
+    reports: dict[str, tuple[int, ...]]
+    infectious: np.ndarray
+    cases: np.ndarray
+    report_dt: float
+    checksum: str
+
+    def __post_init__(self):
+        for name in RECORDABLE:
+            given = getattr(self, name)
+            self._keep(name, np.asarray(given), given)
+
+    def report_index(self, t: float) -> int:
+        """Index of reporting time t (a run starts at t = 0)."""
+        return _grid_steps(t, self.report_dt, "t")
+
+    def row(self, series: str, report: int) -> np.ndarray:
+        """The vector of ``series`` at report index ``report``, which must
+        have been recorded."""
+        kept = self.reports.get(series, ())
+        if report not in kept:
+            raise ValueError(f"report {report} of {series} was not recorded")
+        return getattr(self, series)[kept.index(report)]
+
+
+def _digest_report(h, t: float, *rows: np.ndarray) -> None:
+    """Feed report time ``t`` and then ``rows`` to the hash ``h``, each as
+    float64 bytes."""
+    h.update(np.float64(t).tobytes())
+    for row in rows:
+        h.update(np.ascontiguousarray(row, dtype=np.float64))
 
 
 def _normalize_seed(seed) -> tuple[int, ...]:
@@ -149,7 +214,18 @@ def _check_run(n: int, init: InitialCondition, t_end, sim_dt, report_dt) -> tupl
             f"index_cases ({init.index_cases}) exceeds the per-node population share ({share})"
         )
     steps_per_report = _grid_steps(report_dt, sim_dt, "report_dt", "integration grid (sim_dt)")
-    return steps_per_report, _grid_steps(t_end, report_dt, "t_end")
+    n_reports = _grid_steps(t_end, report_dt, "t_end")
+    if steps_per_report * n_reports > MAX_STEPS:
+        raise ValueError(
+            f"a run of t_end ({t_end!r}) at sim_dt ({sim_dt!r}) takes more than "
+            f"{MAX_STEPS} integration steps, the limit for one run"
+        )
+    if (n_reports + 1) * n > MAX_REPORT_VALUES:
+        raise ValueError(
+            f"a run of t_end ({t_end!r}) at report_dt ({report_dt!r}) on {n} nodes keeps more than "
+            f"{MAX_REPORT_VALUES} report values per series, the limit for one run"
+        )
+    return steps_per_report, n_reports
 
 
 def simulate(
@@ -162,7 +238,8 @@ def simulate(
     report_dt: float = 1.0,
     seed=0,
     noise: bool = True,
-) -> Trajectory:
+    record=None,
+) -> Trajectory | RecordedRows:
     """Integrate the Langevin SIR system with the Euler–Maruyama scheme.
 
     Every noise channel (infection, removal, and each migration direction per
@@ -176,6 +253,12 @@ def simulate(
     Migration runs over the directed edge list of :func:`mobility_edges`, so
     a step costs O(N + E) for N nodes and E directed edges.
 
+    Returns the :class:`Trajectory` of every report. ``record``, when given,
+    maps series of :data:`RECORDABLE` to the report indices to keep of them;
+    the run then keeps only those rows and returns them as
+    :class:`RecordedRows`, whose checksum the step loop takes report by
+    report. Either way the integration, and so every value, is the same.
+
     Raises SimulationDiverged if any state becomes non-finite, naming the
     node and time.
     """
@@ -183,6 +266,22 @@ def simulate(
     steps_per_report, n_reports = _check_run(n, init, t_end, sim_dt, report_dt)
     share = init.population / n
     seed_tuple = _normalize_seed(seed)
+    if record is None:
+        reports = {name: range(n_reports + 1) for name in SERIES}
+        digest = None
+    else:
+        unknown = sorted(set(record) - set(RECORDABLE))
+        if unknown:
+            raise ValueError(f"only {', '.join(RECORDABLE)} can be recorded, got {', '.join(unknown)}")
+        reports = {name: tuple(sorted(set(record.get(name, ())))) for name in RECORDABLE}
+        for name, kept in reports.items():
+            if kept and not 0 <= kept[0] <= kept[-1] <= n_reports:
+                raise ValueError(
+                    f"recorded reports of {name} must lie in [0, {n_reports}], got {list(kept)}"
+                )
+        digest = hashlib.sha256()
+    # Row kept.index(report) of out[name] holds that report of series name.
+    out = {name: np.empty((len(kept), n)) for name, kept in reports.items()}
 
     if params.gamma > 0:
         src_e, dst_e, rate_e = mobility_edges(net, params.gamma)
@@ -204,19 +303,16 @@ def simulate(
     cases = np.zeros(n)
     cases[init.source] = init.index_cases
 
-    out_x = np.empty((3, n_reports + 1, n))
-    out_j = np.empty((n_reports + 1, n))
-    out_x[:, 0], out_j[0] = x.reshape(3, n), cases
-
     rng = np.random.default_rng(seed_tuple) if noise else None
     alpha_dt, beta_dt = params.alpha * sim_dt, params.beta * sim_dt
 
     step = 0
-    for report in range(1, n_reports + 1):
+    # Report 0 is the initial state, reached after no steps.
+    for report in range(n_reports + 1):
         # Overflow is handled by the divergence check below, so intermediate
         # arithmetic may produce inf/nan without warning spam.
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(steps_per_report):
+            for _ in range(steps_per_report if report else 0):
                 # Expected events this step: infections, removals, new cases,
                 # and the mass moved along each edge of each compartment.
                 sus, inf = x[:n], x[n : 2 * n]
@@ -252,10 +348,10 @@ def simulate(
 
         # Non-finite values persist once they appear, so checking at report
         # boundaries still catches every divergence.
+        vectors = dict(zip(SERIES, (*x.reshape(3, n), cases)))
         if not (np.isfinite(x).all() and np.isfinite(cases).all()):
             t_fail = step * sim_dt
-            vectors = (*x.reshape(3, n), cases)
-            for name, vec in zip(("susceptible", "infectious", "removed", "cases"), vectors):
+            for name, vec in vectors.items():
                 bad = np.flatnonzero(~np.isfinite(vec))
                 if bad.size:
                     node = int(bad[0])
@@ -263,16 +359,19 @@ def simulate(
                         f"non-finite {name} at node {net.labels[node]} "
                         f"(index {node}) at t={t_fail:.6g}"
                     )
-        out_x[:, report], out_j[report] = x.reshape(3, n), cases
+        for name, kept in reports.items():
+            if report in kept:
+                out[name][kept.index(report)] = vectors[name]
+        if digest is not None:
+            _digest_report(digest, report * report_dt, x, cases)
 
-    # Read-only before they are sliced, so Trajectory keeps them uncopied.
-    out_x, out_j = _readonly(out_x), _readonly(out_j)
+    # Read-only before they are handed over, so the result keeps them uncopied.
+    out = {name: _readonly(arr) for name, arr in out.items()}
+    if digest is not None:
+        return RecordedRows(reports, **out, report_dt=report_dt, checksum=digest.hexdigest())
     return Trajectory(
         times=_readonly(np.arange(n_reports + 1, dtype=float) * report_dt),
-        susceptible=out_x[0],
-        infectious=out_x[1],
-        removed=out_x[2],
-        cases=out_j,
+        **out,
         network=net,
         params=params,
         init=init,
@@ -289,30 +388,35 @@ def synthesize_dataset(
     delta_t: float = 1.0,
     kind: ObservableKind = ObservableKind.NEW_CASES,
 ) -> Dataset:
-    """Slice an observation vector out of a trajectory.
+    """Slice an observation vector out of a trajectory (or out of the
+    :class:`RecordedRows` of a run that recorded the rows it reads; see
+    :func:`_observation_reads`).
 
     Difference kinds report max(0, X(t_obs + delta_t) - X(t_obs)) per node;
     snapshot kinds report the raw vector at t_obs (delta_t is ignored).
     """
     kind = ObservableKind(kind)
-    idx = traj.report_index(t_obs)
-    if kind is ObservableKind.INFECTIOUS:
-        values = traj.infectious[idx].copy()
-    elif kind is ObservableKind.CUMULATIVE_CASES:
-        values = traj.cases[idx].copy()
-    else:
-        series = traj.infectious if kind is ObservableKind.INFECTIOUS_CHANGE else traj.cases
-        idx_later = traj.report_index(t_obs + delta_t)
-        values = np.maximum(series[idx_later] - series[idx], 0.0)
+    series, times = _observation_reads(kind, t_obs, delta_t)
+    rows = [traj.row(series, traj.report_index(t)) for t in times]
+    values = rows[0].copy() if len(rows) == 1 else np.maximum(rows[1] - rows[0], 0.0)
     return Dataset(values, kind, t_obs=float(t_obs))
+
+
+def _observation_reads(kind: ObservableKind, t_obs: float, delta_t: float) -> tuple[str, tuple]:
+    """The series an observation of ``kind`` at ``t_obs`` reads, and the
+    times it reads it at: t_obs, and t_obs + delta_t for a difference kind."""
+    kind = ObservableKind(kind)
+    infectious = kind in (ObservableKind.INFECTIOUS, ObservableKind.INFECTIOUS_CHANGE)
+    times = (t_obs, t_obs + delta_t) if kind.is_difference else (t_obs,)
+    return "infectious" if infectious else "cases", times
 
 
 def initial_correlation(traj: Trajectory, t: float) -> float:
     """Pearson correlation between the infectious profile at time t and the
-    initial profile. Raises ZeroVarianceError when either profile is constant
-    across nodes, so callers may skip the sample."""
-    start = traj.infectious[0]
-    now = traj.infectious[traj.report_index(t)]
+    initial profile (report 0). Raises ZeroVarianceError when either profile
+    is constant across nodes, so callers may skip the sample."""
+    start = traj.row("infectious", 0)
+    now = traj.row("infectious", traj.report_index(t))
     x = start - start.mean()
     y = now - now.mean()
     sx = float(x @ x)

@@ -1,7 +1,12 @@
 import argparse
 import gc
 import json
+import logging
 import math
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -356,13 +361,23 @@ class TestRankTimeline:
         rank_one = [row[3] for row in rows if row[2] == "1"]
         assert rank_one and all(region == "HKG" for region in rank_one)
 
-    def test_min_cases_zero_keeps_all_regions(self, tmp_path):
+    @pytest.mark.parametrize("min_cases,dropped", [("0", "IRL, ITA"), ("3", "ITA")],
+                             ids=["min_cases_0", "min_cases_3"])
+    def test_regions_the_network_lacks_are_dropped_with_a_warning(self, tmp_path, caplog,
+                                                                   min_cases, dropped):
+        # The bundled case file has 13 regions and the network 11; a low
+        # threshold keeps ITA (and IRL), which the network lacks.
         out = tmp_path / "timeline.csv"
-        code = run("rank-timeline", "--net", str(bundled_data_path(SARS_ADJACENCY_FILE)),
-                   "--cases", str(bundled_data_path(SARS_CASES_FILE)),
-                   "--min-cases", "0", "--out", str(out))
-        # bundled case file has 13 regions but the network has 11: mismatch
-        assert code == 2
+        with caplog.at_level(logging.WARNING, logger="epiprofiler.data_ingest"):
+            code = run("rank-timeline", "--net", str(bundled_data_path(SARS_ADJACENCY_FILE)),
+                       "--cases", str(bundled_data_path(SARS_CASES_FILE)),
+                       "--min-cases", min_cases, "--out", str(out))
+        assert code == 0
+        drops = [r.getMessage() for r in caplog.records if "network lacks" in r.getMessage()]
+        assert drops == [f"dropping case-series regions the network lacks: {dropped}"]
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        network = load_adjacency(bundled_data_path(SARS_ADJACENCY_FILE))
+        assert {row[3] for row in rows} == set(network.labels)
 
     def test_label_mismatch_exits_2(self, tmp_path, net_csv, capsys):
         out = tmp_path / "timeline.csv"
@@ -372,6 +387,8 @@ class TestRankTimeline:
         err = capsys.readouterr().err
         assert "labels" in err
         assert err.startswith(f"error: {Path(cases).resolve()}: region set")
+        # A network node missing from the series is named.
+        assert "'n0'" in err
 
 
 def _rerun_first_argv(subcommand, tmp_path, net_csv, path3_csv):
@@ -601,18 +618,29 @@ class TestTopLevel:
         assert "runtime failure" in capsys.readouterr().err
 
     def test_console_script_entry_point(self, tmp_path):
-        import shutil
-        import subprocess
-
+        # The installed console script when there is one; otherwise the
+        # target pyproject.toml names, run the way the script would run it.
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+        assert scripts == {"epiprofiler": "epiprofiler.cli:main"}
+        module, func = scripts["epiprofiler"].split(":")
         exe = shutil.which("epiprofiler")
+        env = dict(os.environ)
         if exe is None:
-            pytest.skip("console script not installed")
+            script = f"import sys; from {module} import {func}; sys.exit({func}())"
+            command = [sys.executable, "-c", script]
+            env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        else:
+            command = [exe]
         out = tmp_path / "net.csv"
         proc = subprocess.run(
-            [exe, "gen-net", "--nodes", "6", "--mean-degree", "2", "--seed", "1",
+            [*command, "gen-net", "--nodes", "6", "--mean-degree", "2", "--seed", "1",
              "--out", str(out)],
             capture_output=True,
             text=True,
+            env=env,
+            timeout=60,
         )
-        assert proc.returncode == 0
-        assert out.exists()
+        assert proc.returncode == 0, proc.stderr
+        assert load_adjacency(out).n == 6

@@ -162,6 +162,25 @@ class TestDailyDeltas:
         with pytest.raises(ValueError, match="labels"):
             daily_deltas(load_case_series(path), labels=["AAA", "ZZZ"])
 
+    def test_regions_the_network_lacks_are_dropped_with_one_warning(self, tmp_path, caplog):
+        path = write_cases(
+            tmp_path,
+            ["2003-03-17,AAA,1", "2003-03-17,ZZZ,4", "2003-03-17,MMM,2",
+             "2003-03-18,AAA,3", "2003-03-18,ZZZ,2", "2003-03-18,MMM,9"],
+        )
+        with caplog.at_level(logging.WARNING, logger="epiprofiler.data_ingest"):
+            datasets = daily_deltas(load_case_series(path), labels=["AAA"])
+        np.testing.assert_array_equal(datasets[0].values, [2.0])
+        # One warning, naming both; ZZZ's downward revision is not reported.
+        assert [r.getMessage() for r in caplog.records] == [
+            "dropping case-series regions the network lacks: MMM, ZZZ"
+        ]
+
+    def test_network_node_missing_from_series_is_named(self, tmp_path):
+        path = write_cases(tmp_path, ["2003-03-17,AAA,5", "2003-03-18,AAA,6", "2003-03-18,BBB,1"])
+        with pytest.raises(ValueError, match=r"missing from series: \['ZZZ'\]"):
+            daily_deltas(load_case_series(path), labels=["AAA", "ZZZ"])
+
     def test_label_order_respected(self, tmp_path):
         path = write_cases(
             tmp_path,

@@ -1,13 +1,13 @@
 import json
 import tracemalloc
-import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epiprofiler import experiments
+from epiprofiler import experiments, network, profiler
 from epiprofiler.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -103,6 +103,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="decay"):
             tiny_config(decays=())
 
+    @pytest.mark.parametrize("overrides", [
+        dict(sim_dt=1e-300),
+        # 10^6 steps per report pass on their own, 101 reports do not.
+        dict(sim_dt=1e-6, observation_times=(100.0,)),
+    ])
+    def test_rejects_a_run_beyond_the_step_budget(self, overrides):
+        # Checked by the constructor alone: no run is started.
+        with pytest.raises(ValueError, match=r"sim_dt \(1e-.*more than 100000000 integration steps"):
+            tiny_config(**overrides)
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data(), report_dt=st.sampled_from([0.1, 0.25, 1.0, 10.0]) | st.floats(0.01, 10.0))
     def test_accepted_times_can_all_be_looked_up(self, data, report_dt):
@@ -156,6 +166,14 @@ class TestHitExperiment:
         assert serial.trajectory_checksums == parallel.trajectory_checksums
         assert hit_curve_rows("hit", serial) == hit_curve_rows("hit", parallel)
 
+    def test_checksums_are_trajectory_checksums_for_any_worker_count(self):
+        # A replicate records only the rows it reads, yet its checksum is
+        # that of the full trajectory, taken report by report.
+        cfg = tiny_config(replicates=3)
+        want = tuple(full_trajectory(cfg, rep)[2].checksum() for rep in range(cfg.replicates))
+        for workers in (1, 2):
+            assert run_hit_experiment(cfg, workers=workers).trajectory_checksums == want
+
     def test_workers_do_not_change_any_experiment(self):
         cfg = tiny_config(replicates=4)
         assert hit_vs_correlation(cfg, workers=1) == hit_vs_correlation(cfg, workers=2)
@@ -199,6 +217,24 @@ class TestHitExperiment:
         assert seen == [(1, 3), (2, 3), (3, 3)]
 
 
+def full_trajectory(cfg, rep):
+    """The network, source and full trajectory of replicate ``rep``, rebuilt
+    from its documented seeds (master_seed, rep, 0|1|2)."""
+    net = generate_erdos_renyi(cfg.n_nodes, cfg.mean_degree, seed=(cfg.master_seed, rep, 0))
+    source = int(np.random.default_rng((cfg.master_seed, rep, 1)).integers(cfg.n_nodes))
+    traj = simulate(
+        net,
+        cfg.params,
+        InitialCondition(source, cfg.index_cases, cfg.population),
+        cfg.t_end,
+        sim_dt=cfg.sim_dt,
+        report_dt=cfg.report_dt,
+        seed=(cfg.master_seed, rep, 2),
+        noise=cfg.noise,
+    )
+    return net, source, traj
+
+
 class TestScoreGrid:
     def test_spec_major_grid_matches_per_pair_scoring(self):
         # The kernel scores one stack per spec; rebuilding each replicate
@@ -208,18 +244,7 @@ class TestScoreGrid:
         cfg = tiny_config(decays=specs, observation_times=(1.0, 2.0, 5.0, 10.0))
         kinds = tuple(ObservableKind)
         for rep in range(3):
-            net = generate_erdos_renyi(cfg.n_nodes, cfg.mean_degree, seed=(cfg.master_seed, rep, 0))
-            source = int(np.random.default_rng((cfg.master_seed, rep, 1)).integers(cfg.n_nodes))
-            traj = simulate(
-                net,
-                cfg.params,
-                InitialCondition(source, cfg.index_cases, cfg.population),
-                cfg.t_end,
-                sim_dt=cfg.sim_dt,
-                report_dt=cfg.report_dt,
-                seed=(cfg.master_seed, rep, 2),
-                noise=cfg.noise,
-            )
+            net, source, traj = full_trajectory(cfg, rep)
             dist = hop_distances(net)
             checksum, grid, correlations = _replicate(cfg, kinds, rep)
             assert checksum == traj.checksum()
@@ -271,25 +296,86 @@ class TestReplicateMemory:
         n = 600
         assert _replicate_peak(n) <= 3.5 * n * n
 
-    def test_trajectory_is_released_before_hop_distances(self, monkeypatch):
-        trajectories = []
-        alive_at_bfs = []
+    def test_replicate_at_the_n1000_benchmark_settings_stays_below_n_squared(self):
+        # The int8 distance matrix alone would be N^2 bytes; the streamed
+        # side never builds it, and the simulate phase keeps 13 of 88 rows.
+        n = 1000
+        assert _replicate_peak(n) < n * n
 
-        def tracked_simulate(*args, **kwargs):
-            traj = simulate(*args, **kwargs)
-            trajectories.append(weakref.ref(traj))
-            return traj
+    def test_streamed_side_never_builds_the_distance_matrix(self, monkeypatch):
+        def no_matrix(net):
+            raise AssertionError("the N x N distance matrix was built")
 
-        def tracked_hop_distances(net):
-            alive_at_bfs.append([ref() is not None for ref in trajectories])
-            return hop_distances(net)
+        cfg = tiny_config(n_nodes=60, decays=(POLY,), observation_times=(2.0, 5.0))
+        assert experiments._streams(cfg.n_nodes, len(cfg.decays), len(cfg.observation_times))
+        held = [_replicate(cfg, (cfg.kind,), rep) for rep in range(cfg.replicates)]
+        monkeypatch.setattr(experiments, "hop_distances", no_matrix)
+        monkeypatch.setattr(experiments, "score_batch", no_matrix)
+        for rep, (checksum, hits, correlations) in enumerate(held):
+            got = _replicate(cfg, (cfg.kind,), rep)
+            assert got[0] == checksum
+            assert np.array_equal(got[1], hits)
+            assert np.array_equal(got[2], correlations, equal_nan=True)
 
-        monkeypatch.setattr(experiments, "simulate", tracked_simulate)
-        monkeypatch.setattr(experiments, "hop_distances", tracked_hop_distances)
-        cfg = tiny_config()
-        for rep in range(cfg.replicates):
-            _replicate(cfg, (cfg.kind,), rep)
-        assert alive_at_bfs == [[False] * (rep + 1) for rep in range(cfg.replicates)]
+
+ALL_SPECS = (POLY, NAIVE, DecaySpec(DecayKind.POWER, 2.0), DecaySpec(DecayKind.EXPONENTIAL, 0.05))
+
+
+def _replicate_on_side(cfg, kinds, rep, stream):
+    with mock.patch.object(experiments, "_streams", lambda n, specs, rows: stream):
+        return _replicate(cfg, kinds, rep)
+
+
+def _assert_same_bits(a, b):
+    assert a[0] == b[0]
+    assert np.array_equal(a[1], b[1])
+    assert np.array_equal(a[2], b[2], equal_nan=True)
+
+
+class TestStreamOrHold:
+    """The stream-or-hold rule picks how hop distances reach scoring, never
+    what the scores are."""
+
+    @pytest.mark.parametrize("n,specs,times,kinds,streams", [
+        (60, 1, 2, (ObservableKind.NEW_CASES,), True),  # 8 * 1 * 2 = 16 <= 60
+        (20, 2, 3, (ObservableKind.NEW_CASES,), False),  # 48 > 20
+        (100, 1, 3, tuple(ObservableKind), True),  # 8 * 1 * 12 = 96 <= 100
+        (100, 2, 3, tuple(ObservableKind), False),  # 192 > 100
+    ])
+    def test_rule_picks_the_side_by_input_size(self, n, specs, times, kinds, streams):
+        cfg = tiny_config(replicates=1, n_nodes=n, decays=ALL_SPECS[:specs],
+                          observation_times=(2.0, 5.0, 10.0)[:times])
+        assert experiments._streams(n, specs, len(kinds) * times) is streams
+        natural = _replicate(cfg, kinds, 0)
+        _assert_same_bits(natural, _replicate_on_side(cfg, kinds, 0, not streams))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 70),
+        mean_degree=st.sampled_from([0.3, 1.0, 2.5]),
+        specs=st.integers(1, len(ALL_SPECS)),
+        times=st.integers(1, 3),
+        all_kinds=st.booleans(),
+        bfs_pairs=st.sampled_from([1, 40, 97, 1 << 15]),
+        row_elements=st.sampled_from([1, 50, 1 << 14]),
+        seed=st.integers(0, 1000),
+    )
+    def test_streamed_and_held_sides_give_the_same_bits(
+        self, n, mean_degree, specs, times, all_kinds, bfs_pairs, row_elements, seed
+    ):
+        # Mean degrees below 1 leave the network disconnected; small BFS
+        # blocks leave N off a multiple of the block, and small row blocks
+        # split each BFS block again.
+        cfg = tiny_config(replicates=1, n_nodes=n, mean_degree=min(mean_degree, n - 1.0),
+                          decays=ALL_SPECS[:specs], observation_times=(0.0, 3.0, 7.0)[:times],
+                          master_seed=seed)
+        kinds = tuple(ObservableKind) if all_kinds else (ObservableKind.NEW_CASES,)
+        with mock.patch.object(network, "_BFS_BLOCK_PAIRS", bfs_pairs), \
+                mock.patch.object(profiler, "_ROW_BLOCK_ELEMENTS", row_elements):
+            streamed = _replicate_on_side(cfg, kinds, 0, True)
+            held = _replicate_on_side(cfg, kinds, 0, False)
+        _assert_same_bits(streamed, held)
+        _assert_same_bits(_replicate(cfg, kinds, 0), held)
 
 
 class TestPairedArms:

@@ -3,6 +3,7 @@ simulation, no libm call), so that any change to an output format shows up
 here as a diff."""
 import argparse
 import datetime as dt
+import gc
 import textwrap
 from pathlib import Path
 
@@ -139,7 +140,7 @@ def test_trajectory_csv_and_sidecar():
         {
           "alpha": 0.4,
           "beta": 0.2,
-          "checksum": "aa886424ba4cc2f6dcb8f492ed6b2c94549c111d54a2b37e0778d54f760fc37a",
+          "checksum": "9d6d88642e2be748d1d48180d167b0f57e39b48d147eb2002f0e9c1b4c7a5444",
           "gamma": 0.1,
           "index_cases": 1.0,
           "labels": [
@@ -160,6 +161,24 @@ def test_trajectory_csv_and_sidecar():
         }
         """
     ).encode()
+
+
+def test_manifest_write_leaves_no_garbage():
+    # json's indenting encoder leaves its closures in reference cycles; a
+    # manifest write must leave nothing for the cycle collector.
+    args = argparse.Namespace(subcommand="gen-net", func=print, nodes=5, mean_degree=2.0, seed=0,
+                              out="net.csv")
+    _write_manifest(args, ["net.csv"])  # first-call imports
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(3):
+            _write_manifest(args, ["net.csv"])
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
 def test_manifest():

@@ -28,6 +28,7 @@ from epiprofiler.profiler import (
     hit_score,
     likeliness_scores,
     score_batch,
+    score_blocks,
 )
 from epiprofiler.simulator import Dataset, EpidemicParams, InitialCondition, ObservableKind, simulate
 
@@ -298,6 +299,26 @@ class TestDecayProfile:
             assert np.array_equal(part, stacked[lo:hi])
         for row, vector in enumerate(values):
             assert np.array_equal(likeliness_scores(dist, new_cases(vector), spec).scores, stacked[row])
+
+    def test_blocks_in_any_order_score_every_spec_as_score_batch_does(self):
+        # Blocks of uneven size in shuffled order, so that a later block
+        # reaches farther than every block before it and each spec's table
+        # grows mid-stream.
+        n = 150
+        dist = hop_distances(generate_erdos_renyi(n, 1.5, seed=31))
+        values = np.random.default_rng(32).random((3, n))
+        values[1] = 0.0
+        bounds = [0, 1, 7, 40, 41, 97, n]
+        blocks = [(lo, dist.d[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        blocks = [blocks[k] for k in np.random.default_rng(33).permutation(len(blocks))]
+        reach = [int(rows.max()) for _, rows in blocks]
+        assert any(reach[k] > max(reach[:k]) for k in range(1, len(reach)))
+        scores, degenerate = score_blocks(iter(blocks), n, ALL_KINDS, values)
+        assert scores.shape == (len(ALL_KINDS), 3, n)
+        for spec, got in zip(ALL_KINDS, scores):
+            want, want_degenerate = score_batch(dist, spec, values)
+            assert np.array_equal(got, want)
+            assert np.array_equal(degenerate, want_degenerate)
 
     def test_scores_do_not_depend_on_blas_threads(self):
         script = (

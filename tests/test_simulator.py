@@ -1,17 +1,27 @@
+import hashlib
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from epiprofiler.network import Network, generate_erdos_renyi
 from epiprofiler.simulator import (
+    MAX_REPORT_VALUES,
+    MAX_STEPS,
     Dataset,
     EpidemicParams,
     InitialCondition,
     ObservableKind,
+    RecordedRows,
     SimulationDiverged,
     Trajectory,
     ZeroVarianceError,
+    _check_run,
     initial_correlation,
     simulate,
     synthesize_dataset,
@@ -322,6 +332,93 @@ class TestDataset:
     def test_kind_coerced_from_string(self):
         data = Dataset(np.array([1.0]), "new_cases")
         assert data.kind is ObservableKind.NEW_CASES
+
+
+class TestRunBudget:
+    """Runs that could not finish, or whose reports could not be stored,
+    are refused by the recipe check before any work."""
+
+    def test_step_budget_names_t_end_and_sim_dt(self):
+        init = InitialCondition(0)
+        # 10^4 reports of 10^4 steps each is exactly the limit.
+        assert _check_run(2, init, 1e4, 1e-4, 1.0) == (10**4, 10**4)
+        for t_end, sim_dt in ((1e4 + 1.0, 1e-4), (1.0, 1e-300), (1e300, 0.05)):
+            with pytest.raises(ValueError, match=re.escape(f"t_end ({t_end!r}) at sim_dt ({sim_dt!r})")):
+                _check_run(2, init, t_end, sim_dt, 1.0)
+        assert MAX_STEPS == 10**8
+
+    def test_report_budget_names_t_end_and_report_dt(self):
+        init = InitialCondition(0, 20.0, 1e12)
+        # (reports + 1) x nodes values per series: 10^4 x 10^4 is the limit.
+        assert _check_run(10**4, init, 9999.0, 1.0, 1.0) == (1, 9999)
+        with pytest.raises(ValueError, match=r"t_end \(10000.0\) at report_dt \(1.0\) on 10000 nodes"):
+            _check_run(10**4, init, 10000.0, 1.0, 1.0)
+        assert MAX_REPORT_VALUES == 10**8
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--t-end", "1e300"], "t_end"),
+        (["--t-end", "1", "--sim-dt", "1e-300"], "sim_dt"),
+    ])
+    def test_cli_exits_2_before_any_work(self, tmp_path, flags, field):
+        # In a subprocess with a timeout, so a broken check cannot hang the suite.
+        net = tmp_path / "net.csv"
+        net.write_text("a,b\na,0,1\nb,1,0\n")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from epiprofiler.cli import main; sys.exit(main())",
+             "simulate", "--net", str(net), "--alpha", "0.1", "--beta", "0.1", "--gamma", "0.1",
+             "--source", "0", *flags, "--out", str(tmp_path / "traj.csv")],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and field in proc.stderr
+        assert not (tmp_path / "traj.csv").exists()
+
+
+class TestRecordedRows:
+    def run(self, **kwargs):
+        net = generate_erdos_renyi(12, 2.0, seed=6)
+        return simulate(net, HIGH_R_PARAMS, InitialCondition(2, 20, 1e5), 8.0, seed=3, **kwargs)
+
+    def test_rows_and_checksum_are_the_trajectory_s(self):
+        traj = self.run()
+        record = {"infectious": [0, 5, 3, 5], "cases": [8, 2]}
+        rows = self.run(record=record)
+        assert isinstance(rows, RecordedRows)
+        assert rows.reports == {"infectious": (0, 3, 5), "cases": (2, 8)}
+        for series, kept in rows.reports.items():
+            assert not getattr(rows, series).flags.writeable
+            for report in kept:
+                assert np.array_equal(rows.row(series, report), traj.row(series, report))
+        assert rows.checksum == traj.checksum()
+        assert self.run(record={}).checksum == traj.checksum()
+
+    def test_observations_read_the_same_bits(self):
+        traj = self.run()
+        rows = self.run(record={"infectious": [0, 2, 3], "cases": [2, 3]})
+        for kind in ObservableKind:
+            assert np.array_equal(synthesize_dataset(rows, 2.0, 1.0, kind).values,
+                                  synthesize_dataset(traj, 2.0, 1.0, kind).values)
+        assert initial_correlation(rows, 3.0) == initial_correlation(traj, 3.0)
+        with pytest.raises(ValueError, match="report 4 of cases was not recorded"):
+            synthesize_dataset(rows, 3.0, 1.0, ObservableKind.NEW_CASES)
+
+    def test_bad_record_rejected(self):
+        with pytest.raises(ValueError, match="can be recorded, got removed"):
+            self.run(record={"removed": [1]})
+        with pytest.raises(ValueError, match=r"must lie in \[0, 8\]"):
+            self.run(record={"cases": [9]})
+
+    def test_checksum_hashes_each_report_in_order(self):
+        traj = self.run()
+        h = hashlib.sha256()
+        for k, t in enumerate(traj.times):
+            h.update(np.float64(t).tobytes())
+            for series in (traj.susceptible, traj.infectious, traj.removed, traj.cases):
+                h.update(series[k].tobytes())
+        assert traj.checksum() == h.hexdigest()
 
 
 class TestTrajectoryAccess:
