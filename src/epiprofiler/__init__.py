@@ -15,11 +15,8 @@ _EXPORTS = {
     "UNREACHABLE": "network",
     "Network": "network",
     "DistanceMatrix": "network",
-    "MobilityMatrix": "network",
     "generate_erdos_renyi": "network",
     "hop_distances": "network",
-    "mobility_matrix": "network",
-    "is_interchangeable": "network",
     "load_adjacency": "network",
     "save_adjacency": "network",
     "EpidemicParams": "simulator",
@@ -47,7 +44,6 @@ _EXPORTS = {
     "hit_vs_correlation": "experiments",
     "compare_observables": "experiments",
     "sweep_decay_parameter": "experiments",
-    "rank_correlation": "experiments",
     "CaseReportSeries": "data_ingest",
     "RankingTimeline": "data_ingest",
     "load_case_series": "data_ingest",

@@ -79,11 +79,8 @@ def _check_output(out) -> None:
         raise UsageError(f"output path is a directory: {path}")
 
 
-def _progress_printer(stream=None):
-    stream = stream or sys.stderr
-    def report(done: int, total: int) -> None:
-        print(f"replicate {done}/{total}", file=stream)
-    return report
+def _report_progress(done: int, total: int) -> None:
+    print(f"replicate {done}/{total}", file=sys.stderr)
 
 
 def cmd_gen_net(args) -> int:
@@ -207,16 +204,15 @@ def cmd_evaluate(args) -> int:
             cfg = replace(cfg, master_seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    progress = _progress_printer()
     if exp_file.experiment == "hit":
-        curve = run_hit_experiment(cfg, workers=args.workers, progress=progress)
+        curve = run_hit_experiment(cfg, workers=args.workers, progress=_report_progress)
         write_hit_curves_csv(args.out, hit_curve_rows("hit", curve))
     elif exp_file.experiment == "correlation":
-        samples = hit_vs_correlation(cfg, workers=args.workers, progress=progress)
+        samples = hit_vs_correlation(cfg, workers=args.workers, progress=_report_progress)
         write_correlation_csv(args.out, "correlation", samples)
         print(f"skipped zero-variance samples: {samples.skipped}", file=sys.stderr)
     else:
-        curves = compare_observables(cfg, workers=args.workers, progress=progress)
+        curves = compare_observables(cfg, workers=args.workers, progress=_report_progress)
         rows = []
         for kind, curve in curves.items():
             rows.extend(hit_curve_rows(f"observables[{kind.value}]", curve))
@@ -240,7 +236,7 @@ def cmd_sweep(args) -> int:
         exp_file.sweep_kind,
         exp_file.sweep_grid,
         workers=args.workers,
-        progress=_progress_printer(),
+        progress=_report_progress,
     )
     write_sweep_csv(args.out, "sweep", result)
     print(f"best {result.kind.value} parameter: {result.best_param:g}", file=sys.stderr)

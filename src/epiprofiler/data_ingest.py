@@ -235,7 +235,7 @@ def rank_timeline(
     scores, degenerate = score_batch(hop_distances(net), spec, values)
     entries = []
     for idx, data in enumerate(datasets):
-        result = LikelinessResult.from_scores(scores[idx], degenerate[idx])
+        result = LikelinessResult(scores[idx], degenerate[idx])
         day_index = int(data.t_obs) if data.t_obs is not None else idx
         entries.append(TimelineEntry(day_index, dates[idx] if dates is not None else None, result))
     return RankingTimeline(net.labels, tuple(entries))

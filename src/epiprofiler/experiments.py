@@ -70,8 +70,8 @@ class ExperimentConfig:
             raise ValueError("at least one decay spec is required")
         object.__setattr__(self, "decays", tuple(self.decays))
         times = tuple(float(t) for t in self.observation_times)
-        if not times or list(times) != sorted(times):
-            raise ValueError("observation_times must be a non-empty increasing sequence")
+        if not times:
+            raise ValueError("observation_times must not be empty")
         object.__setattr__(self, "observation_times", times)
         object.__setattr__(self, "kind", ObservableKind(self.kind))
         # The recipe of a one-report run: everything simulate checks but the
@@ -82,9 +82,13 @@ class ExperimentConfig:
             raise ValueError(f"delta_t must be positive, got {self.delta_t!r}")
         # Every time a replicate looks up, by the rule the lookup applies:
         # t, and t + delta_t, which compare_observables reads for any kind.
+        reports = []
         for t in times:
-            _grid_steps(t, self.report_dt, "observation time")
+            reports.append(_grid_steps(t, self.report_dt, "observation time"))
             _grid_steps(t + self.delta_t, self.report_dt, f"observation time {t!r} + delta_t")
+        # Each time is its own report, so no report is read or counted twice.
+        if any(b <= a for a, b in zip(reports, reports[1:])):
+            raise ValueError(f"observation_times must be strictly increasing report times, got {list(times)}")
         # The longest run a replicate makes, within the run budget.
         _check_run(self.n_nodes, init, times[-1] + self.delta_t, self.sim_dt, self.report_dt)
 
@@ -316,31 +320,6 @@ def sweep_decay_parameter(
     best_idx = min(range(len(grid)), key=lambda i: (mean_per_param[i], grid[i]))
     mean = {grid[i]: float(mean_per_param[i]) for i in range(len(grid))}
     return SweepResult(kind, mean, grid[best_idx], cfg.replicates, checksums)
-
-
-def rank_correlation(x: Sequence[float], y: Sequence[float]) -> float:
-    """Spearman rank correlation with average ranks for ties."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-        raise ValueError("rank correlation needs two equal-length vectors of size >= 2")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("rank correlation needs finite values")
-    rx = _average_ranks(x)
-    ry = _average_ranks(y)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    denom = math.sqrt(float(rx @ rx) * float(ry @ ry))
-    if denom == 0.0:
-        raise ZeroVarianceError("rank correlation undefined for constant input")
-    return float((rx @ ry) / denom)
-
-
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks of finite ``values``, each tie group at its average
-    rank: the group's last rank minus (count - 1) / 2."""
-    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - 0.5 * (counts - 1))[group]
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from itertools import permutations
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -140,13 +138,6 @@ class Network(_ReadOnlyArrays):
     def n(self) -> int:
         return self.indptr.shape[0] - 1
 
-    @property
-    def adjacency(self) -> np.ndarray:
-        """The dense read-only bool adjacency matrix, built on each access."""
-        adj = np.zeros((self.n, self.n), dtype=bool)
-        adj[np.repeat(np.arange(self.n), self.degrees()), self.indices] = True
-        return _readonly(adj)
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
@@ -220,25 +211,6 @@ class DistanceMatrix(_ReadOnlyArrays):
     @property
     def n(self) -> int:
         return self.d.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class MobilityMatrix(_ReadOnlyArrays):
-    """Per-link travel rates (1/time); row sums equal the total mobility rate
-    for every node with at least one neighbor, and are zero for isolated nodes.
-    Stored read-only; a writable caller array is copied, never frozen in place."""
-
-    g: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError(f"mobility matrix must be square, got shape {g.shape}")
-        self._keep("g", g, self.g)
-
-    @property
-    def n(self) -> int:
-        return self.g.shape[0]
 
 
 def generate_erdos_renyi(n: int, mean_degree: float, seed) -> Network:
@@ -370,29 +342,6 @@ def mobility_edges(net: Network, gamma: float) -> tuple[np.ndarray, np.ndarray, 
     w = np.sqrt(k[src] * k[dst])
     row_sums = np.bincount(src, weights=w, minlength=net.n)
     return src, dst, w * (gamma / row_sums[src])
-
-
-def mobility_matrix(net: Network, gamma: float) -> MobilityMatrix:
-    """Dense view of :func:`mobility_edges`: row i holds the rates from node
-    i to its neighbors and is all zero for an isolated node."""
-    src, dst, rate = mobility_edges(net, gamma)
-    g = np.zeros((net.n, net.n))
-    g[src, dst] = rate
-    return MobilityMatrix(_readonly(g))
-
-
-def is_interchangeable(dist: DistanceMatrix, nodes: Sequence[int]) -> bool:
-    """True when every permutation of the given nodes leaves the distance
-    matrix unchanged, i.e. the nodes occupy interchangeable positions."""
-    d = dist.d
-    n = dist.n
-    nodes = list(nodes)
-    for perm in permutations(nodes):
-        full = np.arange(n)
-        full[nodes] = perm
-        if not np.array_equal(d[np.ix_(full, full)], d):
-            return False
-    return True
 
 
 def save_adjacency(net: Network, path) -> None:

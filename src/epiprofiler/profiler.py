@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,42 +120,27 @@ def _clip_unreachable(d: np.ndarray) -> np.ndarray:
 class LikelinessResult(_ReadOnlyArrays):
     """Per-node likeliness scores with the induced ranking.
 
-    The ranking is in descending score order, ties broken by ascending node
-    index. ``degenerate`` is set when the observation vector was all zero, in
-    which case every score is 0 and the ranking is the identity order.
+    ``LikelinessResult(scores, degenerate=False)`` derives the ranking from
+    the scores: descending score, ties broken by ascending node index.
+    ``degenerate`` is set when the observation vector was all zero, in which
+    case every score is 0 and the ranking is the identity order.
     """
 
     scores: np.ndarray
-    ranking: np.ndarray
     degenerate: bool = False
+    ranking: np.ndarray = field(init=False)
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=float)
-        ranking = np.asarray(self.ranking, dtype=np.int64)
-        if scores.ndim != 1 or ranking.shape != scores.shape:
-            raise ValueError("scores and ranking must be vectors of equal length")
-        if not np.array_equal(np.sort(ranking), np.arange(scores.shape[0])):
-            raise ValueError("ranking must be a permutation of node indices")
+        if scores.ndim != 1:
+            raise ValueError("scores must be a vector")
         self._keep("scores", scores, self.scores)
-        self._keep("ranking", ranking, self.ranking)
+        self._keep("ranking", np.lexsort((np.arange(scores.shape[0]), -scores)))
+        object.__setattr__(self, "degenerate", bool(self.degenerate))
 
     @property
     def n(self) -> int:
         return self.scores.shape[0]
-
-    @classmethod
-    def from_scores(cls, scores: np.ndarray, degenerate: bool = False) -> "LikelinessResult":
-        """The result whose ranking orders ``scores`` descending, ties by
-        ascending node index. The ranking is a permutation by construction,
-        so unlike one passed to the constructor it is not checked again."""
-        given, scores = scores, np.asarray(scores, dtype=float)
-        if scores.ndim != 1:
-            raise ValueError("scores must be a vector")
-        result = object.__new__(cls)
-        object.__setattr__(result, "degenerate", bool(degenerate))
-        result._keep("scores", scores, given)
-        result._keep("ranking", np.lexsort((np.arange(scores.shape[0]), -scores)))
-        return result
 
 
 # Rows x columns of one row block of decay weights: bounds the float64
@@ -251,7 +236,7 @@ def likeliness_scores(dist: DistanceMatrix, data: Dataset, spec: DecaySpec) -> L
     degenerate flag set instead of an error, so day-by-day pipelines can
     proceed past empty days."""
     scores, degenerate = score_batch(dist, spec, data.values[None, :])
-    return LikelinessResult.from_scores(scores[0], degenerate[0])
+    return LikelinessResult(scores[0], degenerate[0])
 
 
 def hit_score(scores: np.ndarray, source: int) -> float:

@@ -275,6 +275,8 @@ def simulate(
             raise ValueError(f"only {', '.join(RECORDABLE)} can be recorded, got {', '.join(unknown)}")
         reports = {name: tuple(sorted(set(record.get(name, ())))) for name in RECORDABLE}
         for name, kept in reports.items():
+            if not all(isinstance(k, (int, np.integer)) for k in kept):
+                raise ValueError(f"recorded reports of {name} must be integers, got {list(kept)}")
             if kept and not 0 <= kept[0] <= kept[-1] <= n_reports:
                 raise ValueError(
                     f"recorded reports of {name} must lie in [0, {n_reports}], got {list(kept)}"

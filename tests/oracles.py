@@ -1,15 +1,48 @@
-"""Independent reference implementations used to cross-check the package.
+"""Independent reference implementations used to cross-check the package,
+and the dense views and statistics that only the tests need.
 
-Everything here recomputes results from scratch along a different route than
-the library (scalar arithmetic, compensated summation, triple relaxation),
-so agreement is meaningful.
+The reference implementations recompute results from scratch along a
+different route than the library (scalar arithmetic, compensated summation,
+triple relaxation), so agreement is meaningful.
 """
 import math
+from itertools import permutations
 
 import numpy as np
 
-from epiprofiler.network import UNREACHABLE
+from epiprofiler.network import UNREACHABLE, mobility_edges
 from epiprofiler.profiler import DecayKind, _weight_table
+from epiprofiler.simulator import ZeroVarianceError
+
+
+def adjacency(net):
+    """The dense bool adjacency matrix of a network."""
+    adj = np.zeros((net.n, net.n), dtype=bool)
+    adj[np.repeat(np.arange(net.n), net.degrees()), net.indices] = True
+    return adj
+
+
+def mobility_matrix(net, gamma):
+    """Dense view of ``mobility_edges``: row i holds the rates from node i to
+    its neighbors and is all zero for an isolated node."""
+    src, dst, rate = mobility_edges(net, gamma)
+    g = np.zeros((net.n, net.n))
+    g[src, dst] = rate
+    return g
+
+
+def is_interchangeable(dist, nodes):
+    """True when every permutation of the given nodes leaves the distance
+    matrix unchanged, i.e. the nodes occupy interchangeable positions."""
+    d = dist.d
+    n = dist.n
+    nodes = list(nodes)
+    for perm in permutations(nodes):
+        full = np.arange(n)
+        full[nodes] = perm
+        if not np.array_equal(d[np.ix_(full, full)], d):
+            return False
+    return True
 
 
 def relaxation_distances(adj):
@@ -85,3 +118,28 @@ def average_ranks(values):
         ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
+
+
+def rank_correlation(x, y):
+    """Spearman rank correlation with average ranks for ties."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
+        raise ValueError("rank correlation needs two equal-length vectors of size >= 2")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("rank correlation needs finite values")
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
+    rx -= rx.mean()
+    ry -= ry.mean()
+    denom = math.sqrt(float(rx @ rx) * float(ry @ ry))
+    if denom == 0.0:
+        raise ZeroVarianceError("rank correlation undefined for constant input")
+    return float((rx @ ry) / denom)
+
+
+def _average_ranks(values):
+    """1-based ranks of finite ``values``, each tie group at its average
+    rank: the group's last rank minus (count - 1) / 2."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[group]

@@ -271,6 +271,7 @@ class TestEvaluateAndSweep:
         ({"observation_times": [5e-9], "report_dt": 10, "delta_t": 10}, "observation time"),
         ({"observation_times": [1e-9]}, "observation time"),
         ({"master_seed": -3}, "master_seed"),
+        ({"observation_times": [5, 5, 6]}, "observation_times"),
     ])
     def test_invalid_config_value_exits_2_naming_field(self, tmp_path, capsys, extra, field):
         cfg = small_config(tmp_path, **extra)

@@ -16,12 +16,10 @@ from epiprofiler.experiments import (
     hit_curve_rows,
     hit_vs_correlation,
     load_experiment_file,
-    rank_correlation,
     run_hit_experiment,
     sweep_decay_parameter,
     write_hit_curves_csv,
     write_sweep_csv,
-    _average_ranks,
     _replicate,
 )
 from epiprofiler.network import generate_erdos_renyi, hop_distances
@@ -36,7 +34,7 @@ from epiprofiler.simulator import (
     synthesize_dataset,
 )
 
-from oracles import average_ranks
+from oracles import _average_ranks, average_ranks, rank_correlation
 
 POLY = DecaySpec(DecayKind.POLYNOMIAL, 0.5)
 NAIVE = DecaySpec(DecayKind.NAIVE)
@@ -94,6 +92,10 @@ class TestConfig:
         (dict(observation_times=(1e-9,)), "observation time"),
         (dict(observation_times=(5e-9,), report_dt=10.0, delta_t=10.0), "observation time"),
         (dict(master_seed=-3), "master_seed"),
+        # A repeated report, even one written as two nearby times, would be
+        # read and counted twice.
+        (dict(observation_times=(5.0, 5.0, 6.0)), "observation_times"),
+        (dict(observation_times=(5.0, 5.0 + 1e-12)), "observation_times"),
     ])
     def test_rejects_values_that_would_fail_a_replicate(self, overrides, field):
         with pytest.raises(ValueError, match=field):

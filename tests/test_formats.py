@@ -41,7 +41,7 @@ def in_tmp(tmp_path, monkeypatch):
 
 
 def test_ranking_csv():
-    result = LikelinessResult(np.array([0.25, 1.0, 1 / 3]), np.array([1, 2, 0]))
+    result = LikelinessResult(np.array([0.25, 1.0, 1 / 3]))
     write_ranking_csv(result, ["a", "b", "c"], "rank.csv")
     assert Path("rank.csv").read_bytes() == csv_bytes(
         "rank,node_label,score",
@@ -97,8 +97,8 @@ def test_timeline_csv():
     timeline = RankingTimeline(
         ("HKG", "SIN"),
         (
-            TimelineEntry(0, dt.date(2003, 3, 17), LikelinessResult(np.array([0.75, 0.5]), np.array([0, 1]))),
-            TimelineEntry(3, None, LikelinessResult(np.zeros(2), np.array([0, 1]), degenerate=True)),
+            TimelineEntry(0, dt.date(2003, 3, 17), LikelinessResult(np.array([0.75, 0.5]))),
+            TimelineEntry(3, None, LikelinessResult(np.zeros(2), degenerate=True)),
         ),
     )
     write_timeline_csv(timeline, "timeline.csv")

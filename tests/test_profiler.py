@@ -18,7 +18,6 @@ from epiprofiler.network import (
     Network,
     generate_erdos_renyi,
     hop_distances,
-    mobility_matrix,
 )
 from epiprofiler.profiler import (
     DecayKind,
@@ -51,7 +50,7 @@ def new_cases(values):
     return Dataset(np.asarray(values, dtype=float), ObservableKind.NEW_CASES)
 
 
-from oracles import decay_weights, oracle_scores, scalar_weight
+from oracles import adjacency, decay_weights, oracle_scores, scalar_weight
 
 
 class TestDecaySpec:
@@ -200,7 +199,7 @@ class TestLikelinessScores:
         perm = np.array(data.draw(st.permutations(range(n))))
         for spec in ALL_KINDS:
             base = likeliness_scores(hop_distances(net), new_cases(values), spec)
-            relabeled = Network(net.adjacency[np.ix_(perm, perm)])
+            relabeled = Network(adjacency(net)[np.ix_(perm, perm)])
             permuted = likeliness_scores(
                 hop_distances(relabeled), new_cases(values[perm]), spec
             )
@@ -262,7 +261,7 @@ class TestDecayProfile:
             want = likeliness_scores(dist, new_cases(vector), POLY_HALF)
             assert np.array_equal(scores[row], want.scores)
             assert want.degenerate == degenerate[row]
-            assert np.array_equal(want.ranking, LikelinessResult.from_scores(scores[row]).ranking)
+            assert np.array_equal(want.ranking, LikelinessResult(scores[row]).ranking)
 
     def test_distances_below_unreachable_weigh_zero(self):
         d = np.array([[0, -5], [-1, 0]])
@@ -367,19 +366,19 @@ class TestDecayProfile:
 
 class TestHitScore:
     def test_counts_ties_against_the_algorithm(self):
-        result = LikelinessResult(np.array([0.3, 0.9, 0.9, 0.1, 0.5]), np.array([1, 2, 4, 0, 3]))
+        result = LikelinessResult(np.array([0.3, 0.9, 0.9, 0.1, 0.5]))
         assert hit_score(result.scores, 4) == pytest.approx(0.6)
 
     def test_unique_maximum_is_perfect(self):
-        result = LikelinessResult(np.array([0.1, 0.9, 0.3]), np.array([1, 2, 0]))
+        result = LikelinessResult(np.array([0.1, 0.9, 0.3]))
         assert hit_score(result.scores, 1) == pytest.approx(1.0 / 3.0)
 
     def test_all_equal_scores_hit_everything(self):
-        result = LikelinessResult(np.zeros(6), np.arange(6))
+        result = LikelinessResult(np.zeros(6))
         assert hit_score(result.scores, 2) == 1.0
 
     def test_source_validation(self):
-        result = LikelinessResult(np.zeros(3), np.arange(3))
+        result = LikelinessResult(np.zeros(3))
         with pytest.raises(ValueError):
             hit_score(result.scores, 3)
         with pytest.raises(ValueError, match="vector"):
@@ -393,7 +392,7 @@ class TestHitScore:
         trials = 2000
         for _ in range(trials):
             scores = rng.random(n)
-            result = LikelinessResult(scores, np.lexsort((np.arange(n), -scores)))
+            result = LikelinessResult(scores)
             total += hit_score(result.scores, int(rng.integers(n)))
         assert total / trials == pytest.approx((n + 1) / (2 * n), abs=0.02)
 
@@ -401,8 +400,7 @@ class TestHitScore:
 ARRAY_DATACLASSES = {
     "Network": lambda: generate_erdos_renyi(5, 2.0, seed=1),
     "DistanceMatrix": lambda: hop_distances(generate_erdos_renyi(5, 2.0, seed=1)),
-    "MobilityMatrix": lambda: mobility_matrix(generate_erdos_renyi(5, 2.0, seed=1), 0.2),
-    "LikelinessResult": lambda: LikelinessResult.from_scores(np.array([0.3, 0.1, 0.3])),
+    "LikelinessResult": lambda: LikelinessResult(np.array([0.3, 0.1, 0.3])),
     "Dataset": lambda: new_cases([1.0, 2.0, 0.0]),
     "Trajectory": lambda: simulate(
         generate_erdos_renyi(5, 2.0, seed=1),
@@ -453,5 +451,18 @@ class TestRankingOrder:
         assert result.ranking.tolist() == [0, 1, 2, 3]
 
     def test_rejects_invalid_ranking(self):
-        with pytest.raises(ValueError, match="permutation"):
-            LikelinessResult(np.zeros(3), np.array([0, 0, 2]))
+        # The ranking is derived from the scores, so none can be given.
+        with pytest.raises(TypeError, match="ranking"):
+            LikelinessResult(np.zeros(3), ranking=np.array([0, 0, 2]))
+
+    def test_ranking_is_derived_from_the_scores(self):
+        result = LikelinessResult(np.array([0.5, 0.8, 0.5, 0.9]))
+        assert result.ranking.tolist() == [3, 1, 0, 2]
+        assert result.degenerate is False
+        result = LikelinessResult(np.zeros(3), np.bool_(True))
+        assert result.degenerate is True
+        assert result.ranking.tolist() == [0, 1, 2]
+
+    def test_rejects_non_vector_scores(self):
+        with pytest.raises(ValueError, match="vector"):
+            LikelinessResult(np.zeros((2, 2)))

@@ -410,6 +410,8 @@ class TestRecordedRows:
             self.run(record={"removed": [1]})
         with pytest.raises(ValueError, match=r"must lie in \[0, 8\]"):
             self.run(record={"cases": [9]})
+        with pytest.raises(ValueError, match=r"reports of cases must be integers, got \[1.5, 2\]"):
+            self.run(record={"cases": [1.5, 2]})
 
     def test_checksum_hashes_each_report_in_order(self):
         traj = self.run()
