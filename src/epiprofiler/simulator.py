@@ -9,6 +9,7 @@ extension documented in the README.
 """
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 from dataclasses import dataclass
@@ -23,8 +24,6 @@ from .profiler import Dataset, ObservableKind
 # The reported series of a run, in the order the state keeps them; the
 # checksum takes them in this order.
 SERIES = ("susceptible", "infectious", "removed", "cases")
-# The series a run can record only some rows of: those observations read.
-RECORDABLE = ("infectious", "cases")
 
 # The largest run simulate accepts, checked before any work: integration
 # steps in all, and report values (reports x nodes) in each reported series.
@@ -54,7 +53,7 @@ class EpidemicParams:
     def __post_init__(self):
         for name, low in (("alpha", 0.0), ("beta", None), ("gamma", 0.0)):
             value = getattr(self, name)
-            ok = isinstance(value, (int, float)) and math.isfinite(value)
+            ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
             ok = ok and (value > 0 if low is None else value >= low)
             if not ok:
                 bound = "positive" if low is None else "non-negative"
@@ -75,21 +74,31 @@ class InitialCondition:
     population: float = 1e8
 
     def __post_init__(self):
+        if isinstance(self.source, bool) or not isinstance(self.source, (int, np.integer)):
+            raise ValueError(f"source must be an integer node index, got {self.source!r}")
         for name in ("index_cases", "population"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory(_ReadOnlyArrays):
-    """Reported time series of one simulation run, on a uniform grid.
+    """The record of one simulation run: the rows it kept of each reported
+    series, with the provenance and the checksum of the whole run.
 
-    Arrays are shaped (reports, nodes). Provenance (network, parameters, seed,
-    step sizes, noise flag) is carried along so runs can be reproduced.
+    The run reports at t = k * report_dt for k = 0..last_report.
+    ``reports[name]`` lists, ascending, the report indices kept of series
+    ``name`` (one of :data:`SERIES`), and the array field ``name``, shaped
+    (kept reports, nodes), holds those rows in that order; a default
+    :func:`simulate` run keeps every report of every series. Provenance
+    (network, parameters, seed, step sizes, noise flag) is carried along so
+    runs can be reproduced. ``checksum`` is the content hash of every report
+    of the run, kept or not: for each report k, in order, the float64 bytes
+    of t_k, then S_k, I_k, R_k and J_k.
     """
 
-    times: np.ndarray
+    reports: dict[str, tuple[int, ...]]
     susceptible: np.ndarray
     infectious: np.ndarray
     removed: np.ndarray
@@ -101,83 +110,44 @@ class Trajectory(_ReadOnlyArrays):
     sim_dt: float
     report_dt: float
     noise: bool
+    last_report: int
+    checksum: str
 
     def __post_init__(self):
-        for name in ("times", "susceptible", "infectious", "removed", "cases"):
+        for name in SERIES:
             given = getattr(self, name)
-            self._keep(name, np.asarray(given), given)
+            arr = np.asarray(given)
+            kept = len(self.reports[name])
+            if len(arr) != kept:
+                raise ValueError(f"{name} has {len(arr)} rows for its {kept} kept reports")
+            self._keep(name, arr, given)
 
     @property
     def n_nodes(self) -> int:
         return self.susceptible.shape[1]
 
-    def report_index(self, t: float) -> int:
-        """Index of reporting time t; errors if t is off-grid or out of range."""
-        times = self.times
-        idx = _grid_steps(t - times[0], self.report_dt, "t")
-        if idx >= len(times):
-            raise ValueError(f"t={t!r} outside the simulated range [{times[0]}, {times[-1]}]")
-        return idx
-
-    def row(self, series: str, report: int) -> np.ndarray:
-        """The vector of ``series`` (one of :data:`SERIES`) at report
-        index ``report``."""
-        return getattr(self, series)[report]
-
-    def checksum(self) -> str:
-        """Content hash of the reported series; equal runs hash equally. For
-        each report k, in order, it takes the float64 bytes of t_k, then S_k,
-        I_k, R_k and J_k: the digest :func:`simulate` also computes report by
-        report when it records only some rows."""
-        h = hashlib.sha256()
-        for k, t in enumerate(self.times):
-            _digest_report(h, t, *(self.row(name, k) for name in SERIES))
-        return h.hexdigest()
-
-
-@dataclass(frozen=True, eq=False)
-class RecordedRows(_ReadOnlyArrays):
-    """The rows of a run that its caller asked :func:`simulate` to record,
-    with the checksum of the whole run (the one :meth:`Trajectory.checksum`
-    gives for the same run).
-
-    ``reports[name]`` lists, ascending, the report indices kept of series
-    ``name``, and the array field ``name`` holds those rows in that order.
-    Like a :class:`Trajectory` it answers ``report_index`` and ``row``, so
-    :func:`synthesize_dataset` and :func:`initial_correlation` read either,
-    as long as the rows they read were recorded.
-    """
-
-    reports: dict[str, tuple[int, ...]]
-    infectious: np.ndarray
-    cases: np.ndarray
-    report_dt: float
-    checksum: str
-
-    def __post_init__(self):
-        for name in RECORDABLE:
-            given = getattr(self, name)
-            self._keep(name, np.asarray(given), given)
+    @property
+    def times(self) -> np.ndarray:
+        """The time of every report of the run."""
+        return _readonly(np.arange(self.last_report + 1, dtype=float) * self.report_dt)
 
     def report_index(self, t: float) -> int:
-        """Index of reporting time t (a run starts at t = 0)."""
+        """Index of reporting time t (every run starts at t = 0)."""
         return _grid_steps(t, self.report_dt, "t")
 
     def row(self, series: str, report: int) -> np.ndarray:
-        """The vector of ``series`` at report index ``report``, which must
-        have been recorded."""
-        kept = self.reports.get(series, ())
-        if report not in kept:
-            raise ValueError(f"report {report} of {series} was not recorded")
-        return getattr(self, series)[kept.index(report)]
-
-
-def _digest_report(h, t: float, *rows: np.ndarray) -> None:
-    """Feed report time ``t`` and then ``rows`` to the hash ``h``, each as
-    float64 bytes."""
-    h.update(np.float64(t).tobytes())
-    for row in rows:
-        h.update(np.ascontiguousarray(row, dtype=np.float64))
+        """The vector of ``series`` (one of :data:`SERIES`) at report index
+        ``report``, which the run must have kept."""
+        if report > self.last_report:
+            raise ValueError(
+                f"t={report * self.report_dt!r} is outside the simulated range "
+                f"[0.0, {self.last_report * self.report_dt!r}]"
+            )
+        kept = self.reports[series]
+        i = bisect.bisect_left(kept, report)
+        if i == len(kept) or kept[i] != report:
+            raise ValueError(f"report {report} of {series} was not kept")
+        return getattr(self, series)[i]
 
 
 def _normalize_seed(seed) -> tuple[int, ...]:
@@ -239,7 +209,7 @@ def simulate(
     seed=0,
     noise: bool = True,
     record=None,
-) -> Trajectory | RecordedRows:
+) -> Trajectory:
     """Integrate the Langevin SIR system with the Euler–Maruyama scheme.
 
     Every noise channel (infection, removal, and each migration direction per
@@ -253,11 +223,12 @@ def simulate(
     Migration runs over the directed edge list of :func:`mobility_edges`, so
     a step costs O(N + E) for N nodes and E directed edges.
 
-    Returns the :class:`Trajectory` of every report. ``record``, when given,
-    maps series of :data:`RECORDABLE` to the report indices to keep of them;
-    the run then keeps only those rows and returns them as
-    :class:`RecordedRows`, whose checksum the step loop takes report by
-    report. Either way the integration, and so every value, is the same.
+    Returns the run's :class:`Trajectory`. ``record`` maps series of
+    :data:`SERIES` to the report indices to keep of them, and the run keeps
+    only those rows (none of a series it does not name); ``record=None``
+    keeps every report of every series. Whatever is kept, the integration,
+    and so every value, is the same, and the step loop takes the checksum of
+    every report as it goes.
 
     Raises SimulationDiverged if any state becomes non-finite, naming the
     node and time.
@@ -267,23 +238,23 @@ def simulate(
     share = init.population / n
     seed_tuple = _normalize_seed(seed)
     if record is None:
-        reports = {name: range(n_reports + 1) for name in SERIES}
-        digest = None
-    else:
-        unknown = sorted(set(record) - set(RECORDABLE))
-        if unknown:
-            raise ValueError(f"only {', '.join(RECORDABLE)} can be recorded, got {', '.join(unknown)}")
-        reports = {name: tuple(sorted(set(record.get(name, ())))) for name in RECORDABLE}
-        for name, kept in reports.items():
-            if not all(isinstance(k, (int, np.integer)) for k in kept):
-                raise ValueError(f"recorded reports of {name} must be integers, got {list(kept)}")
-            if kept and not 0 <= kept[0] <= kept[-1] <= n_reports:
-                raise ValueError(
-                    f"recorded reports of {name} must lie in [0, {n_reports}], got {list(kept)}"
-                )
-        digest = hashlib.sha256()
-    # Row kept.index(report) of out[name] holds that report of series name.
+        record = dict.fromkeys(SERIES, range(n_reports + 1))
+    unknown = sorted(map(str, set(record) - set(SERIES)))
+    if unknown:
+        raise ValueError(f"only {', '.join(SERIES)} can be recorded, got {', '.join(unknown)}")
+    reports = {}
+    for name in SERIES:
+        given = list(record.get(name, ()))
+        if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in given):
+            raise ValueError(f"recorded reports of {name} must be integers, got {given}")
+        reports[name] = kept = tuple(sorted({int(k) for k in given}))
+        if kept and not 0 <= kept[0] <= kept[-1] <= n_reports:
+            raise ValueError(f"recorded reports of {name} must lie in [0, {n_reports}], got {list(kept)}")
+    # Row c of out[name] holds report reports[name][c] of series name; the
+    # cursor is the next row to fill, so recording costs O(1) per report.
     out = {name: np.empty((len(kept), n)) for name, kept in reports.items()}
+    cursor = dict.fromkeys(SERIES, 0)
+    digest = hashlib.sha256()
 
     if params.gamma > 0:
         src_e, dst_e, rate_e = mobility_edges(net, params.gamma)
@@ -362,17 +333,20 @@ def simulate(
                         f"(index {node}) at t={t_fail:.6g}"
                     )
         for name, kept in reports.items():
-            if report in kept:
-                out[name][kept.index(report)] = vectors[name]
-        if digest is not None:
-            _digest_report(digest, report * report_dt, x, cases)
+            c = cursor[name]
+            if c < len(kept) and kept[c] == report:
+                out[name][c] = vectors[name]
+                cursor[name] = c + 1
+        # The checksum's bytes of this report: t, then S, I and R (the
+        # state x, in that order) and J, all float64.
+        digest.update(np.float64(report * report_dt).tobytes())
+        digest.update(x)
+        digest.update(cases)
 
     # Read-only before they are handed over, so the result keeps them uncopied.
     out = {name: _readonly(arr) for name, arr in out.items()}
-    if digest is not None:
-        return RecordedRows(reports, **out, report_dt=report_dt, checksum=digest.hexdigest())
     return Trajectory(
-        times=_readonly(np.arange(n_reports + 1, dtype=float) * report_dt),
+        reports,
         **out,
         network=net,
         params=params,
@@ -381,6 +355,8 @@ def simulate(
         sim_dt=sim_dt,
         report_dt=report_dt,
         noise=noise,
+        last_report=n_reports,
+        checksum=digest.hexdigest(),
     )
 
 
@@ -390,12 +366,12 @@ def synthesize_dataset(
     delta_t: float = 1.0,
     kind: ObservableKind = ObservableKind.NEW_CASES,
 ) -> Dataset:
-    """Slice an observation vector out of a trajectory (or out of the
-    :class:`RecordedRows` of a run that recorded the rows it reads; see
-    :func:`_observation_reads`).
+    """Slice an observation vector out of a trajectory that kept the rows
+    it reads (see :func:`_observation_reads`).
 
-    Difference kinds report max(0, X(t_obs + delta_t) - X(t_obs)) per node;
-    snapshot kinds report the raw vector at t_obs (delta_t is ignored).
+    Difference kinds report max(0, X(t_obs + delta_t) - X(t_obs)) per node,
+    for a finite positive delta_t; snapshot kinds report the raw vector at
+    t_obs (delta_t is ignored).
     """
     kind = ObservableKind(kind)
     series, times = _observation_reads(kind, t_obs, delta_t)
@@ -408,6 +384,8 @@ def _observation_reads(kind: ObservableKind, t_obs: float, delta_t: float) -> tu
     """The series an observation of ``kind`` at ``t_obs`` reads, and the
     times it reads it at: t_obs, and t_obs + delta_t for a difference kind."""
     kind = ObservableKind(kind)
+    if kind.is_difference and not (math.isfinite(delta_t) and delta_t > 0):
+        raise ValueError(f"delta_t must be a finite positive number, got {delta_t!r}")
     infectious = kind in (ObservableKind.INFECTIOUS, ObservableKind.INFECTIOUS_CHANGE)
     times = (t_obs, t_obs + delta_t) if kind.is_difference else (t_obs,)
     return "infectious" if infectious else "cases", times
@@ -431,7 +409,12 @@ def initial_correlation(traj: Trajectory, t: float) -> float:
 
 def write_trajectory_csv(traj: Trajectory, path) -> Path:
     """Export the reported series as CSV (time, node_label, S, I, R, J) and
-    echo all run parameters into a .meta.json sidecar."""
+    echo all run parameters into a .meta.json sidecar. The trajectory must
+    have kept every report of every series."""
+    every = tuple(range(traj.last_report + 1))
+    for name in SERIES:
+        if traj.reports[name] != every:
+            raise ValueError(f"a trajectory CSV needs every report, but {name} kept only some")
     path = Path(path)
     series = (traj.susceptible, traj.infectious, traj.removed, traj.cases)
     rows = (
@@ -455,7 +438,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> Path:
         "noise": traj.noise,
         "nodes": traj.n_nodes,
         "labels": list(traj.network.labels),
-        "checksum": traj.checksum(),
+        "checksum": traj.checksum,
     }
     _write_json(sidecar, meta)
     return sidecar

@@ -172,7 +172,7 @@ class TestHitExperiment:
         # A replicate records only the rows it reads, yet its checksum is
         # that of the full trajectory, taken report by report.
         cfg = tiny_config(replicates=3)
-        want = tuple(full_trajectory(cfg, rep)[2].checksum() for rep in range(cfg.replicates))
+        want = tuple(full_trajectory(cfg, rep)[2].checksum for rep in range(cfg.replicates))
         for workers in (1, 2):
             assert run_hit_experiment(cfg, workers=workers).trajectory_checksums == want
 
@@ -249,7 +249,7 @@ class TestScoreGrid:
             net, source, traj = full_trajectory(cfg, rep)
             dist = hop_distances(net)
             checksum, grid, correlations = _replicate(cfg, kinds, rep)
-            assert checksum == traj.checksum()
+            assert checksum == traj.checksum
             assert grid.shape == (len(kinds), len(specs), len(cfg.observation_times))
             for k_idx, kind in enumerate(kinds):
                 for t_idx, t in enumerate(cfg.observation_times):

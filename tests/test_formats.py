@@ -24,7 +24,7 @@ from epiprofiler.experiments import (
 )
 from epiprofiler.network import Network
 from epiprofiler.profiler import DecayKind, DecaySpec, LikelinessResult, write_ranking_csv
-from epiprofiler.simulator import EpidemicParams, InitialCondition, Trajectory, write_trajectory_csv
+from epiprofiler.simulator import SERIES, EpidemicParams, InitialCondition, Trajectory, write_trajectory_csv
 
 NAIVE = DecaySpec(DecayKind.NAIVE)
 POLY = DecaySpec(DecayKind.POLYNOMIAL, 0.5)
@@ -113,7 +113,7 @@ def test_timeline_csv():
 
 def test_trajectory_csv_and_sidecar():
     traj = Trajectory(
-        times=np.array([0.0, 0.5]),
+        reports=dict.fromkeys(SERIES, (0, 1)),
         susceptible=np.array([[99.0, 100.0], [98.5, 99.75]]),
         infectious=np.array([[1.0, 0.0], [1.25, 0.1]]),
         removed=np.array([[0.0, 0.0], [0.25, 0.15]]),
@@ -125,6 +125,8 @@ def test_trajectory_csv_and_sidecar():
         sim_dt=0.05,
         report_dt=0.5,
         noise=True,
+        last_report=1,
+        checksum="9d6d88642e2be748d1d48180d167b0f57e39b48d147eb2002f0e9c1b4c7a5444",
     )
     sidecar = write_trajectory_csv(traj, "traj.csv")
     assert Path("traj.csv").read_bytes() == csv_bytes(

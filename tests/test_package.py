@@ -164,7 +164,8 @@ def small_net():
     return generate_erdos_renyi(6, 2.0, seed=1)
 
 
-# Each frozen class with array fields: a factory and its array fields.
+# Each frozen class with array fields (a case id starts with the class
+# name): a factory and its array fields.
 READ_ONLY_CASES = {
     "Network": (small_net, ("indptr", "indices")),
     "DistanceMatrix": (lambda: hop_distances(small_net()), ("d",)),
@@ -172,6 +173,13 @@ READ_ONLY_CASES = {
     "Trajectory": (
         lambda: simulate(small_net(), EpidemicParams(0.4, 0.2, 0.1), InitialCondition(0, 5.0, 600.0), 2.0, seed=3),
         ("times", "susceptible", "infectious", "removed", "cases"),
+    ),
+    "Trajectory(record=)": (
+        lambda: simulate(
+            small_net(), EpidemicParams(0.4, 0.2, 0.1), InitialCondition(0, 5.0, 600.0), 2.0, seed=3,
+            record={"infectious": [0, 2], "cases": [1]},
+        ),
+        ("susceptible", "infectious", "removed", "cases"),
     ),
     "LikelinessResult": (
         lambda: LikelinessResult(np.array([0.5, 0.25, 1.0])),
@@ -192,7 +200,7 @@ class TestReadOnlyArrays:
         make, fields = READ_ONLY_CASES[name]
         obj = make()
         copy = pickle.loads(pickle.dumps(obj))
-        assert type(obj).__name__ == name
+        assert type(obj).__name__ == name.partition("(")[0]
         for field in fields:
             arr, back = getattr(obj, field), getattr(copy, field)
             assert not arr.flags.writeable, field

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -17,7 +18,7 @@ from epiprofiler.simulator import (
     EpidemicParams,
     InitialCondition,
     ObservableKind,
-    RecordedRows,
+    SERIES,
     SimulationDiverged,
     Trajectory,
     ZeroVarianceError,
@@ -62,11 +63,14 @@ class TestParams:
     def test_reproductive_ratio(self):
         assert HIGH_R_PARAMS.reproductive_ratio == pytest.approx(4.0)
 
-    @pytest.mark.parametrize("bad", [dict(alpha=-0.1), dict(beta=0.0), dict(gamma=-1.0)])
+    @pytest.mark.parametrize("bad", [
+        dict(alpha=-0.1), dict(beta=0.0), dict(gamma=-1.0),
+        dict(alpha=True), dict(beta=True), dict(gamma=False),
+    ])
     def test_rejects_bad_rates(self, bad):
         kwargs = dict(alpha=0.1, beta=0.1, gamma=0.1)
         kwargs.update(bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             EpidemicParams(**kwargs)
 
     def test_zero_alpha_and_gamma_allowed(self):
@@ -111,14 +115,14 @@ class TestSimulate:
         net = generate_erdos_renyi(30, 2.0, seed=5)
         a = simulate(net, HIGH_R_PARAMS, InitialCondition(2), 20.0, seed=(1, 2), noise=True)
         b = simulate(net, HIGH_R_PARAMS, InitialCondition(2), 20.0, seed=(1, 2), noise=True)
-        assert a.checksum() == b.checksum()
+        assert a.checksum == b.checksum
         assert np.array_equal(a.infectious, b.infectious)
 
     def test_different_seeds_differ(self):
         net = generate_erdos_renyi(30, 2.0, seed=5)
         a = simulate(net, HIGH_R_PARAMS, InitialCondition(2), 20.0, seed=1, noise=True)
         b = simulate(net, HIGH_R_PARAMS, InitialCondition(2), 20.0, seed=2, noise=True)
-        assert a.checksum() != b.checksum()
+        assert a.checksum != b.checksum
 
     @pytest.mark.parametrize("seed", range(5))
     def test_cases_never_decrease_with_noise(self, seed):
@@ -199,7 +203,7 @@ class TestSimulate:
                      10.0, seed=0)
 
     @pytest.mark.parametrize("field", ["index_cases", "population"])
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, True])
     def test_initial_condition_needs_finite_positive_counts(self, field, bad):
         with pytest.raises(ValueError, match=field):
             InitialCondition(0, **{field: bad})
@@ -224,17 +228,26 @@ class TestSimulate:
         with pytest.raises(ValueError, match="source"):
             simulate(net, HIGH_R_PARAMS, InitialCondition(5), 10.0, seed=0)
 
+    @pytest.mark.parametrize("bad", [True, 1.5])
+    def test_initial_condition_needs_an_integer_source(self, bad):
+        # True would be node 1, and 1.5 an index numpy refuses mid-run.
+        with pytest.raises(ValueError, match="source"):
+            InitialCondition(bad)
+
 
 def make_trajectory(times, cases, infectious=None):
-    """Hand-built trajectory for observation tests."""
+    """Hand-built trajectory for observation tests: every series keeps the
+    reports at ``times``, on the grid their first step sets."""
     cases = np.asarray(cases, dtype=float)
     n = cases.shape[1]
     if infectious is None:
         infectious = np.zeros_like(cases)
     net = Network(np.zeros((n, n), dtype=int))
     zeros = np.zeros_like(cases)
+    report_dt = float(times[1] - times[0])
+    kept = tuple(int(round(t / report_dt)) for t in times)
     return Trajectory(
-        times=np.asarray(times, dtype=float),
+        reports=dict.fromkeys(SERIES, kept),
         susceptible=zeros,
         infectious=np.asarray(infectious, dtype=float),
         removed=zeros,
@@ -244,8 +257,10 @@ def make_trajectory(times, cases, infectious=None):
         init=InitialCondition(0, 1.0, float(n)),
         seed=(0,),
         sim_dt=0.05,
-        report_dt=float(times[1] - times[0]),
+        report_dt=report_dt,
         noise=False,
+        last_report=kept[-1],
+        checksum="not a run",
     )
 
 
@@ -277,6 +292,19 @@ class TestSynthesizeDataset:
         with pytest.raises(ValueError, match="range"):
             # interval end falls beyond the last report
             synthesize_dataset(traj, 1.0, 1.0, ObservableKind.NEW_CASES)
+
+    @pytest.mark.parametrize("kind", [k for k in ObservableKind if k.is_difference])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_difference_needs_finite_positive_delta_t(self, kind, bad):
+        net = generate_erdos_renyi(6, 2.0, seed=1)
+        traj = simulate(net, HIGH_R_PARAMS, InitialCondition(0), 3.0, seed=0)
+        with pytest.raises(ValueError, match="delta_t"):
+            synthesize_dataset(traj, 1.0, bad, kind)
+
+    def test_snapshot_ignores_delta_t(self):
+        traj = make_trajectory([0.0, 1.0], [[1.0, 2.0], [3.0, 5.0]])
+        data = synthesize_dataset(traj, 1.0, -1.0, ObservableKind.CUMULATIVE_CASES)
+        np.testing.assert_array_equal(data.values, [3.0, 5.0])
 
     def test_off_grid_rejected(self):
         traj = make_trajectory([0.0, 1.0, 2.0], [[0.0], [1.0], [2.0]])
@@ -384,16 +412,25 @@ class TestRecordedRows:
 
     def test_rows_and_checksum_are_the_trajectory_s(self):
         traj = self.run()
-        record = {"infectious": [0, 5, 3, 5], "cases": [8, 2]}
+        record = {"infectious": [0, 5, 3, 5], "cases": [8, 2], "removed": [4]}
         rows = self.run(record=record)
-        assert isinstance(rows, RecordedRows)
-        assert rows.reports == {"infectious": (0, 3, 5), "cases": (2, 8)}
+        assert rows.reports == {"susceptible": (), "infectious": (0, 3, 5), "removed": (4,), "cases": (2, 8)}
         for series, kept in rows.reports.items():
             assert not getattr(rows, series).flags.writeable
+            assert getattr(rows, series).shape == (len(kept), 12)
             for report in kept:
                 assert np.array_equal(rows.row(series, report), traj.row(series, report))
-        assert rows.checksum == traj.checksum()
-        assert self.run(record={}).checksum == traj.checksum()
+        assert rows.checksum == traj.checksum
+        assert self.run(record={}).checksum == traj.checksum
+
+    def test_none_keeps_every_report_of_every_series(self):
+        traj = self.run()
+        every = self.run(record=dict.fromkeys(SERIES, range(9)))
+        assert traj.reports == every.reports == dict.fromkeys(SERIES, tuple(range(9)))
+        for series in SERIES:
+            assert np.array_equal(getattr(traj, series), getattr(every, series))
+        assert traj.checksum == every.checksum
+        np.testing.assert_array_equal(traj.times, np.arange(9.0))
 
     def test_observations_read_the_same_bits(self):
         traj = self.run()
@@ -402,16 +439,27 @@ class TestRecordedRows:
             assert np.array_equal(synthesize_dataset(rows, 2.0, 1.0, kind).values,
                                   synthesize_dataset(traj, 2.0, 1.0, kind).values)
         assert initial_correlation(rows, 3.0) == initial_correlation(traj, 3.0)
-        with pytest.raises(ValueError, match="report 4 of cases was not recorded"):
+        with pytest.raises(ValueError, match="report 4 of cases was not kept"):
             synthesize_dataset(rows, 3.0, 1.0, ObservableKind.NEW_CASES)
+        with pytest.raises(ValueError, match="range"):
+            synthesize_dataset(rows, 9.0, 1.0, ObservableKind.CUMULATIVE_CASES)
 
     def test_bad_record_rejected(self):
-        with pytest.raises(ValueError, match="can be recorded, got removed"):
-            self.run(record={"removed": [1]})
+        with pytest.raises(ValueError, match="can be recorded, got exposed"):
+            self.run(record={"exposed": [1]})
+        with pytest.raises(ValueError, match="can be recorded, got 1, 2"):
+            self.run(record=[1, 2])
         with pytest.raises(ValueError, match=r"must lie in \[0, 8\]"):
             self.run(record={"cases": [9]})
         with pytest.raises(ValueError, match=r"reports of cases must be integers, got \[1.5, 2\]"):
             self.run(record={"cases": [1.5, 2]})
+        with pytest.raises(ValueError, match=r"reports of cases must be integers, got \[True, 2\]"):
+            self.run(record={"cases": [True, 2]})
+
+    def test_rows_must_match_their_reports(self):
+        traj = self.run(record={"cases": [2, 8]})
+        with pytest.raises(ValueError, match="cases has 1 rows for its 2 kept reports"):
+            dataclasses.replace(traj, cases=traj.cases[:1])
 
     def test_checksum_hashes_each_report_in_order(self):
         traj = self.run()
@@ -420,7 +468,7 @@ class TestRecordedRows:
             h.update(np.float64(t).tobytes())
             for series in (traj.susceptible, traj.infectious, traj.removed, traj.cases):
                 h.update(series[k].tobytes())
-        assert traj.checksum() == h.hexdigest()
+        assert traj.checksum == h.hexdigest()
 
 
 class TestTrajectoryAccess:
@@ -446,4 +494,12 @@ class TestTrajectoryExport:
         meta = json.loads(sidecar.read_text())
         assert meta["alpha"] == 0.16
         assert meta["seed"] == [5]
-        assert meta["checksum"] == traj.checksum()
+        assert meta["checksum"] == traj.checksum
+
+    def test_partial_trajectory_rejected_naming_the_series(self, tmp_path):
+        net = generate_erdos_renyi(4, 2.0, seed=3)
+        record = {**dict.fromkeys(SERIES, range(4)), "removed": [0, 1, 3]}
+        traj = simulate(net, HIGH_R_PARAMS, InitialCondition(1), 3.0, seed=5, record=record)
+        with pytest.raises(ValueError, match="removed kept only some"):
+            write_trajectory_csv(traj, tmp_path / "traj.csv")
+        assert not (tmp_path / "traj.csv").exists()
