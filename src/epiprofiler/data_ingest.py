@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .network import Network, _open_text, _ReadOnlyArrays, _write_csv, hop_distances
+from .network import Network, _number, _open_text, _ReadOnlyArrays, _write_csv, hop_distances
 from .profiler import Dataset, DecaySpec, LikelinessResult, ObservableKind, score_batch
 
 log = logging.getLogger(__name__)
@@ -116,8 +116,8 @@ def filter_regions(
 ) -> CaseReportSeries:
     """Keep regions whose reported cumulative count reaches min_cases within
     window_days of the first observation."""
-    if window_days < 0:
-        raise ValueError(f"window_days must be >= 0, got {window_days!r}")
+    window_days = _number(window_days, "window_days", 0, integer=True)
+    min_cases = _number(min_cases, "min_cases", 0, integer=True)
     first = series.dates[0]
     window_end = first + dt.timedelta(days=window_days)
     if window_end > series.dates[-1]:

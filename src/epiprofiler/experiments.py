@@ -14,9 +14,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .network import _bfs_blocks, _open_text, _write_csv, generate_erdos_renyi, hop_distances
+from .network import (
+    _bfs_blocks,
+    _check_graph,
+    _number,
+    _open_text,
+    _write_csv,
+    generate_erdos_renyi,
+    hop_distances,
+)
 from .profiler import DecayKind, DecaySpec, ObservableKind, hit_score, score_batch, score_blocks
 from .simulator import (
+    MAX_REPORT_VALUES,
     EpidemicParams,
     InitialCondition,
     SimulationDiverged,
@@ -58,39 +67,47 @@ class ExperimentConfig:
     noise: bool = True
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates!r}")
-        if self.n_nodes < 2:
-            raise ValueError(f"nodes must be >= 2, got {self.n_nodes!r}")
-        if not 0 < self.mean_degree < self.n_nodes:
-            raise ValueError(f"mean_degree must lie in (0, {self.n_nodes}), got {self.mean_degree!r}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be non-negative, got {self.master_seed!r}")
-        if not self.decays:
-            raise ValueError("at least one decay spec is required")
-        object.__setattr__(self, "decays", tuple(self.decays))
-        times = tuple(float(t) for t in self.observation_times)
+        replicates = _number(self.replicates, "replicates", 1, integer=True)
+        n_nodes, mean_degree = _check_graph(self.n_nodes, self.mean_degree)
+        master_seed = _number(self.master_seed, "master_seed", 0, integer=True)
+        if not isinstance(self.noise, bool):
+            raise ValueError(f"noise must be a boolean, got {self.noise!r}")
+        decays = tuple(self.decays)
+        if not decays:
+            raise ValueError("decays must hold at least one decay spec")
+        times = tuple(_number(t, f"observation_times[{i}]") for i, t in enumerate(self.observation_times))
         if not times:
             raise ValueError("observation_times must not be empty")
-        object.__setattr__(self, "observation_times", times)
-        object.__setattr__(self, "kind", ObservableKind(self.kind))
+        # The hit scores a run holds; compare_observables scores every kind.
+        if replicates * len(ObservableKind) * len(decays) * len(times) > MAX_REPORT_VALUES:
+            raise ValueError(
+                f"replicates ({replicates}) x {len(ObservableKind)} kinds x {len(decays)} decays x "
+                f"{len(times)} times exceed {MAX_REPORT_VALUES} hit scores, the limit for a run"
+            )
         # The recipe of a one-report run: everything simulate checks but the
         # horizon, which is a whole number of reports by construction.
         init = InitialCondition(0, self.index_cases, self.population)
-        _check_run(self.n_nodes, init, self.report_dt, self.sim_dt, self.report_dt)
-        if _grid_steps(self.delta_t, self.report_dt, "delta_t") == 0:
-            raise ValueError(f"delta_t must be positive, got {self.delta_t!r}")
+        _check_run(n_nodes, init, self.report_dt, self.sim_dt, self.report_dt)
+        sim_dt, report_dt = float(self.sim_dt), float(self.report_dt)  # checked by _check_run
+        delta_t = _number(self.delta_t, "delta_t", 0, strict=True)
+        _grid_steps(delta_t, report_dt, "delta_t")
         # Every time a replicate looks up, by the rule the lookup applies:
         # t, and t + delta_t, which compare_observables reads for any kind.
         reports = []
-        for t in times:
-            reports.append(_grid_steps(t, self.report_dt, "observation time"))
-            _grid_steps(t + self.delta_t, self.report_dt, f"observation time {t!r} + delta_t")
+        for i, t in enumerate(times):
+            reports.append(_grid_steps(t, report_dt, f"observation time observation_times[{i}]"))
+            _grid_steps(t + delta_t, report_dt, f"observation time {t!r} + delta_t")
         # Each time is its own report, so no report is read or counted twice.
         if any(b <= a for a, b in zip(reports, reports[1:])):
             raise ValueError(f"observation_times must be strictly increasing report times, got {list(times)}")
         # The longest run a replicate makes, within the run budget.
-        _check_run(self.n_nodes, init, times[-1] + self.delta_t, self.sim_dt, self.report_dt)
+        _check_run(n_nodes, init, times[-1] + delta_t, sim_dt, report_dt)
+        for name, value in dict(
+            replicates=replicates, decays=decays, n_nodes=n_nodes, mean_degree=mean_degree, delta_t=delta_t,
+            index_cases=init.index_cases, population=init.population, observation_times=times, sim_dt=sim_dt,
+            kind=ObservableKind(self.kind), master_seed=master_seed, report_dt=report_dt,
+        ).items():
+            object.__setattr__(self, name, value)
 
     @property
     def t_end(self) -> float:
@@ -309,17 +326,32 @@ def sweep_decay_parameter(
     """Mean hit score (over replicates and the observation grid) per decay
     parameter, with identical trajectories across parameters. Returns the
     minimizer; ties break toward the smaller parameter."""
-    kind = DecayKind(kind)
-    grid = [float(p) for p in grid]
-    if not grid:
-        raise ValueError("sweep grid must not be empty")
-    sweep_cfg = replace(cfg, decays=tuple(DecaySpec(kind, p) for p in grid))
-    checksums, hits, _ = _run_replicates(sweep_cfg, (cfg.kind,), workers, progress)
+    specs = _sweep_specs(kind, grid)
+    grid = [spec.param for spec in specs]
+    checksums, hits, _ = _run_replicates(replace(cfg, decays=specs), (cfg.kind,), workers, progress)
     # Mean over the time grid per replicate, then over replicates.
     mean_per_param = hits[:, 0].mean(axis=2).mean(axis=0)
     best_idx = min(range(len(grid)), key=lambda i: (mean_per_param[i], grid[i]))
     mean = {grid[i]: float(mean_per_param[i]) for i in range(len(grid))}
-    return SweepResult(kind, mean, grid[best_idx], cfg.replicates, checksums)
+    return SweepResult(specs[0].kind, mean, grid[best_idx], cfg.replicates, checksums)
+
+
+def _sweep_specs(kind, grid) -> tuple[DecaySpec, ...]:
+    """One :class:`DecaySpec` of ``kind`` per parameter of ``grid``; a naive
+    decay has none to sweep. Errors name sweep.kind, sweep.grid[i] or sweep.grid."""
+    field = "sweep.kind"
+    try:
+        if DecayKind(kind) is DecayKind.NAIVE:
+            raise ValueError("a naive decay has no parameter to sweep")
+        specs = []
+        for idx, p in enumerate(grid):
+            field = f"sweep.grid[{idx}]"
+            specs.append(DecaySpec(kind, p))
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
+    if not specs:
+        raise ValueError("sweep.grid must not be empty")
+    return tuple(specs)
 
 
 # ---------------------------------------------------------------------------
@@ -375,28 +407,19 @@ class ExperimentFile:
     sweep_grid: tuple[float, ...] = ()
 
 
-def _number(value, field: str, where: str) -> float:
-    """A finite JSON number; booleans are not numbers here."""
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    try:
-        ok = ok and math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        ok = False
-    if not ok:
-        raise ConfigError(f"{where}: field {field} must be a finite number, got {value!r}")
-    return float(value)
+# The ExperimentConfig field of each optional config key that is passed on
+# as it is, for ExperimentConfig to check.
+_CONFIG_FIELDS = dict(
+    nodes="n_nodes", mean_degree="mean_degree", index_cases="index_cases", population="population",
+    delta_t="delta_t", master_seed="master_seed", sim_dt="sim_dt", report_dt="report_dt", noise="noise",
+)
 
 
-def _require(mapping: dict, key: str, types, where: str):
+def _require(mapping: dict, key: str, where: str, types=object):
+    """``mapping[key]``, which must be present and an instance of ``types``."""
     if key not in mapping:
         raise ConfigError(f"{where}: missing required field {key!r}")
     value = mapping[key]
-    if types is float:
-        return _number(value, repr(key), where)
-    if types is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{where}: field {key!r} must be an integer, got {value!r}")
-        return value
     if not isinstance(value, types):
         raise ConfigError(f"{where}: field {key!r} has unexpected type {type(value).__name__}")
     return value
@@ -405,59 +428,32 @@ def _require(mapping: dict, key: str, types, where: str):
 def experiment_file_from_dict(raw: dict, where: str = "config") -> ExperimentFile:
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: top level must be a JSON object")
-    known = {
-        "replicates", "nodes", "mean_degree", "alpha", "beta", "gamma",
-        "index_cases", "population", "observation_times", "delta_t",
-        "observable", "decays", "master_seed", "sim_dt", "report_dt",
-        "noise", "experiment", "sweep",
-    }
+    known = {"replicates", "alpha", "beta", "gamma", "decays", "observation_times", "observable",
+             "experiment", "sweep", *_CONFIG_FIELDS}
     for key in raw:
         if key not in known:
             raise ConfigError(f"{where}: unknown field {key!r}")
-    replicates = _require(raw, "replicates", int, where)
-    alpha = _require(raw, "alpha", float, where)
-    beta = _require(raw, "beta", float, where)
-    gamma = _require(raw, "gamma", float, where)
-    decays_raw = _require(raw, "decays", list, where)
+    required = ("replicates", "alpha", "beta", "gamma")
+    replicates, alpha, beta, gamma = (_require(raw, key, where) for key in required)
     decays = []
-    for idx, entry in enumerate(decays_raw):
+    for idx, entry in enumerate(_require(raw, "decays", where, list)):
         if not isinstance(entry, dict) or "kind" not in entry:
             raise ConfigError(f"{where}: decays[{idx}] must be an object with a 'kind' field")
-        param = entry.get("param")
-        if param is not None:
-            param = _number(param, f"'decays[{idx}].param'", where)
+        field = f"decays[{idx}].kind"
         try:
-            decays.append(DecaySpec(DecayKind(entry["kind"]), param))
+            kind = DecayKind(entry["kind"])
+            field = f"decays[{idx}].param"
+            decays.append(DecaySpec(kind, entry.get("param")))
         except ValueError as exc:
-            raise ConfigError(f"{where}: decays[{idx}]: {exc}") from exc
-    kwargs = {}
-    for key, attr, typ in [
-        ("nodes", "n_nodes", int),
-        ("mean_degree", "mean_degree", float),
-        ("index_cases", "index_cases", float),
-        ("population", "population", float),
-        ("delta_t", "delta_t", float),
-        ("master_seed", "master_seed", int),
-        ("sim_dt", "sim_dt", float),
-        ("report_dt", "report_dt", float),
-    ]:
-        if key in raw:
-            kwargs[attr] = _require(raw, key, typ, where)
+            raise ConfigError(f"{where}: {field}: {exc}") from exc
+    kwargs = {attr: raw[key] for key, attr in _CONFIG_FIELDS.items() if key in raw}
     if "observation_times" in raw:
-        times = _require(raw, "observation_times", list, where)
-        kwargs["observation_times"] = tuple(
-            _number(t, f"'observation_times[{idx}]'", where) for idx, t in enumerate(times)
-        )
+        kwargs["observation_times"] = _require(raw, "observation_times", where, list)
     if "observable" in raw:
         try:
-            kwargs["kind"] = ObservableKind(_require(raw, "observable", str, where))
+            kwargs["kind"] = ObservableKind(_require(raw, "observable", where, str))
         except ValueError as exc:
             raise ConfigError(f"{where}: field 'observable': {exc}") from exc
-    if "noise" in raw:
-        noise = raw["noise"]
-        if not isinstance(noise, bool):
-            raise ConfigError(f"{where}: field 'noise' must be a boolean, got {noise!r}")
-        kwargs["noise"] = noise
     try:
         cfg = ExperimentConfig(
             replicates=replicates,
@@ -472,28 +468,17 @@ def experiment_file_from_dict(raw: dict, where: str = "config") -> ExperimentFil
         raise ConfigError(
             f"{where}: field 'experiment' must be one of hit/correlation/observables, got {experiment!r}"
         )
-    sweep_kind = None
-    sweep_grid: tuple[float, ...] = ()
+    specs = ()
     if "sweep" in raw:
-        sweep = raw["sweep"]
-        if not isinstance(sweep, dict):
-            raise ConfigError(f"{where}: field 'sweep' must be an object")
+        sweep = _require(raw, "sweep", where, dict)
+        kind = _require(sweep, "kind", f"{where}.sweep", str)
+        grid = _require(sweep, "grid", f"{where}.sweep", list)
         try:
-            sweep_kind = DecayKind(_require(sweep, "kind", str, f"{where}.sweep"))
+            specs = _sweep_specs(kind, grid)
         except ValueError as exc:
-            raise ConfigError(f"{where}.sweep: field 'kind': {exc}") from exc
-        grid = _require(sweep, "grid", list, f"{where}.sweep")
-        if not grid:
-            raise ConfigError(f"{where}.sweep: field 'grid' must not be empty")
-        values = []
-        for idx, p in enumerate(grid):
-            values.append(_number(p, f"'sweep.grid[{idx}]'", where))
-            try:
-                DecaySpec(sweep_kind, values[-1])
-            except ValueError as exc:
-                raise ConfigError(f"{where}.sweep: grid[{idx}]: {exc}") from exc
-        sweep_grid = tuple(values)
-    return ExperimentFile(cfg, experiment, sweep_kind, sweep_grid)
+            raise ConfigError(f"{where}: {exc}") from exc
+    sweep_kind = specs[0].kind if specs else None
+    return ExperimentFile(cfg, experiment, sweep_kind, tuple(spec.param for spec in specs))
 
 
 def load_experiment_file(path) -> ExperimentFile:

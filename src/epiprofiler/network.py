@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +38,29 @@ class _ReadOnlyArrays:
         # Unpickled arrays come back writable.
         for name, value in state.items():
             object.__setattr__(self, name, _readonly(value) if isinstance(value, np.ndarray) else value)
+
+
+def _number(value, name: str, low=None, *, strict: bool = False, integer: bool = False):
+    """The one rule for a scalar numeric field: ``value`` as a plain ``float``,
+    which must be finite, or with ``integer`` as a plain ``int``. A Python or
+    numpy int or float is a number (only an int with ``integer``); a bool or
+    a string never is. With ``low``, the value must be at least ``low`` (above
+    it when ``strict``). The ``ValueError`` names the field ``name``."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(value, kinds) and not isinstance(value, bool):
+        try:
+            number = int(value) if integer else float(value)
+        except OverflowError:  # an int too large for a float
+            number = math.inf
+        # An int is always finite, so only a float goes to isfinite.
+        finite = integer or math.isfinite(number)
+        if finite and (low is None or (number > low if strict else number >= low)):
+            return number
+    sign = ("positive " if strict else "non-negative ") if low == 0 else ""
+    rule = (f"a {sign}integer" if sign else "an integer") if integer else f"a finite {sign}number"
+    if low not in (None, 0):
+        rule += (" > " if strict else " >= ") + repr(low)
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def _open_text(path) -> io.StringIO:
@@ -213,16 +237,22 @@ class DistanceMatrix(_ReadOnlyArrays):
         return self.d.shape[0]
 
 
+def _check_graph(n, mean_degree) -> tuple[int, float]:
+    """A random network's node count (at least 2) and mean degree (in (0, n))."""
+    n = _number(n, "nodes", 2, integer=True)
+    mean_degree = _number(mean_degree, "mean_degree", 0, strict=True)
+    if mean_degree >= n:
+        raise ValueError(f"mean_degree must lie in (0, {n}), got {mean_degree!r}")
+    return n, mean_degree
+
+
 def generate_erdos_renyi(n: int, mean_degree: float, seed) -> Network:
     """Draw a G(n, p) random network with p = mean_degree / (n - 1).
 
     Each unordered node pair is linked independently; the draw is
     deterministic for a fixed seed. Disconnected results are kept as-is.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"node count must be an integer >= 2, got {n!r}")
-    if not 0 < mean_degree < n:
-        raise ValueError(f"mean_degree must lie in (0, {n}), got {mean_degree!r}")
+    n, mean_degree = _check_graph(n, mean_degree)
     p = mean_degree / (n - 1)
     rng = np.random.default_rng(seed)
     # Pairs (i, j > i) in row-major order, one row of uniforms at a time:
@@ -333,8 +363,7 @@ def mobility_edges(net: Network, gamma: float) -> tuple[np.ndarray, np.ndarray, 
     come in row-major order (by source, then destination); isolated nodes
     have none.
     """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    gamma = _number(gamma, "gamma", 0, strict=True)
     k = net.degrees()
     src = np.repeat(np.arange(net.n), k)
     dst = net.indices

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import UNREACHABLE, DistanceMatrix, _ReadOnlyArrays, _write_csv
+from .network import UNREACHABLE, DistanceMatrix, _number, _ReadOnlyArrays, _write_csv
 
 # Above this, d! overflows comfort; switch to the log-gamma route.
 _EXACT_FACTORIAL_MAX = 20
@@ -76,9 +76,8 @@ class DecaySpec:
             if self.param is not None:
                 raise ValueError("naive decay takes no parameter")
         else:
-            if self.param is None or not (math.isfinite(self.param) and self.param > 0):
-                raise ValueError(f"{kind.value} decay needs a finite positive parameter, got {self.param!r}")
-            object.__setattr__(self, "param", float(self.param))
+            param = _number(self.param, f"{kind.value} decay parameter", 0, strict=True)
+            object.__setattr__(self, "param", param)
 
 
 def decay_weight(spec: DecaySpec, d: int) -> float:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import Network, _readonly, _ReadOnlyArrays, _write_csv, _write_json, mobility_edges
+from .network import Network, _number, _readonly, _ReadOnlyArrays, _write_csv, _write_json, mobility_edges
 from .profiler import Dataset, ObservableKind
 
 
@@ -51,13 +51,8 @@ class EpidemicParams:
     gamma: float
 
     def __post_init__(self):
-        for name, low in (("alpha", 0.0), ("beta", None), ("gamma", 0.0)):
-            value = getattr(self, name)
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-            ok = ok and (value > 0 if low is None else value >= low)
-            if not ok:
-                bound = "positive" if low is None else "non-negative"
-                raise ValueError(f"{name} must be a finite {bound} number, got {value!r}")
+        for name, strict in (("alpha", False), ("beta", True), ("gamma", False)):
+            object.__setattr__(self, name, _number(getattr(self, name), name, 0, strict=strict))
 
     @property
     def reproductive_ratio(self) -> float:
@@ -74,12 +69,9 @@ class InitialCondition:
     population: float = 1e8
 
     def __post_init__(self):
-        if isinstance(self.source, bool) or not isinstance(self.source, (int, np.integer)):
-            raise ValueError(f"source must be an integer node index, got {self.source!r}")
+        object.__setattr__(self, "source", _number(self.source, "source", integer=True))
         for name in ("index_cases", "population"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+            object.__setattr__(self, name, _number(getattr(self, name), name, 0, strict=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,14 +142,6 @@ class Trajectory(_ReadOnlyArrays):
         return getattr(self, series)[i]
 
 
-def _normalize_seed(seed) -> tuple[int, ...]:
-    if seed is None:
-        raise ValueError("simulate requires an explicit seed")
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(s) for s in seed)
-
-
 def _grid_steps(t: float, dt: float, name: str, grid: str = "reporting grid (report_dt)") -> int:
     """The number of steps of ``dt`` (finite and positive) in time ``t``: the
     one rule for "t is on a time grid". ``t`` must be finite, non-negative and
@@ -173,16 +157,11 @@ def _grid_steps(t: float, dt: float, name: str, grid: str = "reporting grid (rep
 def _check_run(n: int, init: InitialCondition, t_end, sim_dt, report_dt) -> tuple[int, int]:
     """Check the recipe of a run on ``n`` nodes before any work. Returns the
     integration steps per report and the number of reports."""
-    for name, value in (("t_end", t_end), ("sim_dt", sim_dt), ("report_dt", report_dt)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+    sim_dt = _number(sim_dt, "sim_dt", 0, strict=True)
+    report_dt = _number(report_dt, "report_dt", 0, strict=True)
+    t_end = _number(t_end, "t_end", 0, strict=True)
     if not 0 <= init.source < n:
         raise ValueError(f"source index {init.source} out of range for {n} nodes")
-    share = init.population / n
-    if init.index_cases > share:
-        raise ValueError(
-            f"index_cases ({init.index_cases}) exceeds the per-node population share ({share})"
-        )
     steps_per_report = _grid_steps(report_dt, sim_dt, "report_dt", "integration grid (sim_dt)")
     n_reports = _grid_steps(t_end, report_dt, "t_end")
     if steps_per_report * n_reports > MAX_STEPS:
@@ -194,6 +173,11 @@ def _check_run(n: int, init: InitialCondition, t_end, sim_dt, report_dt) -> tupl
         raise ValueError(
             f"a run of t_end ({t_end!r}) at report_dt ({report_dt!r}) on {n} nodes keeps more than "
             f"{MAX_REPORT_VALUES} report values per series, the limit for one run"
+        )
+    share = init.population / n
+    if init.index_cases > share:
+        raise ValueError(
+            f"index_cases ({init.index_cases}) exceeds the per-node population share ({share})"
         )
     return steps_per_report, n_reports
 
@@ -235,8 +219,10 @@ def simulate(
     """
     n = net.n
     steps_per_report, n_reports = _check_run(n, init, t_end, sim_dt, report_dt)
+    sim_dt, report_dt = float(sim_dt), float(report_dt)  # checked by _check_run
     share = init.population / n
-    seed_tuple = _normalize_seed(seed)
+    seeds = seed if isinstance(seed, (tuple, list, np.ndarray)) else (seed,)
+    seed_tuple = tuple(_number(s, "seed", 0, integer=True) for s in seeds)
     if record is None:
         record = dict.fromkeys(SERIES, range(n_reports + 1))
     unknown = sorted(map(str, set(record) - set(SERIES)))
@@ -384,8 +370,7 @@ def _observation_reads(kind: ObservableKind, t_obs: float, delta_t: float) -> tu
     """The series an observation of ``kind`` at ``t_obs`` reads, and the
     times it reads it at: t_obs, and t_obs + delta_t for a difference kind."""
     kind = ObservableKind(kind)
-    if kind.is_difference and not (math.isfinite(delta_t) and delta_t > 0):
-        raise ValueError(f"delta_t must be a finite positive number, got {delta_t!r}")
+    delta_t = _number(delta_t, "delta_t", 0, strict=True) if kind.is_difference else delta_t
     infectious = kind in (ObservableKind.INFECTIOUS, ObservableKind.INFECTIOUS_CHANGE)
     times = (t_obs, t_obs + delta_t) if kind.is_difference else (t_obs,)
     return "infectious" if infectious else "cases", times

@@ -272,6 +272,12 @@ class TestEvaluateAndSweep:
         ({"observation_times": [1e-9]}, "observation time"),
         ({"master_seed": -3}, "master_seed"),
         ({"observation_times": [5, 5, 6]}, "observation_times"),
+        ({"replicates": 10**12}, "replicates"),
+        ({"replicates": 10**400}, "replicates"),
+        ({"replicates": 2.5}, "replicates"),
+        ({"master_seed": 1.5}, "master_seed"),
+        ({"nodes": "12"}, "nodes"),
+        ({"noise": 1}, "noise"),
     ])
     def test_invalid_config_value_exits_2_naming_field(self, tmp_path, capsys, extra, field):
         cfg = small_config(tmp_path, **extra)

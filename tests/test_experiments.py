@@ -101,6 +101,18 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             tiny_config(**overrides)
 
+    @pytest.mark.parametrize("replicates", [10**7, 10**12, 10**400])
+    def test_rejects_an_ensemble_beyond_the_hit_score_budget(self, replicates):
+        # 4 observable kinds x 2 specs x 3 times x 10^7 replicates is over 10^8
+        # hit scores, a hit array that is refused before it is allocated.
+        with pytest.raises(ValueError, match=r"replicates \(1.*exceed 100000000 hit scores"):
+            tiny_config(replicates=replicates)
+
+    def test_accepts_an_ensemble_at_the_hit_score_budget(self):
+        # 4 x 2 x 5 x 2.5 * 10^6 is exactly 10^8.
+        cfg = tiny_config(replicates=2_500_000, observation_times=(1.0, 2.0, 3.0, 4.0, 5.0))
+        assert cfg.replicates == 2_500_000
+
     def test_rejects_empty_decays(self):
         with pytest.raises(ValueError, match="decay"):
             tiny_config(decays=())

@@ -2,9 +2,11 @@
 the experiment config JSON, the adjacency CSV, the observation CSV and the
 case CSV; each example deletes bytes from, or inserts bytes into, a valid
 input. The flag tests set one numeric flag of ``simulate`` or ``profile`` to
-zero, a negative, an off-grid, a tiny or a non-finite value. Every run must
-exit 0 or 2, and an exit 2 must print an ``error:`` line with no traceback
-and no "runtime failure"; a flag test's error must also name the flag.
+zero, a negative, an off-grid, a tiny or a non-finite value, and the
+config-field test sets one field of the experiment config to each JSON type
+and to edge numbers. Every run must exit 0 or 2, and an exit 2 must print an
+``error:`` line with no traceback and no "runtime failure"; a flag or field
+test's error must also name the flag or field.
 
 The examples are derandomized, so a run of the suite is repeatable; raise
 ``max_examples`` (or drop ``derandomize``) for a longer campaign.
@@ -63,6 +65,24 @@ CONFIG = json.dumps(
 # or a simulate command that parsed is not run: the parsers are under test,
 # not the simulator.
 RUN_BUDGET = 20_000
+
+# Every top-level field of an experiment config, and one element of each of
+# its lists of numbers, as a path of keys and indices into the config.
+CONFIG_FIELDS = {
+    **{key: (key,) for key in [
+        "replicates", "nodes", "mean_degree", "alpha", "beta", "gamma", "index_cases", "population",
+        "observation_times", "delta_t", "observable", "decays", "master_seed", "sim_dt", "report_dt",
+        "noise", "experiment", "sweep",
+    ]},
+    "decays[0].param": ("decays", 0, "param"),
+    "observation_times[0]": ("observation_times", 0),
+    "sweep.grid[0]": ("sweep", "grid", 0),
+}
+# The values a config-field test sets, by their JSON text.
+FIELD_VALUES = {
+    "true": True, "false": False, "null": None, '"1"': "1", "[]": [], "{}": {}, "0": 0, "-1": -1,
+    "2.5": 2.5, "NaN": math.nan, "Infinity": math.inf, "10**400": 10**400,
+}
 
 # The values a flag test draws; None keeps the flag's valid value.
 FLAG_VALUES = ["0", "-1", "0.03", "10.5", "1e-9", "nan", "inf", "-inf", None]
@@ -166,6 +186,21 @@ def test_config(workdir, bounded_runs, data):
     path = workdir / "fuzz_config.json"
     path.write_bytes(data)
     check_contract(["evaluate", "--config", path, "--out", workdir / "out.csv"])
+
+
+@pytest.mark.parametrize("value", FIELD_VALUES, ids=str)
+@pytest.mark.parametrize("field", CONFIG_FIELDS)
+def test_config_field(workdir, bounded_runs, field, value):
+    raw = json.loads(CONFIG)
+    raw["sweep"] = {"kind": "polynomial", "grid": [0.5]}
+    *parents, last = CONFIG_FIELDS[field]
+    target = raw
+    for key in parents:
+        target = target[key]
+    target[last] = FIELD_VALUES[value]
+    path = workdir / "field_config.json"
+    path.write_text(json.dumps(raw))
+    check_contract(["evaluate", "--config", path, "--out", workdir / "out.csv"], names=(field,))
 
 
 @FUZZ

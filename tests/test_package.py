@@ -7,6 +7,7 @@ import importlib
 import inspect
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,10 +17,24 @@ import pytest
 
 import epiprofiler
 from epiprofiler import network
-from epiprofiler.data_ingest import SARS_ADJACENCY_FILE, SARS_CASES_FILE, CaseReportSeries, bundled_data_path
-from epiprofiler.network import generate_erdos_renyi, hop_distances
-from epiprofiler.profiler import LikelinessResult
-from epiprofiler.simulator import Dataset, EpidemicParams, InitialCondition, ObservableKind, simulate
+from epiprofiler.data_ingest import (
+    SARS_ADJACENCY_FILE,
+    SARS_CASES_FILE,
+    CaseReportSeries,
+    bundled_data_path,
+    filter_regions,
+)
+from epiprofiler.experiments import ExperimentConfig
+from epiprofiler.network import generate_erdos_renyi, hop_distances, mobility_edges
+from epiprofiler.profiler import DecaySpec, LikelinessResult
+from epiprofiler.simulator import (
+    Dataset,
+    EpidemicParams,
+    InitialCondition,
+    ObservableKind,
+    simulate,
+    synthesize_dataset,
+)
 
 
 def modules_after(statement: str) -> set[str]:
@@ -241,3 +256,112 @@ def test_each_shared_decision_has_one_home():
                 text = text.replace(source, "")
         for call in ("csv.writer(", "json.dump(", "setflags("):
             assert call not in text, f"{path.name} calls {call} outside the network.py helpers"
+
+
+def run(**kwargs):
+    """A one-report run on the small network, with ``kwargs`` overriding its
+    recipe."""
+    recipe = dict(params=EpidemicParams(0.4, 0.2, 0.1), init=InitialCondition(0, 5.0, 600.0), t_end=2.0,
+                  sim_dt=0.5, report_dt=1.0, seed=3)
+    recipe.update(kwargs)
+    return simulate(small_net(), **recipe)
+
+
+def config(**kwargs):
+    recipe = dict(replicates=1, params=EpidemicParams(0.4, 0.2, 0.1), decays=(DecaySpec("naive"),), n_nodes=6,
+                  population=600.0, observation_times=(1.0, 2.0), sim_dt=0.5)
+    recipe.update(kwargs)
+    return ExperimentConfig(**recipe)
+
+
+def series():
+    dates = tuple(dt.date(2003, 3, d) for d in (17, 18, 19))
+    return CaseReportSeries(("A", "B"), dates, np.array([[1.0, 0.0], [6.0, 2.0], [9.0, 3.0]]))
+
+
+# Every scalar numeric field, as (owner, field): the field's name in errors,
+# a call with a value for the field, a valid value (integral, and exact in
+# float32), and how to read the value kept, or None where none is kept.
+# Each is checked by the one rule, network._number.
+NUMERIC_FIELDS = {
+    ("EpidemicParams", "alpha"): ("alpha", lambda v: EpidemicParams(v, 0.2, 0.1), 1.0, lambda r: r.alpha),
+    ("EpidemicParams", "beta"): ("beta", lambda v: EpidemicParams(0.4, v, 0.1), 1.0, lambda r: r.beta),
+    ("EpidemicParams", "gamma"): ("gamma", lambda v: EpidemicParams(0.4, 0.2, v), 1.0, lambda r: r.gamma),
+    ("InitialCondition", "source"): ("source", InitialCondition, 2, lambda r: r.source),
+    ("InitialCondition", "index_cases"): (
+        "index_cases", lambda v: InitialCondition(0, v), 20.0, lambda r: r.index_cases),
+    ("InitialCondition", "population"): (
+        "population", lambda v: InitialCondition(0, 20.0, v), 1e8, lambda r: r.population),
+    ("DecaySpec", "param"): ("param", lambda v: DecaySpec("power", v), 2.0, lambda r: r.param),
+    ("simulate", "t_end"): ("t_end", lambda v: run(t_end=v), 2.0, lambda r: r.last_report * r.report_dt),
+    ("simulate", "sim_dt"): ("sim_dt", lambda v: run(sim_dt=v), 1.0, lambda r: r.sim_dt),
+    ("simulate", "report_dt"): ("report_dt", lambda v: run(report_dt=v), 1.0, lambda r: r.report_dt),
+    ("simulate", "seed"): ("seed", lambda v: run(seed=v), 3, lambda r: r.seed[0]),
+    ("simulate", "seed[1]"): ("seed", lambda v: run(seed=(3, v)), 4, lambda r: r.seed[1]),
+    ("synthesize_dataset", "delta_t"): ("delta_t", lambda v: synthesize_dataset(run(), 0.0, v), 1.0, None),
+    ("ExperimentConfig", "replicates"): ("replicates", lambda v: config(replicates=v), 2, lambda r: r.replicates),
+    ("ExperimentConfig", "master_seed"): (
+        "master_seed", lambda v: config(master_seed=v), 5, lambda r: r.master_seed),
+    ("ExperimentConfig", "observation_times[1]"): (
+        "observation_times[1]", lambda v: config(observation_times=(1.0, v)), 2.0,
+        lambda r: r.observation_times[1]),
+    ("ExperimentConfig", "nodes"): ("nodes", lambda v: config(n_nodes=v), 6, lambda r: r.n_nodes),
+    ("ExperimentConfig", "mean_degree"): (
+        "mean_degree", lambda v: config(mean_degree=v), 2.0, lambda r: r.mean_degree),
+    ("ExperimentConfig", "index_cases"): (
+        "index_cases", lambda v: config(index_cases=v), 20.0, lambda r: r.index_cases),
+    ("ExperimentConfig", "population"): (
+        "population", lambda v: config(population=v), 600.0, lambda r: r.population),
+    ("ExperimentConfig", "delta_t"): ("delta_t", lambda v: config(delta_t=v), 1.0, lambda r: r.delta_t),
+    ("ExperimentConfig", "sim_dt"): ("sim_dt", lambda v: config(sim_dt=v), 1.0, lambda r: r.sim_dt),
+    ("ExperimentConfig", "report_dt"): ("report_dt", lambda v: config(report_dt=v), 1.0, lambda r: r.report_dt),
+    ("generate_erdos_renyi", "n"): ("nodes", lambda v: generate_erdos_renyi(v, 2.0, seed=1), 6, lambda r: r.n),
+    ("generate_erdos_renyi", "mean_degree"): (
+        "mean_degree", lambda v: generate_erdos_renyi(6, v, seed=1), 2.0, None),
+    ("mobility_edges", "gamma"): ("gamma", lambda v: mobility_edges(small_net(), v), 1.0, None),
+    ("filter_regions", "window_days"): ("window_days", lambda v: filter_regions(series(), window_days=v), 1, None),
+    ("filter_regions", "min_cases"): ("min_cases", lambda v: filter_regions(series(), v, 1), 5, None),
+}
+INTEGER_FIELDS = {key for key, (_, _, good, _) in NUMERIC_FIELDS.items() if isinstance(good, int)}
+
+
+@pytest.mark.parametrize("key", NUMERIC_FIELDS, ids="-".join)
+@pytest.mark.parametrize("bad", [True, "1", None, np.nan, np.inf, -np.inf], ids=repr)
+def test_numeric_field_rejects_a_non_number_naming_it(key, bad):
+    name, call, _, _ = NUMERIC_FIELDS[key]
+    with pytest.raises(ValueError, match=re.escape(name)):
+        call(bad)
+
+
+@pytest.mark.parametrize("key", NUMERIC_FIELDS, ids="-".join)
+def test_numeric_field_keeps_numpy_scalars_as_python_numbers(key):
+    _, call, good, kept = NUMERIC_FIELDS[key]
+    if key in INTEGER_FIELDS:
+        values, plain = (np.int64(good), np.int32(good), np.uint8(good)), int
+    else:
+        values, plain = (np.float64(good), np.float32(good), np.int64(good)), float
+    for value in values:
+        result = call(value)
+        if kept is not None:
+            assert kept(result) == good
+            assert type(kept(result)) is plain
+
+
+@pytest.mark.parametrize("key", sorted(INTEGER_FIELDS), ids="-".join)
+def test_integer_field_rejects_a_float(key):
+    name, call, good, _ = NUMERIC_FIELDS[key]
+    with pytest.raises(ValueError, match=re.escape(name)):
+        call(good + 0.5)
+
+
+def test_numeric_rule_has_one_home():
+    # math.isfinite on a scalar field only in the rule; _grid_steps checks a
+    # ratio it computes, not a field.
+    homes = {"network.py": network._number, "simulator.py": epiprofiler.simulator._grid_steps}
+    for path in sorted(Path(epiprofiler.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        if path.name in homes:
+            source = inspect.getsource(homes[path.name])
+            assert "math.isfinite(" in source
+            text = text.replace(source, "")
+        assert "math.isfinite(" not in text, f"{path.name} checks a number outside network._number"

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import re
@@ -66,6 +67,9 @@ class TestParams:
     @pytest.mark.parametrize("bad", [
         dict(alpha=-0.1), dict(beta=0.0), dict(gamma=-1.0),
         dict(alpha=True), dict(beta=True), dict(gamma=False),
+        # numpy numbers go through the same bounds as Python ones
+        dict(alpha=np.int64(-1)), dict(beta=np.int64(0)), dict(gamma=np.float32(-1.0)),
+        dict(alpha="0.1"), dict(beta=None), dict(gamma=10**400),
     ])
     def test_rejects_bad_rates(self, bad):
         kwargs = dict(alpha=0.1, beta=0.1, gamma=0.1)
@@ -203,7 +207,7 @@ class TestSimulate:
                      10.0, seed=0)
 
     @pytest.mark.parametrize("field", ["index_cases", "population"])
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, True])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, True, "5", None, np.int64(0), 10**400])
     def test_initial_condition_needs_finite_positive_counts(self, field, bad):
         with pytest.raises(ValueError, match=field):
             InitialCondition(0, **{field: bad})
@@ -227,6 +231,12 @@ class TestSimulate:
         net = two_isolated_nodes()
         with pytest.raises(ValueError, match="source"):
             simulate(net, HIGH_R_PARAMS, InitialCondition(5), 10.0, seed=0)
+
+    @pytest.mark.parametrize("seed", [(1.5, 2.9), 1.5, True, "7", -1, (3, -1), None])
+    def test_seed_must_be_non_negative_integers(self, seed):
+        # Each is refused, not cast: (1.5, 2.9) is not (1, 2), nor True 1.
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            simulate(two_isolated_nodes(), HIGH_R_PARAMS, InitialCondition(0), 2.0, seed=seed)
 
     @pytest.mark.parametrize("bad", [True, 1.5])
     def test_initial_condition_needs_an_integer_source(self, bad):
@@ -495,6 +505,16 @@ class TestTrajectoryExport:
         assert meta["alpha"] == 0.16
         assert meta["seed"] == [5]
         assert meta["checksum"] == traj.checksum
+
+    def test_numpy_scalar_inputs_are_exported_as_plain_numbers(self, tmp_path):
+        net = generate_erdos_renyi(4, 2.0, seed=3)
+        params = EpidemicParams(np.float32(0.125), np.float64(0.04), np.int64(0))
+        init = InitialCondition(np.int64(2), np.int32(20), np.float32(1e6))
+        traj = simulate(net, params, init, np.int64(3), sim_dt=np.float32(0.25), report_dt=np.int8(1),
+                        seed=(np.uint8(5), np.int64(1)))
+        meta = json.loads(write_trajectory_csv(traj, tmp_path / "traj.csv").read_text())
+        assert meta["source"] == 2 and meta["index_cases"] == 20.0 and meta["alpha"] == 0.125
+        assert meta["sim_dt"] == 0.25 and meta["report_dt"] == 1.0 and meta["seed"] == [5, 1]
 
     def test_partial_trajectory_rejected_naming_the_series(self, tmp_path):
         net = generate_erdos_renyi(4, 2.0, seed=3)
