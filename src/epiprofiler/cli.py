@@ -11,7 +11,6 @@ subcommands never load those modules.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -24,6 +23,7 @@ from . import __version__
 from .network import (
     Network,
     _open_text,
+    _read_csv,
     _write_json,
     generate_erdos_renyi,
     hop_distances,
@@ -136,28 +136,18 @@ def cmd_simulate(args) -> int:
 
 def _load_dataset_csv(path, net: Network) -> Dataset:
     rows: dict[str, float] = {}
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["node_label", "value"]:
-            raise ValueError(f"{path}: expected header 'node_label,value', got {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: line {line_no}: expected 2 columns")
-            label, text = row[0].strip(), row[1].strip()
-            if label in rows:
-                raise ValueError(f"{path}: line {line_no}: duplicate node {label!r}")
-            try:
-                value = float(text)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: bad value {text!r}") from exc
-            if not np.isfinite(value):
-                raise ValueError(f"{path}: line {line_no}: value {text!r} is not finite")
-            if value < 0:
-                raise ValueError(f"{path}: line {line_no}: value {text!r} is negative")
-            rows[label] = value
+    for line, (label, text) in _read_csv(path, ("node_label", "value")):
+        if label in rows:
+            raise ValueError(f"{path}: line {line}: duplicate node {label!r}")
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: bad value {text!r}") from exc
+        if not np.isfinite(value):
+            raise ValueError(f"{path}: line {line}: value {text!r} is not finite")
+        if value < 0:
+            raise ValueError(f"{path}: line {line}: value {text!r} is negative")
+        rows[label] = value
     labels = set(net.labels)
     missing = next((lab for lab in net.labels if lab not in rows), None)
     unknown = next((lab for lab in rows if lab not in labels), None)

@@ -8,7 +8,6 @@ reconstructions, not measured flight data; see data/README.md.
 """
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import logging
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .network import Network, _number, _open_text, _ReadOnlyArrays, _write_csv, hop_distances
+from .network import Network, _number, _read_csv, _ReadOnlyArrays, _write_csv, hop_distances
 from .profiler import Dataset, DecaySpec, LikelinessResult, ObservableKind, score_batch
 
 log = logging.getLogger(__name__)
@@ -63,42 +62,27 @@ def load_case_series(path) -> CaseReportSeries:
     Rows may arrive in any order; duplicates of the same (date, region) pair,
     malformed dates, and negative counts are load errors naming the line.
     """
-    path = Path(path)
-    entries: dict[tuple[dt.date, str], int] = {}
-    first_seen: dict[tuple[dt.date, str], int] = {}
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["date", "region", "cumulative_cases"]:
+    entries: dict[tuple[dt.date, str], tuple[int, int]] = {}  # (count, line)
+    for line, (date_text, region, count_text) in _read_csv(path, ("date", "region", "cumulative_cases")):
+        try:
+            date = dt.date.fromisoformat(date_text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: bad date {date_text!r}") from exc
+        if not region:
+            raise ValueError(f"{path}: line {line}: empty region")
+        try:
+            count = int(count_text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: bad count {count_text!r}") from exc
+        if count < 0:
+            raise ValueError(f"{path}: line {line}: negative count {count}")
+        key = (date, region)
+        if key in entries:
             raise ValueError(
-                f"{path}: expected header 'date,region,cumulative_cases', got {header!r}"
+                f"{path}: line {line}: duplicate entry for ({date_text}, {region}), "
+                f"first seen at line {entries[key][1]}"
             )
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: line {line_no}: expected 3 columns, got {len(row)}")
-            date_text, region, count_text = (c.strip() for c in row)
-            try:
-                date = dt.date.fromisoformat(date_text)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: bad date {date_text!r}") from exc
-            if not region:
-                raise ValueError(f"{path}: line {line_no}: empty region")
-            try:
-                count = int(count_text)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: bad count {count_text!r}") from exc
-            if count < 0:
-                raise ValueError(f"{path}: line {line_no}: negative count {count}")
-            key = (date, region)
-            if key in entries:
-                raise ValueError(
-                    f"{path}: line {line_no}: duplicate entry for ({date_text}, {region}), "
-                    f"first seen at line {first_seen[key]}"
-                )
-            entries[key] = count
-            first_seen[key] = line_no
+        entries[key] = count, line
     if not entries:
         raise ValueError(f"{path}: no data rows")
     dates = tuple(sorted({d for d, _ in entries}))
@@ -106,7 +90,7 @@ def load_case_series(path) -> CaseReportSeries:
     cum = np.full((len(dates), len(regions)), np.nan)
     date_idx = {d: i for i, d in enumerate(dates)}
     region_idx = {r: j for j, r in enumerate(regions)}
-    for (date, region), count in entries.items():
+    for (date, region), (count, _) in entries.items():
         cum[date_idx[date], region_idx[region]] = count
     return CaseReportSeries(regions, dates, cum)
 
@@ -162,25 +146,18 @@ def daily_deltas(series: CaseReportSeries, labels: Sequence[str] | None = None) 
     error naming it. Each dataset's t_obs is the day offset of the interval
     start from the first observation.
     """
-    if labels is not None:
-        labels = list(labels)
-        missing = [lab for lab in labels if lab not in series.regions]
-        if missing:
-            raise ValueError(
-                "region set does not match network labels "
-                f"(network nodes missing from series: {missing})"
-            )
-        extra = [region for region in series.regions if region not in labels]
-        if extra:
-            log.warning("dropping case-series regions the network lacks: %s", ", ".join(extra))
-            kept = [j for j, region in enumerate(series.regions) if region in labels]
-            series = CaseReportSeries(
-                tuple(series.regions[j] for j in kept), series.dates, series.cumulative[:, kept]
-            )
-        order = [series.regions.index(lab) for lab in labels]
-    else:
-        order = list(range(len(series.regions)))
-    filled = _filled_cumulative(series)
+    labels = series.regions if labels is None else list(labels)
+    missing = [lab for lab in labels if lab not in series.regions]
+    if missing:
+        raise ValueError(
+            "region set does not match network labels "
+            f"(network nodes missing from series: {missing})"
+        )
+    extra = [region for region in series.regions if region not in labels]
+    if extra:
+        log.warning("dropping case-series regions the network lacks: %s", ", ".join(extra))
+    order = [series.regions.index(lab) for lab in labels]
+    filled = _filled_cumulative(series)[:, order]
     datasets = []
     first = series.dates[0]
     for i in range(len(series.dates) - 1):
@@ -190,10 +167,10 @@ def daily_deltas(series: CaseReportSeries, labels: Sequence[str] | None = None) 
             log.warning(
                 "cumulative count for %s fell from %g to %g between %s and %s; "
                 "clamping new cases to 0",
-                series.regions[j], filled[i, j], filled[i + 1, j],
+                labels[j], filled[i, j], filled[i + 1, j],
                 series.dates[i], series.dates[i + 1],
             )
-        values = np.maximum(diff, 0.0)[order]
+        values = np.maximum(diff, 0.0)
         datasets.append(
             Dataset(values, ObservableKind.NEW_CASES, t_obs=float((series.dates[i] - first).days))
         )

@@ -70,8 +70,6 @@ class ExperimentConfig:
         replicates = _number(self.replicates, "replicates", 1, integer=True)
         n_nodes, mean_degree = _check_graph(self.n_nodes, self.mean_degree)
         master_seed = _number(self.master_seed, "master_seed", 0, integer=True)
-        if not isinstance(self.noise, bool):
-            raise ValueError(f"noise must be a boolean, got {self.noise!r}")
         decays = tuple(self.decays)
         if not decays:
             raise ValueError("decays must hold at least one decay spec")
@@ -87,7 +85,7 @@ class ExperimentConfig:
         # The recipe of a one-report run: everything simulate checks but the
         # horizon, which is a whole number of reports by construction.
         init = InitialCondition(0, self.index_cases, self.population)
-        _check_run(n_nodes, init, self.report_dt, self.sim_dt, self.report_dt)
+        _check_run(n_nodes, init, self.report_dt, self.sim_dt, self.report_dt, self.noise)
         sim_dt, report_dt = float(self.sim_dt), float(self.report_dt)  # checked by _check_run
         delta_t = _number(self.delta_t, "delta_t", 0, strict=True)
         _grid_steps(delta_t, report_dt, "delta_t")
@@ -425,23 +423,28 @@ def _require(mapping: dict, key: str, where: str, types=object):
     return value
 
 
-def experiment_file_from_dict(raw: dict, where: str = "config") -> ExperimentFile:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: top level must be a JSON object")
-    known = {"replicates", "alpha", "beta", "gamma", "decays", "observation_times", "observable",
-             "experiment", "sweep", *_CONFIG_FIELDS}
-    for key in raw:
+def _object(value, where: str, known) -> dict:
+    """``value``, which must be a JSON object whose every key is in ``known``:
+    the one key rule for the top level, each decay entry and the sweep block."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
+    for key in value:
         if key not in known:
             raise ConfigError(f"{where}: unknown field {key!r}")
+    return value
+
+
+def experiment_file_from_dict(raw: dict, where: str = "config") -> ExperimentFile:
+    _object(raw, where, {"replicates", "alpha", "beta", "gamma", "decays", "observation_times", "observable",
+                         "experiment", "sweep", *_CONFIG_FIELDS})
     required = ("replicates", "alpha", "beta", "gamma")
     replicates, alpha, beta, gamma = (_require(raw, key, where) for key in required)
     decays = []
     for idx, entry in enumerate(_require(raw, "decays", where, list)):
-        if not isinstance(entry, dict) or "kind" not in entry:
-            raise ConfigError(f"{where}: decays[{idx}] must be an object with a 'kind' field")
+        entry = _object(entry, f"{where}: decays[{idx}]", ("kind", "param"))
         field = f"decays[{idx}].kind"
         try:
-            kind = DecayKind(entry["kind"])
+            kind = DecayKind(entry.get("kind"))
             field = f"decays[{idx}].param"
             decays.append(DecaySpec(kind, entry.get("param")))
         except ValueError as exc:
@@ -450,8 +453,9 @@ def experiment_file_from_dict(raw: dict, where: str = "config") -> ExperimentFil
     if "observation_times" in raw:
         kwargs["observation_times"] = _require(raw, "observation_times", where, list)
     if "observable" in raw:
+        observable = _require(raw, "observable", where, str)
         try:
-            kwargs["kind"] = ObservableKind(_require(raw, "observable", where, str))
+            kwargs["kind"] = ObservableKind(observable)
         except ValueError as exc:
             raise ConfigError(f"{where}: field 'observable': {exc}") from exc
     try:
@@ -470,9 +474,9 @@ def experiment_file_from_dict(raw: dict, where: str = "config") -> ExperimentFil
         )
     specs = ()
     if "sweep" in raw:
-        sweep = _require(raw, "sweep", where, dict)
-        kind = _require(sweep, "kind", f"{where}.sweep", str)
-        grid = _require(sweep, "grid", f"{where}.sweep", list)
+        sweep = _object(raw["sweep"], f"{where}: sweep", ("kind", "grid"))
+        kind = _require(sweep, "kind", f"{where}: sweep", str)
+        grid = _require(sweep, "grid", f"{where}: sweep", list)
         try:
             specs = _sweep_specs(kind, grid)
         except ValueError as exc:

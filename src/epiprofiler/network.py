@@ -76,6 +76,37 @@ def _open_text(path) -> io.StringIO:
         raise ValueError(f"{path}: line {line}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def _read_csv(path, header=None):
+    """The one reader of an input CSV: yields each row of the file at ``path``
+    that has a non-blank cell as ``(line, cells)``, with the cells stripped
+    and ``line`` the physical line the row starts on. With ``header``, the
+    first such row must be exactly those names and is not yielded, and every
+    other must have one cell per name. Every error names the path and line."""
+
+    def rows():
+        with _open_text(path) as fh:
+            reader = csv.reader(fh)
+            line = 1
+            try:
+                for row in reader:
+                    cells = [cell.strip() for cell in row]
+                    if any(cells):
+                        yield line, cells
+                    line = reader.line_num + 1
+            except csv.Error as exc:
+                raise ValueError(f"{path}: line {line}: {exc}") from None
+
+    body = rows()
+    if header is not None:
+        line, names = next(body, (1, None))
+        if names != list(header):
+            raise ValueError(f"{path}: line {line}: expected header {','.join(header)!r}, got {names!r}")
+    for line, cells in body:
+        if header is not None and len(cells) != len(header):
+            raise ValueError(f"{path}: line {line}: expected {len(header)} columns, got {len(cells)}")
+        yield line, cells
+
+
 def _write_csv(path, header, rows) -> None:
     """Write ``header`` and then each of ``rows`` to a CSV file at ``path``:
     the one place that sets the package's CSV dialect (csv's default)."""
@@ -393,25 +424,21 @@ def load_adjacency(path) -> Network:
     Violations of the 0/1, symmetry, or zero-diagonal rules are hard errors
     naming the offending cell.
     """
-    path = Path(path)
-    with _open_text(path) as fh:
-        rows = list(csv.reader(fh))
+    rows = list(_read_csv(path))
     if not rows:
         raise ValueError(f"{path}: empty adjacency file")
-    labels = [c.strip() for c in rows[0]]
+    (_, labels), *rows = rows
     n = len(labels)
-    if len(rows) != n + 1:
-        raise ValueError(f"{path}: expected {n} node rows after the label row, got {len(rows) - 1}")
+    if len(rows) != n:
+        raise ValueError(f"{path}: expected {n} node rows after the label row, got {len(rows)}")
     adj = np.zeros((n, n), dtype=bool)
-    for i, row in enumerate(rows[1:]):
-        if len(row) != n + 1:
-            raise ValueError(f"{path}: row for {labels[i]!r} has {len(row)} cells, expected {n + 1}")
-        if row[0].strip() != labels[i]:
-            raise ValueError(f"{path}: row {i + 2} is labelled {row[0]!r}, expected {labels[i]!r}")
-        for j, cell in enumerate(row[1:]):
-            text = cell.strip()
+    for i, (line, (label, *cells)) in enumerate(rows):
+        where = f"{path}: line {line}"
+        if label != labels[i] or len(cells) != n:
+            raise ValueError(f"{where}: expected {labels[i]!r} and {n} cells, got {label!r} and {len(cells)}")
+        for j, text in enumerate(cells):
             if text not in ("0", "1"):
-                raise ValueError(f"{path}: cell ({labels[i]}, {labels[j]}) = {cell!r} is not 0 or 1")
+                raise ValueError(f"{where}: cell ({labels[i]}, {labels[j]}) = {text!r} is not 0 or 1")
             adj[i, j] = text == "1"
     try:
         return Network(adj, labels=labels)

@@ -154,9 +154,11 @@ def _grid_steps(t: float, dt: float, name: str, grid: str = "reporting grid (rep
     return steps
 
 
-def _check_run(n: int, init: InitialCondition, t_end, sim_dt, report_dt) -> tuple[int, int]:
+def _check_run(n: int, init: InitialCondition, t_end, sim_dt, report_dt, noise=True) -> tuple[int, int]:
     """Check the recipe of a run on ``n`` nodes before any work. Returns the
     integration steps per report and the number of reports."""
+    if not isinstance(noise, bool):
+        raise ValueError(f"noise must be a boolean, got {noise!r}")
     sim_dt = _number(sim_dt, "sim_dt", 0, strict=True)
     report_dt = _number(report_dt, "report_dt", 0, strict=True)
     t_end = _number(t_end, "t_end", 0, strict=True)
@@ -218,7 +220,7 @@ def simulate(
     node and time.
     """
     n = net.n
-    steps_per_report, n_reports = _check_run(n, init, t_end, sim_dt, report_dt)
+    steps_per_report, n_reports = _check_run(n, init, t_end, sim_dt, report_dt, noise)
     sim_dt, report_dt = float(sim_dt), float(report_dt)  # checked by _check_run
     share = init.population / n
     seeds = seed if isinstance(seed, (tuple, list, np.ndarray)) else (seed,)

@@ -60,6 +60,13 @@ def report(number: str, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {number} {name} failed{suffix}"
 
 
+def in_se(margin: float, *stderrs: float) -> str:
+    """``margin`` in standard errors: in the one given, or in the root sum of
+    squares of several, as if their estimates were independent."""
+    se = math.sqrt(sum(x * x for x in stderrs))
+    return f"{margin / se:.1f} SE" if se > 0 else "SE 0"
+
+
 # ---------------------------------------------------------------------------
 # Shared ensemble runs (computed once; ~2 minutes total)
 # ---------------------------------------------------------------------------
@@ -260,10 +267,11 @@ def test_criterion_06_random_baseline():
 
 
 def test_criterion_07_high_r_low_hit(high_r_sparse_curve):
-    late = [m for t, m in zip(high_r_sparse_curve.times, high_r_sparse_curve.mean[POLY]) if t >= LATE_SHORT]
-    worst = max(late)
+    curve = high_r_sparse_curve
+    late = [(m, se) for t, m, se in zip(curve.times, curve.mean[POLY], curve.stderr[POLY]) if t >= LATE_SHORT]
+    worst, worst_se = max(late)
     report("07", "r=4 late-time mean hit score <= 0.15", worst <= 0.15,
-           f"max late mean H {worst:.3f} over t >= {LATE_SHORT:g}")
+           f"max late mean H {worst:.3f} over t >= {LATE_SHORT:g}, {in_se(0.15 - worst, worst_se)} below 0.15")
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +285,18 @@ def test_criterion_08_low_r_trend(low_r_curves):
     detail = []
     for spec in OPTIMAL_SPECS:
         curve = np.asarray(low_r_curves.mean[spec])
+        se = low_r_curves.stderr[spec]
         slope = float(np.polyfit(times, curve, 1)[0])
         increasing = increasing and slope > 0 and curve[-1] > curve[0]
-        detail.append(f"{spec.kind.value} last {curve[-1]:.3f}")
+        detail.append(f"{spec.kind.value} last {curve[-1]:.3f}, rise {in_se(curve[-1] - curve[0], se[0], se[-1])}")
     # the family's closest approach to the random baseline is the naive curve
-    closest_last = max(float(low_r_curves.mean[spec][-1]) for spec in OPTIMAL_SPECS)
+    closest_last, closest_se = max(
+        (float(low_r_curves.mean[spec][-1]), low_r_curves.stderr[spec][-1]) for spec in OPTIMAL_SPECS
+    )
     ok = increasing and closest_last > 0.3
     report("08", "r=1.2 hit score rises toward random", ok,
-           "; ".join(detail) + f"; closest {closest_last:.3f}")
+           "; ".join(detail) + f"; closest {closest_last:.3f}, {in_se(closest_last - 0.3, closest_se)} above 0.3"
+           "; a rise's SE treats the first and last times as independent, not paired")
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +325,14 @@ def test_criterion_10a_cumulative_beats_new_cases(mid_r_observable_curves):
     times = mid_r_observable_curves[ObservableKind.CUMULATIVE_CASES].times
     cumulative = mid_r_observable_curves[ObservableKind.CUMULATIVE_CASES].mean[POLY]
     new_cases = mid_r_observable_curves[ObservableKind.NEW_CASES].mean[POLY]
-    late = [(c, d) for t, c, d in zip(times, cumulative, new_cases) if t >= LATE_LONG]
-    ok = all(c <= d for c, d in late)
-    worst_gap = min(d - c for c, d in late)
+    stderrs = zip(mid_r_observable_curves[ObservableKind.CUMULATIVE_CASES].stderr[POLY],
+                  mid_r_observable_curves[ObservableKind.NEW_CASES].stderr[POLY])
+    late = [(c, d, se) for t, c, d, se in zip(times, cumulative, new_cases, stderrs) if t >= LATE_LONG]
+    ok = all(c <= d for c, d, _ in late)
+    worst_gap, gap_se = min((d - c, se) for c, d, se in late)
     report("10a", "cumulative counts at least as informative as new cases (late times)",
-           ok, f"min late (newcases - cumulative) gap {worst_gap:.3f}")
+           ok, f"min late (newcases - cumulative) gap {worst_gap:.3f}, {in_se(worst_gap, *gap_se)}; "
+           "the SE treats the two curves as independent, not paired")
 
 
 def test_criterion_10b_infectious_change_uninformative(mid_r_observable_curves):
@@ -328,10 +343,11 @@ def test_criterion_10b_infectious_change_uninformative(mid_r_observable_curves):
     # observable is somewhat informative). Kept faithful and red rather than
     # widened; see the decisions ledger.
     baseline = (100 + 1) / (2 * 100)
-    curve = mid_r_observable_curves[ObservableKind.INFECTIOUS_CHANGE].mean[POLY]
-    deviation = max(abs(value - baseline) for value in curve)
+    curve = mid_r_observable_curves[ObservableKind.INFECTIOUS_CHANGE]
+    deviation, se = max((abs(value - baseline), se) for value, se in zip(curve.mean[POLY], curve.stderr[POLY]))
     report("10b", "infectious-change curve within 0.1 of random baseline",
-           deviation <= 0.1, f"max |mean H - {baseline:.3f}| = {deviation:.3f}")
+           deviation <= 0.1,
+           f"max |mean H - {baseline:.3f}| = {deviation:.3f}, margin {in_se(0.1 - deviation, se)} to the tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +360,12 @@ def test_criterion_11_degree_effect(high_r_sparse_curve, high_r_dense_curve):
     k4 = high_r_dense_curve.mean[POLY]
     diffs = [b - a for a, b in zip(k2, k4)]
     ok = all(d >= 0 for d in diffs)
+    worst = diffs.index(min(diffs))
+    gap_se = (high_r_sparse_curve.stderr[POLY][worst], high_r_dense_curve.stderr[POLY][worst])
     report("11", "mean degree 4 washes out faster than 2 at matched times", ok,
-           f"min (k4 - k2) gap {min(diffs):.3f} over t in {high_r_sparse_curve.times[0]:g}..{high_r_sparse_curve.times[-1]:g}")
+           f"min (k4 - k2) gap {min(diffs):.3f}, {in_se(min(diffs), *gap_se)}, "
+           f"over t in {high_r_sparse_curve.times[0]:g}..{high_r_sparse_curve.times[-1]:g}; "
+           "the SE treats the two curves as independent, not paired")
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,8 @@ class TestEvaluateAndSweep:
         ({"master_seed": 1.5}, "master_seed"),
         ({"nodes": "12"}, "nodes"),
         ({"noise": 1}, "noise"),
+        ({"decays": [{"kind": "polynomial", "param": 0.5, "parm": 9}]}, "decays[0]: unknown field 'parm'"),
+        ({"sweep": {"kind": "polynomial", "grid": [1.0], "grd": [2.0]}}, "sweep: unknown field 'grd'"),
     ])
     def test_invalid_config_value_exits_2_naming_field(self, tmp_path, capsys, extra, field):
         cfg = small_config(tmp_path, **extra)

@@ -242,8 +242,8 @@ class TestReadOnlyArrays:
         assert not kept.flags.writeable
 
 
-# network.py helpers that alone write CSV, write JSON, or set array flags.
-SHARED_HELPERS = ("_readonly", "_write_csv", "_write_json")
+# network.py helpers that alone read CSV, write CSV, write JSON, or set array flags.
+SHARED_HELPERS = ("_readonly", "_read_csv", "_write_csv", "_write_json")
 
 
 def test_each_shared_decision_has_one_home():
@@ -254,8 +254,20 @@ def test_each_shared_decision_has_one_home():
             for source in helpers:
                 assert source in text
                 text = text.replace(source, "")
-        for call in ("csv.writer(", "json.dump(", "setflags("):
+        for call in ("csv.reader(", "csv.writer(", "json.dump(", "setflags("):
             assert call not in text, f"{path.name} calls {call} outside the network.py helpers"
+
+
+def test_only_network_imports_csv():
+    # One CSV reader (network._read_csv) and one writer (network._write_csv):
+    # every other module reads and writes CSV through them.
+    importers = []
+    for path in sorted(Path(epiprofiler.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+            if "csv" in names or (isinstance(node, ast.ImportFrom) and node.module == "csv"):
+                importers.append(path.name)
+    assert importers == ["network.py"]
 
 
 def run(**kwargs):
