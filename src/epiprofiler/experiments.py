@@ -146,19 +146,22 @@ class SweepResult:
     trajectory_checksums: tuple[str, ...]
 
 
-def _replicate(cfg: ExperimentConfig, kinds: tuple[ObservableKind, ...], rep: int):
+def _replicate(cfg: ExperimentConfig, kinds: tuple[ObservableKind, ...], rep: int, correlate: bool = False):
     """One replicate: a topology, source and trajectory drawn from the seeds
     (master_seed, rep, 0|1|2), with every (kind, time) observation stacked
     once and scored once per spec.
 
     Returns the trajectory checksum, the hit scores shaped (len(kinds),
     len(cfg.decays), len(times)), and the initial correlation at each
-    observation time, NaN where the correlation has zero variance.
+    observation time, NaN where the correlation has zero variance or when
+    ``correlate`` is off.
 
     The phases run in this order: simulate, keeping only the rows that the
-    observations and the correlations read; take the stacked observations
-    and the correlations from them and release them; then score, by the
-    rule of :func:`_streams`.
+    observations read (and, with ``correlate``, the infectious rows that the
+    correlations read); write the observations into one (m, N) stack, take
+    the correlations and release the rows; then score by the rule of
+    :func:`_streams`, reading one spec's scores at a time and dropping them
+    before the next spec's are asked for.
     """
     net = generate_erdos_renyi(cfg.n_nodes, cfg.mean_degree, seed=(cfg.master_seed, rep, 0))
     source_rng = np.random.default_rng((cfg.master_seed, rep, 1))
@@ -167,8 +170,8 @@ def _replicate(cfg: ExperimentConfig, kinds: tuple[ObservableKind, ...], rep: in
     times = cfg.observation_times
     # Report indices each series is read at. The correlations read the
     # infectious rows at 0 and, as INFECTIOUS observations would, at each t.
-    record = {"infectious": {0}, "cases": set()}
-    for kind in (ObservableKind.INFECTIOUS, *kinds):
+    record = {"infectious": {0} if correlate else set(), "cases": set()}
+    for kind in (ObservableKind.INFECTIOUS, *kinds) if correlate else kinds:
         for t in times:
             series, read = _observation_reads(kind, t, cfg.delta_t)
             record[series].update(_grid_steps(u, cfg.report_dt, "t") for u in read)
@@ -187,20 +190,27 @@ def _replicate(cfg: ExperimentConfig, kinds: tuple[ObservableKind, ...], rep: in
     except SimulationDiverged as exc:
         raise SimulationDiverged(f"replicate {rep}: {exc}") from exc
     checksum = rows.checksum
-    values = np.stack(
-        [synthesize_dataset(rows, t, cfg.delta_t, kind).values for kind in kinds for t in times]
-    )
+    # Row r of the stack is the observation of cell cells[r] = (kind, time).
+    cells = list(np.ndindex(len(kinds), len(times)))
+    values = np.empty((len(cells), cfg.n_nodes))
+    for row, (k_idx, t_idx) in enumerate(cells):
+        values[row] = synthesize_dataset(rows, times[t_idx], cfg.delta_t, kinds[k_idx]).values
     correlations = np.full(len(times), np.nan)
-    for t_idx, t in enumerate(times):
+    for t_idx, t in enumerate(times if correlate else ()):
         try:
             correlations[t_idx] = initial_correlation(rows, t)
         except ZeroVarianceError:
             pass
     del rows
     hits = np.empty((len(kinds), len(cfg.decays), len(times)))
-    for s_idx, scores in enumerate(_spec_scores(net, cfg.decays, values)):
-        for row, (k_idx, t_idx) in enumerate(np.ndindex(len(kinds), len(times))):
+    spec_scores = _spec_scores(net, cfg.decays, values)
+    for s_idx in range(len(cfg.decays)):
+        scores = next(spec_scores)
+        for row, (k_idx, t_idx) in enumerate(cells):
             hits[k_idx, s_idx, t_idx] = hit_score(scores[row], source)
+        # Freed before the next spec is scored. (An enumerate over the
+        # generator would hold this spec's scores in its result tuple.)
+        del scores
     return checksum, hits, correlations
 
 
@@ -216,8 +226,10 @@ def _spec_scores(net, specs, values: np.ndarray):
     """Each spec's (m, N) scores of the stacked observations ``values``, in
     spec order. When :func:`_streams` holds, the hop distances are streamed
     block by block from the BFS into every spec at once, so the N x N
-    distance matrix is never built; otherwise the matrix is built and the
-    specs are scored one after another. Both give the same bits."""
+    distance matrix is never built; otherwise the matrix is built and each
+    spec is scored only when the caller asks for it, so a caller that drops
+    a spec's scores before asking for the next holds one spec's at a time.
+    Both give the same bits."""
     if _streams(net.n, len(specs), values.shape[0]):
         yield from score_blocks(_bfs_blocks(net), net.n, specs, values)[0]
     else:
@@ -231,11 +243,12 @@ def _run_replicates(
     kinds: tuple[ObservableKind, ...],
     workers: int,
     progress: ProgressFn | None,
+    correlate: bool,
 ):
     """Every replicate of cfg, in replicate order: the trajectory checksums,
     the hit scores shaped (reps, kinds, specs, times) and the initial
-    correlations shaped (reps, times). ``progress(done, total)`` is called
-    once per replicate."""
+    correlations shaped (reps, times), all NaN unless ``correlate`` is set.
+    ``progress(done, total)`` is called once per replicate."""
     times = len(cfg.observation_times)
     checksums = []
     hits = np.empty((cfg.replicates, len(kinds), len(cfg.decays), times))
@@ -249,7 +262,7 @@ def _run_replicates(
             from concurrent.futures import ProcessPoolExecutor
 
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        results = mapper(partial(_replicate, cfg, kinds), range(cfg.replicates))
+        results = mapper(partial(_replicate, cfg, kinds, correlate=correlate), range(cfg.replicates))
         for rep, (checksum, rep_hits, rep_correlations) in enumerate(results):
             checksums.append(checksum)
             hits[rep] = rep_hits
@@ -284,7 +297,7 @@ def run_hit_experiment(
     Each replicate draws a fresh topology and a uniformly random source,
     simulates once, and scores the observation grid with every decay spec.
     """
-    checksums, hits, _ = _run_replicates(cfg, (cfg.kind,), workers, progress)
+    checksums, hits, _ = _run_replicates(cfg, (cfg.kind,), workers, progress, correlate=False)
     return _hit_curve(cfg, hits[:, 0], checksums)
 
 
@@ -293,7 +306,7 @@ def hit_vs_correlation(
 ) -> CorrelationSamples:
     """Pair each hit score with the surviving-trace correlation at the same
     observation time. Zero-variance samples are skipped and counted."""
-    checksums, hits, correlations = _run_replicates(cfg, (cfg.kind,), workers, progress)
+    checksums, hits, correlations = _run_replicates(cfg, (cfg.kind,), workers, progress, correlate=True)
     valid = ~np.isnan(correlations)
     pairs = {
         spec: tuple(zip(correlations[valid].tolist(), hits[:, 0, s_idx][valid].tolist()))
@@ -310,7 +323,7 @@ def compare_observables(
     the horizon always covers the difference observables."""
     cfg = replace(cfg, kind=ObservableKind.NEW_CASES)
     kinds = tuple(ObservableKind)
-    checksums, hits, _ = _run_replicates(cfg, kinds, workers, progress)
+    checksums, hits, _ = _run_replicates(cfg, kinds, workers, progress, correlate=False)
     return {kind: _hit_curve(cfg, hits[:, k_idx], checksums) for k_idx, kind in enumerate(kinds)}
 
 
@@ -326,7 +339,8 @@ def sweep_decay_parameter(
     minimizer; ties break toward the smaller parameter."""
     specs = _sweep_specs(kind, grid)
     grid = [spec.param for spec in specs]
-    checksums, hits, _ = _run_replicates(replace(cfg, decays=specs), (cfg.kind,), workers, progress)
+    cfg = replace(cfg, decays=specs)
+    checksums, hits, _ = _run_replicates(cfg, (cfg.kind,), workers, progress, correlate=False)
     # Mean over the time grid per replicate, then over replicates.
     mean_per_param = hits[:, 0].mean(axis=2).mean(axis=0)
     best_idx = min(range(len(grid)), key=lambda i: (mean_per_param[i], grid[i]))

@@ -305,7 +305,7 @@ _BFS_BLOCK_PAIRS = 1 << 15
 # (source, neighbor) keys one expansion step makes at most (more only when a
 # single node has more neighbors), which bounds a level's scratch however
 # dense the network is.
-_BFS_CHUNK_KEYS = 1 << 13
+_BFS_CHUNK_KEYS = 1 << 12
 
 
 def _bfs_blocks(net: Network):

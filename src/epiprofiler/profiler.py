@@ -142,9 +142,10 @@ class LikelinessResult(_ReadOnlyArrays):
         return self.scores.shape[0]
 
 
-# Rows x columns of one row block of decay weights: bounds the float64
-# weights (and squared weights) gathered at a time.
-_ROW_BLOCK_ELEMENTS = 1 << 14
+# Rows x columns of one row block: bounds the float64 decay weights (and
+# squared weights) gathered at a time, and the observation rows normalised
+# at a time.
+_ROW_BLOCK_ELEMENTS = 1 << 12
 
 
 def score_batch(dist: DistanceMatrix, spec: DecaySpec, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +180,11 @@ def score_blocks(blocks, n: int, specs, values: np.ndarray) -> tuple[np.ndarray,
     No N x N weight matrix is held: :func:`_score_rows` scores one block of
     candidates at a time. A spec's table of weights by distance grows to the
     largest distance seen so far; a weight does not depend on the table's
-    length, so neither do the scores.
+    length, so neither do the scores. The observations' norms and the
+    normalising division are then taken one block of observation rows at a
+    time, so no (m, n) temporary is made beside the scores; each row's norm
+    is its own pairwise sum and each quotient its own division, so the block
+    size does not change a bit.
     """
     # C order keeps each row's products contiguous, so einsum sums them in
     # one order whatever the caller's memory layout.
@@ -198,11 +203,16 @@ def score_blocks(blocks, n: int, specs, values: np.ndarray) -> tuple[np.ndarray,
             if top >= tables[s_idx].size - 1:
                 tables[s_idx] = _weight_table(spec, top)
             _score_rows(tables[s_idx], rows, values, scores[s_idx, :, lo:hi], norms[s_idx, lo:hi])
-    data_norms = np.sqrt(np.add.reduce(values * values, axis=1))
-    degenerate = data_norms == 0.0
-    for spec_scores, spec_norms in zip(scores, norms):
-        # Profile norms are >= 1 because every kind gives weight 1 at distance 0.
-        np.divide(spec_scores, spec_norms * data_norms[:, None], out=spec_scores, where=~degenerate[:, None])
+    degenerate = np.empty(values.shape[0], dtype=bool)
+    block = max(1, _ROW_BLOCK_ELEMENTS // max(n, 1))
+    for lo in range(0, values.shape[0], block):
+        obs = values[lo : lo + block]
+        data_norms = np.sqrt(np.add.reduce(obs * obs, axis=1))[:, None]
+        live = data_norms != 0.0
+        degenerate[lo : lo + block] = ~live[:, 0]
+        for spec_scores, spec_norms in zip(scores[:, lo : lo + block], norms):
+            # Profile norms are >= 1 because every kind gives weight 1 at distance 0.
+            np.divide(spec_scores, spec_norms * data_norms, out=spec_scores, where=live)
     scores[:, degenerate] = 0.0
     return scores, degenerate
 

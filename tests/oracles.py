@@ -90,6 +90,25 @@ def decay_weights(spec, distances):
     return _weight_table(spec, int(d.max()) if d.size else 0)[d]
 
 
+def whole_matrix_scores(dist, spec, values):
+    """Scores of each row of an (m, N) stack by the dense route, normalised
+    over the whole matrix at once: the weight matrix's row norms and its
+    products with the stack, then the data norms from ``values * values``
+    reduced on axis 1 and one broadcast ``np.divide`` over the (m, N) scores,
+    with all-zero rows flagged and scored 0. The library normalises one row
+    block at a time; each row's pairwise sum and each quotient are the same
+    floating-point operations, so the bits must agree."""
+    values = np.ascontiguousarray(values, dtype=float)
+    weights = decay_weights(spec, dist.d)
+    norms = np.sqrt(np.add.reduce(weights * weights, axis=1))
+    scores = np.einsum("ij,mj->mi", weights, values)
+    data_norms = np.sqrt(np.add.reduce(values * values, axis=1))
+    degenerate = data_norms == 0.0
+    np.divide(scores, norms * data_norms[:, None], out=scores, where=~degenerate[:, None])
+    scores[degenerate] = 0.0
+    return scores, degenerate
+
+
 def oracle_scores(dist, values, spec):
     """From-scratch likeliness scores with fsum accumulation."""
     n = dist.n

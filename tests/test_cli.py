@@ -71,7 +71,7 @@ class TestGenNet:
         code = run("gen-net", "--nodes", "100", "--mean-degree", "200",
                    "--out", str(tmp_path / "x.csv"))
         assert code == 2
-        assert "mean-degree" in capsys.readouterr().err
+        assert "mean_degree" in capsys.readouterr().err
 
     def test_missing_required_flag_exits_2(self, tmp_path):
         assert run("gen-net", "--nodes", "10", "--out", str(tmp_path / "x.csv")) == 2

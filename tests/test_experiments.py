@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -260,7 +261,7 @@ class TestScoreGrid:
         for rep in range(3):
             net, source, traj = full_trajectory(cfg, rep)
             dist = hop_distances(net)
-            checksum, grid, correlations = _replicate(cfg, kinds, rep)
+            checksum, grid, correlations = _replicate(cfg, kinds, rep, correlate=True)
             assert checksum == traj.checksum
             assert grid.shape == (len(kinds), len(specs), len(cfg.observation_times))
             for k_idx, kind in enumerate(kinds):
@@ -276,17 +277,16 @@ class TestScoreGrid:
                     assert np.isnan(correlations[t_idx])
 
 
-def _replicate_peak(n):
-    """tracemalloc peak of one replicate at the N=1000 benchmark's settings,
-    at N=n."""
-    cfg = ExperimentConfig(
-        replicates=1,
-        params=EpidemicParams(0.11, 0.09, 0.2),
-        decays=(POLY,),
-        n_nodes=n,
-        observation_times=(5.0, 10.0, 15.0, 20.0),
-        master_seed=3,
-    )
+# One replicate at the N=1000 benchmark's settings, at any N.
+N1000_SETTINGS = dict(
+    replicates=1, params=EpidemicParams(0.11, 0.09, 0.2), decays=(POLY,),
+    observation_times=(5.0, 10.0, 15.0, 20.0), master_seed=3,
+)
+
+
+def _replicate_peak(cfg):
+    """tracemalloc peak of one replicate of ``cfg``, as the hit experiment
+    and the sweep run it (no correlations)."""
     _replicate(tiny_config(), (ObservableKind.NEW_CASES,), 0)  # first-call imports
     tracemalloc.start()
     try:
@@ -301,20 +301,36 @@ class TestReplicateMemory:
         # The int8 distances (N^2 bytes) are a replicate's only N x N array;
         # the scoring blocks stay small.
         n = 600
-        assert _replicate_peak(n) <= 6 * n * n
+        assert _replicate_peak(ExperimentConfig(n_nodes=n, **N1000_SETTINGS)) <= 6 * n * n
 
     def test_trajectory_and_distances_are_not_held_at_once(self):
         # The trajectory (about 1.2 N^2 bytes here) is released before the
         # hop distances are built, so the peak is the larger of the two
         # phases, not their sum.
         n = 600
-        assert _replicate_peak(n) <= 3.5 * n * n
+        assert _replicate_peak(ExperimentConfig(n_nodes=n, **N1000_SETTINGS)) <= 3.5 * n * n
 
     def test_replicate_at_the_n1000_benchmark_settings_stays_below_n_squared(self):
         # The int8 distance matrix alone would be N^2 bytes; the streamed
-        # side never builds it, and the simulate phase keeps 13 of 88 rows.
+        # side never builds it, and the simulate phase keeps 8 of 88 rows.
         n = 1000
-        assert _replicate_peak(n) < n * n
+        assert _replicate_peak(ExperimentConfig(n_nodes=n, **N1000_SETTINGS)) < n * n
+
+    def test_sweep_replicate_holds_one_specs_scores_at_a_time(self):
+        # The N=300 sweep benchmark's shape: 10 specs and m = 100 stacked
+        # observations, so the held side scores one spec at a time. Beside
+        # the (m, N) stack and the N^2-byte distances, a replicate holds one
+        # spec's (m, N) scores and block-sized scratch; keeping the previous
+        # spec's scores, full-size normalisation temporaries or the unread
+        # infectious rows would each add about another 8 m N bytes.
+        n, times = 300, tuple(float(t) for t in range(1, 101))
+        grid = [round(0.25 * 32 ** (k / 9), 4) for k in range(10)]
+        cfg = ExperimentConfig(
+            replicates=1, params=EpidemicParams(0.133, 0.067, 0.2), n_nodes=n, observation_times=times,
+            decays=tuple(DecaySpec(DecayKind.POLYNOMIAL, p) for p in grid), master_seed=3,
+        )
+        assert not experiments._streams(n, len(grid), len(times))
+        assert _replicate_peak(cfg) < 4 * 8 * len(times) * n
 
     def test_streamed_side_never_builds_the_distance_matrix(self, monkeypatch):
         def no_matrix(net):
@@ -371,7 +387,7 @@ class TestStreamOrHold:
         times=st.integers(1, 3),
         all_kinds=st.booleans(),
         bfs_pairs=st.sampled_from([1, 40, 97, 1 << 15]),
-        row_elements=st.sampled_from([1, 50, 1 << 14]),
+        row_elements=st.sampled_from([1, 50, 1 << 12, 1 << 14]),
         seed=st.integers(0, 1000),
     )
     def test_streamed_and_held_sides_give_the_same_bits(
@@ -447,6 +463,47 @@ class TestSweep:
         assert set(sweep.mean) == {0.05, 5.0}
         for value in sweep.mean.values():
             assert 0.0 < value <= 1.0
+
+
+class TestRecordedRows:
+    """A replicate asks ``simulate`` only for the rows its experiment reads. The
+    correlations read the infectious rows at 0 and at each t, and only
+    hit_vs_correlation reads the correlations."""
+
+    @pytest.mark.parametrize("experiment,infectious", [
+        (run_hit_experiment, set()),
+        # INFECTIOUS reads each t, INFECTIOUS_CHANGE each t and t + delta_t.
+        (compare_observables, {2, 3, 5, 6, 10, 11}),
+        (partial(sweep_decay_parameter, kind=DecayKind.POLYNOMIAL, grid=[0.25, 2.0]), set()),
+        (hit_vs_correlation, {0, 2, 5, 10}),
+    ])
+    def test_experiments_record_only_the_infectious_rows_they_read(self, monkeypatch, experiment, infectious):
+        cfg = tiny_config()  # times 2, 5, 10 on a unit report grid, delta_t 1
+        seen = []
+        real = experiments.simulate
+
+        def spy(*args, record, **kwargs):
+            seen.append(set(record["infectious"]))
+            return real(*args, record=record, **kwargs)
+
+        monkeypatch.setattr(experiments, "simulate", spy)
+        experiment(cfg)
+        assert seen == [infectious] * cfg.replicates
+
+    def test_correlation_pairs_match_the_full_trajectories(self):
+        cfg = tiny_config(decays=(POLY,))
+        want = []
+        for rep in range(cfg.replicates):
+            net, source, traj = full_trajectory(cfg, rep)
+            dist = hop_distances(net)
+            for t in cfg.observation_times:
+                try:
+                    corr = initial_correlation(traj, t)
+                except ZeroVarianceError:
+                    continue
+                data = synthesize_dataset(traj, t, cfg.delta_t, cfg.kind)
+                want.append((corr, hit_score(likeliness_scores(dist, data, POLY).scores, source)))
+        assert hit_vs_correlation(cfg).pairs[POLY] == tuple(want)
 
 
 class TestHitVsCorrelation:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def new_cases(values):
     return Dataset(np.asarray(values, dtype=float), ObservableKind.NEW_CASES)
 
 
-from oracles import adjacency, decay_weights, oracle_scores, scalar_weight
+from oracles import adjacency, decay_weights, oracle_scores, scalar_weight, whole_matrix_scores
 
 
 class TestDecaySpec:
@@ -277,7 +278,7 @@ class TestDecayProfile:
 
     @pytest.mark.parametrize("spec", ALL_KINDS)
     def test_scores_do_not_depend_on_block_size(self, spec, monkeypatch):
-        # n=1031 spans 17 row blocks at the default block size.
+        # n=1031 spans 344 row blocks of 3 rows at the default block size.
         n = 1031
         dist = hop_distances(generate_erdos_renyi(n, 2.0, seed=21))
         values = np.random.default_rng(22).random((3, n))
@@ -316,6 +317,31 @@ class TestDecayProfile:
         assert scores.shape == (len(ALL_KINDS), 3, n)
         for spec, got in zip(ALL_KINDS, scores):
             want, want_degenerate = score_batch(dist, spec, values)
+            assert np.array_equal(got, want)
+            assert np.array_equal(degenerate, want_degenerate)
+
+    @pytest.mark.parametrize("row_elements", [1, 50, 1 << 12, 1 << 14])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 70),
+        m=st.integers(1, 12),
+        zero_rows=st.integers(0, (1 << 12) - 1),
+        scale=st.integers(-6, 6),
+        seed=st.integers(0, 1000),
+    )
+    def test_row_block_normalisation_matches_the_whole_matrix(
+        self, row_elements, n, m, zero_rows, scale, seed
+    ):
+        # Bit r of zero_rows zeroes row r of the stack, so degenerate rows
+        # fall anywhere in and across the row blocks.
+        rng = np.random.default_rng(seed)
+        dist = hop_distances(generate_erdos_renyi(n, min(1.5, n - 1.0), seed=seed))
+        values = rng.random((m, n)) * 10.0 ** scale
+        values[[bool(zero_rows >> r & 1) for r in range(m)]] = 0.0
+        with mock.patch.object(profiler, "_ROW_BLOCK_ELEMENTS", row_elements):
+            scores, degenerate = score_blocks([(0, dist.d)], n, ALL_KINDS, values)
+        for spec, got in zip(ALL_KINDS, scores):
+            want, want_degenerate = whole_matrix_scores(dist, spec, values)
             assert np.array_equal(got, want)
             assert np.array_equal(degenerate, want_degenerate)
 
