@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "UNREACHABLE": "network",
     "Network": "network",
-    "DistanceMatrix": "network",
     "generate_erdos_renyi": "network",
     "hop_distances": "network",
     "load_adjacency": "network",

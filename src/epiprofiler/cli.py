@@ -26,7 +26,6 @@ from .network import (
     _read_csv,
     _write_json,
     generate_erdos_renyi,
-    hop_distances,
     load_adjacency,
     save_adjacency,
 )
@@ -159,9 +158,9 @@ def cmd_profile(args) -> int:
         net = load_adjacency(args.net)
         data = _load_dataset_csv(args.data, net)
         spec = DecaySpec(args.decay, args.param)
+        result = likeliness_scores(net, data, spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    result = likeliness_scores(hop_distances(net), data, spec)
     write_ranking_csv(result, net.labels, args.out)
     _write_manifest(args, [args.out])
     if result.degenerate:
@@ -245,7 +244,10 @@ def cmd_rank_timeline(args) -> int:
         datasets = daily_deltas(series, labels=net.labels)
     except ValueError as exc:
         raise UsageError(f"{args.cases}: {exc}") from exc
-    timeline = rank_timeline(net, datasets, spec, dates=series.dates[:-1])
+    try:
+        timeline = rank_timeline(net, datasets, spec, dates=series.dates[:-1])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     write_timeline_csv(timeline, args.out)
     _write_manifest(args, [args.out])
     return 0

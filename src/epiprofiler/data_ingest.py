@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime as dt
 import logging
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -17,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .network import Network, _number, _read_csv, _ReadOnlyArrays, _write_csv, hop_distances
+from .network import Network, _number, _read_csv, _ReadOnlyArrays, _write_csv
 from .profiler import Dataset, DecaySpec, LikelinessResult, ObservableKind, score_batch
 
 log = logging.getLogger(__name__)
@@ -60,7 +61,8 @@ def load_case_series(path) -> CaseReportSeries:
     """Parse a case-report CSV with columns date, region, cumulative_cases.
 
     Rows may arrive in any order; duplicates of the same (date, region) pair,
-    malformed dates, and negative counts are load errors naming the line.
+    malformed dates, and negative counts or counts beyond float range are
+    load errors naming the line.
     """
     entries: dict[tuple[dt.date, str], tuple[int, int]] = {}  # (count, line)
     for line, (date_text, region, count_text) in _read_csv(path, ("date", "region", "cumulative_cases")):
@@ -76,6 +78,8 @@ def load_case_series(path) -> CaseReportSeries:
             raise ValueError(f"{path}: line {line}: bad count {count_text!r}") from exc
         if count < 0:
             raise ValueError(f"{path}: line {line}: negative count {count}")
+        if count > sys.float_info.max:
+            raise ValueError(f"{path}: line {line}: count {count} is beyond float range")
         key = (date, region)
         if key in entries:
             raise ValueError(
@@ -103,10 +107,11 @@ def filter_regions(
     window_days = _number(window_days, "window_days", 0, integer=True)
     min_cases = _number(min_cases, "min_cases", 0, integer=True)
     first = series.dates[0]
-    window_end = first + dt.timedelta(days=window_days)
-    if window_end > series.dates[-1]:
+    span = (series.dates[-1] - first).days
+    if window_days > span:
         raise ValueError(
-            f"window ends {window_end}, beyond the last observation {series.dates[-1]}"
+            f"window_days {window_days} reaches beyond the last observation {series.dates[-1]}, "
+            f"{span} days after the first"
         )
     in_window = np.array([(d - first).days <= window_days for d in series.dates])
     keep = []
@@ -209,7 +214,7 @@ def rank_timeline(
                 f"dataset {idx} has {data.n} regions but the network has {net.n} nodes"
             )
     values = np.stack([data.values for data in datasets]) if datasets else np.empty((0, net.n))
-    scores, degenerate = score_batch(hop_distances(net), spec, values)
+    scores, degenerate = score_batch(net, spec, values)
     entries = []
     for idx, data in enumerate(datasets):
         result = LikelinessResult(scores[idx], degenerate[idx])

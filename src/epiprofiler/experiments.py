@@ -23,7 +23,7 @@ from .network import (
     generate_erdos_renyi,
     hop_distances,
 )
-from .profiler import DecayKind, DecaySpec, ObservableKind, hit_score, score_batch, score_blocks
+from .profiler import DecayKind, DecaySpec, ObservableKind, hit_score, score_blocks
 from .simulator import (
     MAX_REPORT_VALUES,
     EpidemicParams,
@@ -235,7 +235,7 @@ def _spec_scores(net, specs, values: np.ndarray):
     else:
         dist = hop_distances(net)
         for spec in specs:
-            yield score_batch(dist, spec, values)[0]
+            yield score_blocks([(0, dist)], net.n, (spec,), values)[0][0]
 
 
 def _run_replicates(

@@ -228,46 +228,6 @@ def _distance_dtype(n: int) -> np.dtype:
     return np.dtype(np.int16 if n <= np.iinfo(np.int16).max + 1 else np.int32)
 
 
-_INT8 = np.iinfo(np.int8)
-
-
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix(_ReadOnlyArrays):
-    """All-pairs hop counts; disconnected pairs hold UNREACHABLE.
-
-    Stored read-only in int8 when every value lies in [-128, 127], which
-    holds on any network of diameter below 128. Other values must fit the
-    dtype that holds any hop count on N nodes (int16 up to N = 32768, int32
-    above, since a hop count is at most N - 1) and are stored in it. Other
-    integer input is narrowed after checking that every value survives the
-    cast. A writable caller array is copied, never frozen in place.
-    """
-
-    d: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.d)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise ValueError(f"distance matrix must be square, got shape {d.shape}")
-        dtype = _distance_dtype(d.shape[0])
-        if d.dtype not in (dtype, np.int8):
-            if not np.issubdtype(d.dtype, np.integer):
-                raise ValueError(f"distance matrix must hold integers, got dtype {d.dtype}")
-            narrow = d.astype(dtype)
-            bad = np.argwhere(narrow != d)
-            if bad.size:
-                i, j = bad[0]
-                raise ValueError(f"distance d[{i}][{j}] = {d[i, j]} does not fit in {dtype}")
-            d = narrow
-        if d.dtype != np.int8 and d.size and d.min() >= _INT8.min and d.max() <= _INT8.max:
-            d = d.astype(np.int8)
-        self._keep("d", d, self.d)
-
-    @property
-    def n(self) -> int:
-        return self.d.shape[0]
-
-
 def _check_graph(n, mean_degree) -> tuple[int, float]:
     """A random network's node count (at least 2) and mean degree (in (0, n))."""
     n = _number(n, "nodes", 2, integer=True)
@@ -370,20 +330,20 @@ def _bfs_blocks(net: Network):
         yield lo, rows
 
 
-def hop_distances(net: Network) -> DistanceMatrix:
-    """Breadth-first all-pairs shortest hop counts: the blocks of
-    :func:`_bfs_blocks` copied into an int8 result. The first block that
-    holds a hop count above 127 (only on a network of diameter 128 or more)
-    widens the result once to ``_distance_dtype(N)``.
+def hop_distances(net: Network) -> np.ndarray:
+    """Breadth-first all-pairs shortest hop counts, UNREACHABLE where there
+    is no path: the blocks of :func:`_bfs_blocks` copied into a read-only
+    int8 matrix. The first block that holds a hop count above 127 (only on a
+    network of diameter 128 or more) widens the result once to
+    ``_distance_dtype(N)``.
     """
     n = net.n
     d = np.empty((n, n), dtype=np.int8)
     for lo, rows in _bfs_blocks(net):
-        if d.dtype == np.int8 and rows.max() > _INT8.max:
+        if d.dtype == np.int8 and rows.max() > np.iinfo(np.int8).max:
             d = d.astype(_distance_dtype(n))
         d[lo : lo + rows.shape[0]] = rows
-    # Read-only already, so DistanceMatrix keeps it without a copy.
-    return DistanceMatrix(_readonly(d))
+    return _readonly(d)
 
 
 def mobility_edges(net: Network, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import UNREACHABLE, DistanceMatrix, _number, _ReadOnlyArrays, _write_csv
+from .network import Network, _bfs_blocks, _number, _ReadOnlyArrays, _write_csv
 
 # Above this, d! overflows comfort; switch to the log-gamma route.
 _EXACT_FACTORIAL_MAX = 20
@@ -84,7 +84,7 @@ def decay_weight(spec: DecaySpec, d: int) -> float:
     """Weight of case mass at hop distance d from a candidate source.
 
     Negative d means unreachable and maps to 0 for every kind. All kinds
-    equal 1 at d = 0.
+    equal 1 at d = 0. A power weight beyond float range is ``math.inf``.
     """
     if d < 0:
         return 0.0
@@ -94,8 +94,14 @@ def decay_weight(spec: DecaySpec, d: int) -> float:
     p = spec.param
     if spec.kind is DecayKind.POWER:
         if d <= _EXACT_FACTORIAL_MAX:
-            return p**d / math.factorial(d)
-        return math.exp(d * math.log(p) - math.lgamma(d + 1))
+            try:
+                return p**d / math.factorial(d)
+            except OverflowError:  # p**d alone is beyond float range
+                pass
+        try:
+            return math.exp(d * math.log(p) - math.lgamma(d + 1))
+        except OverflowError:
+            return math.inf
     if spec.kind is DecayKind.POLYNOMIAL:
         return (d + 1.0) ** (-p)
     return math.exp(-p * d)
@@ -105,14 +111,6 @@ def _weight_table(spec: DecaySpec, max_d: int) -> np.ndarray:
     """Weights at distances 0..max_d plus a trailing 0.0 slot, which is where
     UNREACHABLE (-1) lands when the table is indexed by a distance."""
     return np.array([decay_weight(spec, k) for k in range(max(max_d, 0) + 1)] + [0.0])
-
-
-def _clip_unreachable(d: np.ndarray) -> np.ndarray:
-    """Distances with any value below UNREACHABLE raised to it (a copy only
-    when there is one)."""
-    if d.size and d.min() < UNREACHABLE:
-        return np.maximum(d, UNREACHABLE)
-    return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,9 +146,9 @@ class LikelinessResult(_ReadOnlyArrays):
 _ROW_BLOCK_ELEMENTS = 1 << 12
 
 
-def score_batch(dist: DistanceMatrix, spec: DecaySpec, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Score every candidate source against each row of an ``(m, N)`` stack
-    of observation vectors.
+def score_batch(net: Network, spec: DecaySpec, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Score every candidate source of the network against each row of an
+    ``(m, N)`` stack of observation vectors.
 
     Candidate i's profile is its row of decay weights over hop distances.
     It is compared with the observations by normalized scalar product
@@ -158,22 +156,24 @@ def score_batch(dist: DistanceMatrix, spec: DecaySpec, values: np.ndarray) -> tu
     Returns the ``(m, N)`` scores and an ``(m,)`` flag that is set for an
     all-zero row, whose scores are all 0.
 
-    This is :func:`score_blocks` for one spec, with the whole matrix as its
-    one block of candidates.
+    This is :func:`score_blocks` for one spec, fed block by block by the
+    breadth-first search, so the N x N hop-distance matrix is never built.
     """
-    scores, degenerate = score_blocks([(0, dist.d)], dist.n, (spec,), values)
+    scores, degenerate = score_blocks(_bfs_blocks(net), net.n, (spec,), values)
     return scores[0], degenerate
 
 
+# An overflow is refused below, so numpy's warning about it would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def score_blocks(blocks, n: int, specs, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`score_batch` for every spec in ``specs`` at once, from hop
     distances that arrive as blocks of candidate rows.
 
-    ``blocks`` yields ``(lo, rows)``: the distance rows of candidates lo,
-    lo + 1, ..., each of length ``n``, with UNREACHABLE (or any value below
-    it) where there is no path. Together they cover every candidate once,
-    in any order, and each block is read before the next is asked for (so
-    ``network._bfs_blocks`` can feed it without building the N x N matrix).
+    ``blocks`` yields ``(lo, rows)``: the hop-distance rows of candidates
+    lo, lo + 1, ..., each of length ``n``, with UNREACHABLE where there is no
+    path. Together they cover every candidate once, in any order, and each
+    block is read before the next is asked for (so ``network._bfs_blocks``
+    can feed it without building the N x N matrix).
     Returns the ``(len(specs), m, n)`` scores and the ``(m,)`` degenerate
     flags.
 
@@ -185,6 +185,11 @@ def score_blocks(blocks, n: int, specs, values: np.ndarray) -> tuple[np.ndarray,
     time, so no (m, n) temporary is made beside the scores; each row's norm
     is its own pairwise sum and each quotient its own division, so the block
     size does not change a bit.
+
+    A live (not all-zero) row whose divisor, a profile norm times the row's
+    norm, is beyond float range is refused with a ``ValueError`` before any
+    division. It names the observation when the row's norm overflows, and
+    the decay parameter when a profile norm does.
     """
     # C order keeps each row's products contiguous, so einsum sums them in
     # one order whatever the caller's memory layout.
@@ -196,7 +201,6 @@ def score_blocks(blocks, n: int, specs, values: np.ndarray) -> tuple[np.ndarray,
     # An empty table, which the first block replaces.
     tables = [np.empty(0)] * len(specs)
     for lo, rows in blocks:
-        rows = _clip_unreachable(rows)
         hi = lo + rows.shape[0]
         top = int(rows.max()) if rows.size else 0
         for s_idx, spec in enumerate(specs):
@@ -210,9 +214,17 @@ def score_blocks(blocks, n: int, specs, values: np.ndarray) -> tuple[np.ndarray,
         data_norms = np.sqrt(np.add.reduce(obs * obs, axis=1))[:, None]
         live = data_norms != 0.0
         degenerate[lo : lo + block] = ~live[:, 0]
-        for spec_scores, spec_norms in zip(scores[:, lo : lo + block], norms):
+        if not np.isfinite(data_norms).all():
+            row = lo + int(np.flatnonzero(~np.isfinite(data_norms))[0])
+            raise ValueError(f"observation {row} is too large to score: its norm is beyond float range")
+        for spec, spec_scores, spec_norms in zip(specs, scores[:, lo : lo + block], norms):
             # Profile norms are >= 1 because every kind gives weight 1 at distance 0.
-            np.divide(spec_scores, spec_norms * data_norms, out=spec_scores, where=live)
+            divisor = spec_norms * data_norms
+            if not np.isfinite(divisor[live[:, 0]]).all():
+                raise ValueError(
+                    f"{spec.kind.value} decay parameter {spec.param!r} gives a profile norm beyond float range"
+                )
+            np.divide(spec_scores, divisor, out=spec_scores, where=live)
     scores[:, degenerate] = 0.0
     return scores, degenerate
 
@@ -239,12 +251,12 @@ def _score_rows(
         np.einsum("ij,mj->mi", rows, values, out=products[:, lo:hi])
 
 
-def likeliness_scores(dist: DistanceMatrix, data: Dataset, spec: DecaySpec) -> LikelinessResult:
-    """Score every candidate source against one observation snapshot; see
-    :func:`score_batch`. An all-zero snapshot yields all-zero scores with the
-    degenerate flag set instead of an error, so day-by-day pipelines can
-    proceed past empty days."""
-    scores, degenerate = score_batch(dist, spec, data.values[None, :])
+def likeliness_scores(net: Network, data: Dataset, spec: DecaySpec) -> LikelinessResult:
+    """Score every candidate source of the network against one observation
+    snapshot; see :func:`score_batch`. An all-zero snapshot yields all-zero
+    scores with the degenerate flag set instead of an error, so day-by-day
+    pipelines can proceed past empty days."""
+    scores, degenerate = score_batch(net, spec, data.values[None, :])
     return LikelinessResult(scores[0], degenerate[0])
 
 

@@ -31,11 +31,10 @@ def mobility_matrix(net, gamma):
     return g
 
 
-def is_interchangeable(dist, nodes):
+def is_interchangeable(d, nodes):
     """True when every permutation of the given nodes leaves the distance
-    matrix unchanged, i.e. the nodes occupy interchangeable positions."""
-    d = dist.d
-    n = dist.n
+    matrix ``d`` unchanged, i.e. the nodes occupy interchangeable positions."""
+    n = d.shape[0]
     nodes = list(nodes)
     for perm in permutations(nodes):
         full = np.arange(n)
@@ -90,16 +89,17 @@ def decay_weights(spec, distances):
     return _weight_table(spec, int(d.max()) if d.size else 0)[d]
 
 
-def whole_matrix_scores(dist, spec, values):
-    """Scores of each row of an (m, N) stack by the dense route, normalised
-    over the whole matrix at once: the weight matrix's row norms and its
-    products with the stack, then the data norms from ``values * values``
-    reduced on axis 1 and one broadcast ``np.divide`` over the (m, N) scores,
-    with all-zero rows flagged and scored 0. The library normalises one row
+def whole_matrix_scores(d, spec, values):
+    """Scores of each row of an (m, N) stack against the hop distances ``d``
+    by the dense route, normalised over the whole matrix at once: the weight
+    matrix's row norms and its products with the stack, then the data norms
+    from ``values * values`` reduced on axis 1 and one broadcast
+    ``np.divide`` over the (m, N) scores, with all-zero rows flagged and
+    scored 0. The library normalises one row
     block at a time; each row's pairwise sum and each quotient are the same
     floating-point operations, so the bits must agree."""
     values = np.ascontiguousarray(values, dtype=float)
-    weights = decay_weights(spec, dist.d)
+    weights = decay_weights(spec, d)
     norms = np.sqrt(np.add.reduce(weights * weights, axis=1))
     scores = np.einsum("ij,mj->mi", weights, values)
     data_norms = np.sqrt(np.add.reduce(values * values, axis=1))
@@ -109,13 +109,14 @@ def whole_matrix_scores(dist, spec, values):
     return scores, degenerate
 
 
-def oracle_scores(dist, values, spec):
-    """From-scratch likeliness scores with fsum accumulation."""
-    n = dist.n
+def oracle_scores(d, values, spec):
+    """From-scratch likeliness scores against the hop distances ``d`` with
+    fsum accumulation."""
+    n = d.shape[0]
     data_norm = math.sqrt(math.fsum(float(v) ** 2 for v in values))
     scores = []
     for i in range(n):
-        w = [scalar_weight(spec, int(dist.d[i, j])) for j in range(n)]
+        w = [scalar_weight(spec, int(d[i, j])) for j in range(n)]
         w_norm = math.sqrt(math.fsum(x * x for x in w))
         dot = math.fsum(w[j] * float(values[j]) for j in range(n))
         scores.append(dot / (w_norm * data_norm))

@@ -189,7 +189,7 @@ def test_criterion_03_distance_oracle():
         n = int(rng.integers(2, 21))
         k = float(rng.uniform(0.5, min(n - 1, 4)))
         net = ep.generate_erdos_renyi(n, k, seed=(MASTER_SEED, 4, seed))
-        if not np.array_equal(ep.hop_distances(net).d, relaxation_distances(adjacency(net))):
+        if not np.array_equal(ep.hop_distances(net), relaxation_distances(adjacency(net))):
             mismatches += 1
     report("03", "hop distances match relaxation oracle", mismatches == 0,
            f"{mismatches} mismatches over 50 graphs")
@@ -227,14 +227,14 @@ def test_criterion_05_scoring_oracle():
             values[int(rng.integers(n))] = 1.0
         data = ep.Dataset(values, ObservableKind.NEW_CASES)
         for spec in OPTIMAL_SPECS:
-            got = likeliness_scores(dist, data, spec).scores
+            got = likeliness_scores(net, data, spec).scores
             want = oracle_scores(dist, values, spec)
             worst = max(worst, float(np.abs(got - np.asarray(want)).max()))
     # naive ranking reproduces sorting by observed counts exactly
     net = ep.generate_erdos_renyi(25, 2.0, seed=(MASTER_SEED, 7))
     values = np.random.default_rng(8).integers(0, 50, size=25).astype(float)
     data = ep.Dataset(values, ObservableKind.NEW_CASES)
-    result = likeliness_scores(ep.hop_distances(net), data, DecaySpec(DecayKind.NAIVE))
+    result = likeliness_scores(net, data, DecaySpec(DecayKind.NAIVE))
     expected_ranking = np.lexsort((np.arange(25), -values))
     naive_ok = result.ranking.tolist() == expected_ranking.tolist()
     report("05", "scoring matches extended-precision oracle", worst <= 1e-12 and naive_ok,

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from epiprofiler import network
 from epiprofiler.cli import build_parser, main
 from epiprofiler.data_ingest import SARS_ADJACENCY_FILE, SARS_CASES_FILE, bundled_data_path
 from epiprofiler.network import load_adjacency
@@ -227,6 +228,22 @@ class TestProfile:
         assert err.startswith("error:") and f"{data}: line 3:" in err and problem in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("decay,values,problem", [
+        ("power", "0,1,0", "power decay parameter 1e+200"),
+        ("naive", "1e200,1e200,0", "observation 0"),
+    ], ids=["weight", "observation"])
+    def test_scores_beyond_float_range_exit_2(self, tmp_path, path3_csv, capsys, decay, values, problem):
+        # On the 3-node path, power 1e200 weighs hop 2 beyond float range, and
+        # the observations' norm overflows: either would zero every score.
+        data = tmp_path / "data.csv"
+        data.write_text("node_label,value\n" + "".join(f"n{i},{v}\n" for i, v in enumerate(values.split(","))))
+        flags = ["--param", "1e200"] if decay == "power" else []
+        out = tmp_path / "r.csv"
+        assert run("profile", "--net", str(path3_csv), "--data", str(data), "--decay", decay, *flags,
+                   "--out", str(out)) == 2
+        assert problem in error_line(capsys)
+        assert not out.exists()
+
 
 class TestEvaluateAndSweep:
     def test_evaluate_writes_curve_csv(self, tmp_path):
@@ -361,6 +378,18 @@ class TestEvaluateAndSweep:
 
 
 class TestRankTimeline:
+    @pytest.mark.parametrize("flags,problem", [
+        (["--decay", "power", "--param", "1e200"], "power decay parameter 1e+200"),
+        (["--window-days", "99999999999999999999"], "window_days 99999999999999999999"),
+    ], ids=["weight", "window"])
+    def test_out_of_range_flag_exits_2_naming_it(self, tmp_path, capsys, flags, problem):
+        out = tmp_path / "timeline.csv"
+        code = run("rank-timeline", "--net", str(bundled_data_path(SARS_ADJACENCY_FILE)),
+                   "--cases", str(bundled_data_path(SARS_CASES_FILE)), *flags, "--out", str(out))
+        assert code == 2
+        assert problem in error_line(capsys)
+        assert not out.exists()
+
     def test_bundled_inputs_hkg_first(self, tmp_path):
         out = tmp_path / "timeline.csv"
         code = run("rank-timeline", "--net", str(bundled_data_path(SARS_ADJACENCY_FILE)),
@@ -488,6 +517,40 @@ class TestRerun:
             {"subcommand": "rerun", "arguments": {"manifest": str(manifest)}}))
         assert run("rerun", "--manifest", str(manifest)) == 2
         assert "'subcommand'" in capsys.readouterr().err
+
+
+def test_profile_and_rank_timeline_never_build_the_distance_matrix(tmp_path, monkeypatch):
+    # Both stream the breadth-first search into the scoring; only the
+    # ensemble experiments may hold the N x N hop-distance matrix.
+    net, cases = str(bundled_data_path(SARS_ADJACENCY_FILE)), str(bundled_data_path(SARS_CASES_FILE))
+    data = tmp_path / "data.csv"
+    labels = load_adjacency(net).labels
+    data.write_text("node_label,value\n" + "".join(f"{lab},{i % 3}\n" for i, lab in enumerate(labels)))
+    runs = {
+        "profile": ["profile", "--net", net, "--data", str(data), "--decay", "polynomial", "--param", "0.5"],
+        "rank-timeline": ["rank-timeline", "--net", net, "--cases", cases],
+    }
+
+    def outputs(tag):
+        got = {}
+        for name, argv in runs.items():
+            out = tmp_path / f"{name}-{tag}.csv"
+            assert run(*argv, "--out", str(out)) == 0
+            got[name] = out.read_bytes()
+        return got
+
+    want = outputs("free")
+
+    def no_matrix(net):
+        raise AssertionError("the N x N distance matrix was built")
+
+    real = network.hop_distances
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "epiprofiler"]:
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, no_matrix)
+    assert network.hop_distances is no_matrix
+    assert outputs("patched") == want
 
 
 def error_line(capsys) -> str:

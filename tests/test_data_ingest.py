@@ -117,6 +117,13 @@ class TestFilterRegions:
         with pytest.raises(ValueError, match="window"):
             filter_regions(self.make_series(), min_cases=5, window_days=60)
 
+    @pytest.mark.parametrize("window_days", [40, 10**20])
+    def test_window_beyond_the_span_names_window_days(self, window_days):
+        # The series spans 39 days. A window too long for any date is
+        # refused the same way, before any date arithmetic.
+        with pytest.raises(ValueError, match=f"window_days {window_days} reaches beyond the last observation"):
+            filter_regions(self.make_series(), min_cases=5, window_days=window_days)
+
 
 class TestDailyDeltas:
     def test_plain_difference(self, tmp_path):
@@ -288,11 +295,10 @@ class TestRankTimeline:
         # One weight matrix per timeline gives the same bits as rebuilding
         # it for every day.
         datasets = daily_deltas(filter_regions(sars_series), labels=sars_network.labels)
-        dist = hop_distances(sars_network)
         timeline = rank_timeline(sars_network, datasets, spec)
         assert len(timeline.entries) == len(datasets)
         for data, entry in zip(datasets, timeline.entries):
-            want = likeliness_scores(dist, data, spec)
+            want = likeliness_scores(sars_network, data, spec)
             assert entry.result.scores.tobytes() == want.scores.tobytes()
             assert np.array_equal(entry.result.ranking, want.ranking)
             assert entry.result.degenerate == want.degenerate

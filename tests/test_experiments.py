@@ -23,7 +23,7 @@ from epiprofiler.experiments import (
     write_sweep_csv,
     _replicate,
 )
-from epiprofiler.network import generate_erdos_renyi, hop_distances
+from epiprofiler.network import generate_erdos_renyi
 from epiprofiler.profiler import DecayKind, DecaySpec, hit_score, likeliness_scores
 from epiprofiler.simulator import (
     EpidemicParams,
@@ -260,7 +260,6 @@ class TestScoreGrid:
         kinds = tuple(ObservableKind)
         for rep in range(3):
             net, source, traj = full_trajectory(cfg, rep)
-            dist = hop_distances(net)
             checksum, grid, correlations = _replicate(cfg, kinds, rep, correlate=True)
             assert checksum == traj.checksum
             assert grid.shape == (len(kinds), len(specs), len(cfg.observation_times))
@@ -268,7 +267,7 @@ class TestScoreGrid:
                 for t_idx, t in enumerate(cfg.observation_times):
                     data = synthesize_dataset(traj, t, cfg.delta_t, kind)
                     for s_idx, spec in enumerate(specs):
-                        want = hit_score(likeliness_scores(dist, data, spec).scores, source)
+                        want = hit_score(likeliness_scores(net, data, spec).scores, source)
                         assert grid[k_idx, s_idx, t_idx] == want
             for t_idx, t in enumerate(cfg.observation_times):
                 try:
@@ -340,7 +339,6 @@ class TestReplicateMemory:
         assert experiments._streams(cfg.n_nodes, len(cfg.decays), len(cfg.observation_times))
         held = [_replicate(cfg, (cfg.kind,), rep) for rep in range(cfg.replicates)]
         monkeypatch.setattr(experiments, "hop_distances", no_matrix)
-        monkeypatch.setattr(experiments, "score_batch", no_matrix)
         for rep, (checksum, hits, correlations) in enumerate(held):
             got = _replicate(cfg, (cfg.kind,), rep)
             assert got[0] == checksum
@@ -495,14 +493,13 @@ class TestRecordedRows:
         want = []
         for rep in range(cfg.replicates):
             net, source, traj = full_trajectory(cfg, rep)
-            dist = hop_distances(net)
             for t in cfg.observation_times:
                 try:
                     corr = initial_correlation(traj, t)
                 except ZeroVarianceError:
                     continue
                 data = synthesize_dataset(traj, t, cfg.delta_t, cfg.kind)
-                want.append((corr, hit_score(likeliness_scores(dist, data, POLY).scores, source)))
+                want.append((corr, hit_score(likeliness_scores(net, data, POLY).scores, source)))
         assert hit_vs_correlation(cfg).pairs[POLY] == tuple(want)
 
 

@@ -86,6 +86,8 @@ FIELD_VALUES = {
 
 # The values a flag test draws; None keeps the flag's valid value.
 FLAG_VALUES = ["0", "-1", "0.03", "10.5", "1e-9", "nan", "inf", "-inf", None]
+# A power weight of 1e300 per hop is beyond float range at hop 2.
+PARAM_VALUES = [*FLAG_VALUES, "1e300"]
 SIMULATE_FLAGS = {
     "alpha": "0.16", "beta": "0.04", "gamma": "0.2", "source": "0", "index-cases": "20",
     "population": "6000", "t-end": "10", "sim-dt": "0.25", "report-dt": "1", "seed": "3",
@@ -242,7 +244,7 @@ def test_simulate_flag(workdir, bounded_simulate, flag, value):
 
 @FUZZ
 @given(decay=st.sampled_from(["naive", "power", "polynomial", "exponential"]),
-       value=st.sampled_from(FLAG_VALUES))
+       value=st.sampled_from(PARAM_VALUES))
 def test_profile_param(workdir, decay, value):
     out = workdir / "ranking.csv"
     out.unlink(missing_ok=True)

@@ -102,6 +102,18 @@ def test_adjacency_row_error_names_its_line(tmp_path, text, line, problem):
     assert str(info.value) == f"{path}: line {line}: {problem}"
 
 
+@pytest.mark.parametrize("count,problem", [
+    ("-1", "negative count -1"),
+    ("1" + "0" * 400, f"count 1{'0' * 400} is beyond float range"),
+], ids=["negative", "beyond-float-range"])
+def test_case_count_error_names_its_line(tmp_path, count, problem):
+    # A count must be a non-negative int that a float holds.
+    path = write(tmp_path, f"date,region,cumulative_cases\n2003-03-17,a,1\n2003-03-18,a,{count}\n")
+    with pytest.raises(ValueError) as info:
+        load_case_series(path)
+    assert str(info.value) == f"{path}: line 3: {problem}"
+
+
 def test_observable_type_error_has_one_prefix():
     raw = {"replicates": 1, "alpha": 0.16, "beta": 0.04, "gamma": 0.2, "decays": [{"kind": "naive"}]}
     with pytest.raises(ConfigError) as info:

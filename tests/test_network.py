@@ -14,7 +14,6 @@ from epiprofiler.cli import main as cli_main
 from epiprofiler.data_ingest import SARS_ADJACENCY_FILE, bundled_data_path
 from epiprofiler.network import (
     UNREACHABLE,
-    DistanceMatrix,
     Network,
     generate_erdos_renyi,
     hop_distances,
@@ -161,13 +160,13 @@ class TestStorage:
     def test_hop_distances_are_int16(self):
         # int8 holds every hop count below 128; a path of 129 nodes has one
         # of 128, so its distances widen to int16.
-        assert hop_distances(path_graph(4)).d.dtype == np.int8
-        assert hop_distances(path_graph(128)).d.dtype == np.int8
-        assert hop_distances(path_graph(129)).d.dtype == np.int16
+        assert hop_distances(path_graph(4)).dtype == np.int8
+        assert hop_distances(path_graph(128)).dtype == np.int8
+        assert hop_distances(path_graph(129)).dtype == np.int16
 
     def test_sparse_random_network_distances_are_int8(self):
         # The N=1000 benchmark's network: its diameter is far below 128.
-        assert hop_distances(generate_erdos_renyi(1000, 2.0, seed=1)).d.dtype == np.int8
+        assert hop_distances(generate_erdos_renyi(1000, 2.0, seed=1)).dtype == np.int8
 
     def test_distance_dtype_follows_node_count(self):
         # A hop count is at most N - 1, so int16 holds every one up to N = 32768.
@@ -184,70 +183,15 @@ class TestStorage:
         order = np.argsort(np.abs(np.arange(n) - (n - 1) / 2), kind="stable")
         adj = adjacency(path_graph(n))[np.ix_(order, order)]
         monkeypatch.setattr(network, "_BFS_BLOCK_PAIRS", 8 * n)
-        d = hop_distances(Network(adj)).d
+        d = hop_distances(Network(adj))
         assert d.dtype == np.int16
         assert np.array_equal(d, relaxation_distances(adj))
 
-    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint16, np.uint64])
-    def test_distance_matrix_narrows_integers(self, dtype):
-        d = DistanceMatrix(np.array([[0, 1], [1, 0]], dtype=dtype)).d
-        assert d.dtype == np.int8
-        assert d.tolist() == [[0, 1], [1, 0]]
-
-    @pytest.mark.parametrize("value", [128, -129, 2**15 - 1, -(2**15)])
-    def test_distance_matrix_keeps_int16_past_int8(self, value):
-        d = DistanceMatrix(np.array([[0, value], [1, 0]])).d
-        assert d.dtype == np.int16
-        assert d.tolist() == [[0, value], [1, 0]]
-
-    def test_distance_matrix_keeps_negative_values(self):
-        assert DistanceMatrix([[0, -1], [-5, 0]]).d.tolist() == [[0, -1], [-5, 0]]
-
-    @pytest.mark.parametrize("dtype", [float, bool, object])
-    def test_distance_matrix_rejects_non_integer_dtype(self, dtype):
-        with pytest.raises(ValueError, match="integers"):
-            DistanceMatrix(np.zeros((2, 2), dtype=dtype))
-
-    @pytest.mark.parametrize(
-        "dtype,value", [(np.int64, 2**31), (np.int64, -(2**31) - 1), (np.uint64, 2**32), (np.uint64, 2**63)]
-    )
-    def test_distance_matrix_rejects_values_int32_cannot_hold(self, dtype, value):
-        d = np.zeros((3, 3), dtype=dtype)
-        d[2, 1] = value
-        with pytest.raises(ValueError, match=rf"d\[2\]\[1\] = {value} does not fit in int16"):
-            DistanceMatrix(d)
-
-    @pytest.mark.parametrize(
-        "dtype,value", [(np.int32, 2**15), (np.int32, -(2**15) - 1), (np.int64, 40000), (np.uint16, 2**15)]
-    )
-    def test_distance_matrix_rejects_values_int16_cannot_hold(self, dtype, value):
-        d = np.zeros((3, 3), dtype=dtype)
-        d[2, 1] = value
-        with pytest.raises(ValueError, match=rf"d\[2\]\[1\] = {value} does not fit in int16"):
-            DistanceMatrix(d)
-
-    @pytest.mark.parametrize("dtype", [np.int8, np.int16])
-    def test_distance_matrix_leaves_the_callers_array_writable(self, dtype):
-        # int8 is kept as is and int16 is the N-derived dtype, so neither
-        # needs a cast: the instance must still not freeze or alias the
-        # caller's array.
-        a = np.array([[0, 1], [1, 0]], dtype=dtype)
-        dist = DistanceMatrix(a)
-        a[0, 0] = 3
-        assert a.flags.writeable
-        assert dist.d.tolist() == [[0, 1], [1, 0]]
-        assert not dist.d.flags.writeable
-
-    def test_hop_distances_are_wrapped_without_a_copy(self, monkeypatch):
-        # hop_distances freezes its own result, so DistanceMatrix keeps it.
-        given = []
-
-        def spy(d):
-            given.append(d)
-            return DistanceMatrix(d)
-
-        monkeypatch.setattr(network, "DistanceMatrix", spy)
-        assert hop_distances(generate_erdos_renyi(50, 2.0, seed=2)).d is given[0]
+    def test_hop_distances_are_read_only(self):
+        d = hop_distances(path_graph(4))
+        assert not d.flags.writeable
+        with pytest.raises(ValueError):
+            d[0, 0] = 1
 
     def test_memory_budget(self):
         # tracemalloc sees numpy's allocations. An N x N int64 temporary
@@ -265,7 +209,7 @@ class TestStorage:
             bfs_peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert dist.d.nbytes == n * n
+        assert dist.nbytes == n * n
         assert generate_peak <= 4 * n * n
         assert bfs_peak <= 7 * n * n
 
@@ -394,13 +338,13 @@ class TestErdosRenyi:
 
 class TestHopDistances:
     def test_path_graph(self):
-        d = hop_distances(path_graph(3)).d
+        d = hop_distances(path_graph(3))
         assert np.array_equal(d, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
     def test_isolated_node_unreachable(self):
         adj = np.zeros((4, 4), dtype=int)
         adj[0, 1] = adj[1, 0] = adj[1, 2] = adj[2, 1] = 1
-        d = hop_distances(Network(adj)).d
+        d = hop_distances(Network(adj))
         assert d[0, 3] == UNREACHABLE
         assert d[3, 0] == UNREACHABLE
         assert d[3, 3] == 0
@@ -411,7 +355,7 @@ class TestHopDistances:
         n = int(rng.integers(2, 21))
         k = float(rng.uniform(0.5, min(n - 1, 4)))
         net = generate_erdos_renyi(n, k, seed=(8, seed))
-        assert np.array_equal(hop_distances(net).d, relaxation_distances(adjacency(net)))
+        assert np.array_equal(hop_distances(net), relaxation_distances(adjacency(net)))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -423,7 +367,7 @@ class TestHopDistances:
         adj = np.zeros((n, n), dtype=int)
         for i, j in edges:
             adj[i, j] = adj[j, i] = 1
-        assert np.array_equal(hop_distances(Network(adj)).d, relaxation_distances(adj))
+        assert np.array_equal(hop_distances(Network(adj)), relaxation_distances(adj))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -437,17 +381,17 @@ class TestHopDistances:
         for i, j in edges:
             adj[i, j] = adj[j, i] = 1
         with mock.patch.object(network, "_BFS_CHUNK_KEYS", chunk):
-            assert np.array_equal(hop_distances(Network(adj)).d, relaxation_distances(adj))
+            assert np.array_equal(hop_distances(Network(adj)), relaxation_distances(adj))
 
     def test_adjacent_iff_distance_one(self):
         net = generate_erdos_renyi(40, 3.0, seed=3)
-        d = hop_distances(net).d
+        d = hop_distances(net)
         assert np.array_equal(d == 1, adjacency(net) == 1)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_symmetry_and_triangle_inequality(self, seed):
         net = generate_erdos_renyi(15, 2.5, seed=(21, seed))
-        d = hop_distances(net).d
+        d = hop_distances(net)
         assert np.array_equal(d, d.T)
         assert np.all(np.diagonal(d) == 0)
         n = net.n
@@ -498,8 +442,8 @@ class TestPermutationEquivariance:
         net = generate_erdos_renyi(12, 2.5, seed=(12, seed))
         perm = rng.permutation(12)
         relabeled = Network(adjacency(net)[np.ix_(perm, perm)])
-        d = hop_distances(net).d
-        d_rel = hop_distances(relabeled).d
+        d = hop_distances(net)
+        d_rel = hop_distances(relabeled)
         assert np.array_equal(d_rel, d[np.ix_(perm, perm)])
         g = mobility_matrix(net, 0.2)
         g_rel = mobility_matrix(relabeled, 0.2)

@@ -25,7 +25,7 @@ from epiprofiler.data_ingest import (
     filter_regions,
 )
 from epiprofiler.experiments import ExperimentConfig
-from epiprofiler.network import generate_erdos_renyi, hop_distances, mobility_edges
+from epiprofiler.network import generate_erdos_renyi, mobility_edges
 from epiprofiler.profiler import DecaySpec, LikelinessResult
 from epiprofiler.simulator import (
     Dataset,
@@ -183,7 +183,6 @@ def small_net():
 # name): a factory and its array fields.
 READ_ONLY_CASES = {
     "Network": (small_net, ("indptr", "indices")),
-    "DistanceMatrix": (lambda: hop_distances(small_net()), ("d",)),
     "Dataset": (lambda: Dataset(np.array([1.0, 0.0, 2.5]), ObservableKind.NEW_CASES), ("values",)),
     "Trajectory": (
         lambda: simulate(small_net(), EpidemicParams(0.4, 0.2, 0.1), InitialCondition(0, 5.0, 600.0), 2.0, seed=3),

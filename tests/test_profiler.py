@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +17,6 @@ from epiprofiler import profiler
 from epiprofiler.data_ingest import SARS_CASES_FILE, bundled_data_path, load_case_series
 from epiprofiler.network import (
     UNREACHABLE,
-    DistanceMatrix,
     Network,
     generate_erdos_renyi,
     hop_distances,
@@ -42,9 +43,11 @@ ALL_KINDS = [
 ]
 
 
-def path_distances(n):
-    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    return DistanceMatrix(d)
+def path_graph(n):
+    adj = np.zeros((n, n), dtype=int)
+    link = np.arange(n - 1)
+    adj[link, link + 1] = adj[link + 1, link] = 1
+    return Network(adj)
 
 
 def new_cases(values):
@@ -105,6 +108,13 @@ class TestDecayWeight:
         exact_21 = 2.0**21 / math.factorial(21)
         assert decay_weight(spec, 21) == pytest.approx(exact_21, rel=1e-12)
 
+    def test_power_weight_beyond_float_range_is_inf(self):
+        # 1e200**2 / 2 is beyond float range; 1e20**16 alone is too, but
+        # 1e320 / 16! is not, so that weight takes the log-gamma route.
+        assert decay_weight(DecaySpec(DecayKind.POWER, 1e200), 2) == math.inf
+        want = float(Fraction(10**320, math.factorial(16)))
+        assert decay_weight(DecaySpec(DecayKind.POWER, 1e20), 16) == pytest.approx(want, rel=1e-12)
+
     def test_power_large_distance_no_overflow(self):
         spec = DecaySpec(DecayKind.POWER, 2.0)
         w = decay_weight(spec, 500)
@@ -126,7 +136,7 @@ class TestDecayWeight:
 
 class TestLikelinessScores:
     def test_path_polynomial_hand_values(self):
-        result = likeliness_scores(path_distances(3), new_cases([0, 1, 0]), POLY_HALF)
+        result = likeliness_scores(path_graph(3), new_cases([0, 1, 0]), POLY_HALF)
         # candidate 1 profile norm is sqrt(2); ends tie below it
         assert result.scores[1] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
         assert result.scores[0] == pytest.approx(0.52223, abs=1e-5)
@@ -136,25 +146,25 @@ class TestLikelinessScores:
 
     def test_naive_reduces_to_normalized_data(self):
         values = np.array([0.0, 7.0, 0.0, 3.0])
-        dist = hop_distances(generate_erdos_renyi(4, 2.0, seed=2))
-        result = likeliness_scores(dist, new_cases(values), NAIVE)
+        net = generate_erdos_renyi(4, 2.0, seed=2)
+        result = likeliness_scores(net, new_cases(values), NAIVE)
         np.testing.assert_allclose(result.scores, values / np.linalg.norm(values), rtol=1e-12)
         assert result.ranking[0] == 1  # argmax of the data ranks first
 
     def test_degenerate_all_zero(self):
-        result = likeliness_scores(path_distances(4), new_cases([0, 0, 0, 0]), POLY_HALF)
+        result = likeliness_scores(path_graph(4), new_cases([0, 0, 0, 0]), POLY_HALF)
         assert result.degenerate
         assert np.all(result.scores == 0.0)
         assert result.ranking.tolist() == [0, 1, 2, 3]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="nodes"):
-            likeliness_scores(path_distances(3), new_cases([1, 2]), NAIVE)
+            likeliness_scores(path_graph(3), new_cases([1, 2]), NAIVE)
 
     def test_scores_within_unit_interval_for_nonnegative_data(self):
-        dist = hop_distances(generate_erdos_renyi(30, 2.0, seed=3))
+        net = generate_erdos_renyi(30, 2.0, seed=3)
         rng = np.random.default_rng(4)
-        result = likeliness_scores(dist, new_cases(rng.random(30)), POLY_HALF)
+        result = likeliness_scores(net, new_cases(rng.random(30)), POLY_HALF)
         assert np.all(result.scores >= 0.0)
         assert np.all(result.scores <= 1.0 + 1e-12)
 
@@ -164,31 +174,30 @@ class TestLikelinessScores:
         rng = np.random.default_rng((41, seed))
         n = int(rng.integers(2, 9))
         net = generate_erdos_renyi(n, min(float(n) - 1, 2.0), seed=(42, seed))
-        dist = hop_distances(net)
         values = rng.integers(0, 20, size=n).astype(float)
         if values.sum() == 0:
             values[0] = 1.0
-        result = likeliness_scores(dist, new_cases(values), spec)
-        np.testing.assert_allclose(result.scores, oracle_scores(dist, values, spec), atol=1e-12)
+        result = likeliness_scores(net, new_cases(values), spec)
+        np.testing.assert_allclose(result.scores, oracle_scores(hop_distances(net), values, spec), atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(exponent=st.integers(min_value=-120, max_value=120))
     def test_scale_invariance_exact_for_binary_scales(self, exponent):
         # powers of two rescale floats without rounding, so invariance is bitwise
-        dist = hop_distances(generate_erdos_renyi(12, 2.0, seed=6))
+        net = generate_erdos_renyi(12, 2.0, seed=6)
         values = np.arange(12, dtype=float)
-        base = likeliness_scores(dist, new_cases(values), POLY_HALF)
-        scaled = likeliness_scores(dist, new_cases(values * 2.0**exponent), POLY_HALF)
+        base = likeliness_scores(net, new_cases(values), POLY_HALF)
+        scaled = likeliness_scores(net, new_cases(values * 2.0**exponent), POLY_HALF)
         np.testing.assert_array_equal(base.scores, scaled.scores)
         np.testing.assert_array_equal(base.ranking, scaled.ranking)
 
     @settings(max_examples=30, deadline=None)
     @given(scale=st.floats(min_value=1e-6, max_value=1e6))
     def test_scale_invariance_up_to_input_rounding(self, scale):
-        dist = hop_distances(generate_erdos_renyi(12, 2.0, seed=6))
+        net = generate_erdos_renyi(12, 2.0, seed=6)
         values = np.arange(12, dtype=float)
-        base = likeliness_scores(dist, new_cases(values), POLY_HALF)
-        scaled = likeliness_scores(dist, new_cases(values * scale), POLY_HALF)
+        base = likeliness_scores(net, new_cases(values), POLY_HALF)
+        scaled = likeliness_scores(net, new_cases(values * scale), POLY_HALF)
         np.testing.assert_allclose(scaled.scores, base.scores, rtol=1e-12)
 
     @settings(max_examples=25, deadline=None)
@@ -199,19 +208,17 @@ class TestLikelinessScores:
         values = np.array([3.0, 0.0, 5.0, 1.0, 0.0, 2.0, 8.0, 0.0, 1.0])
         perm = np.array(data.draw(st.permutations(range(n))))
         for spec in ALL_KINDS:
-            base = likeliness_scores(hop_distances(net), new_cases(values), spec)
+            base = likeliness_scores(net, new_cases(values), spec)
             relabeled = Network(adjacency(net)[np.ix_(perm, perm)])
-            permuted = likeliness_scores(
-                hop_distances(relabeled), new_cases(values[perm]), spec
-            )
+            permuted = likeliness_scores(relabeled, new_cases(values[perm]), spec)
             np.testing.assert_allclose(permuted.scores, base.scores[perm], atol=1e-12)
 
     @pytest.mark.parametrize("kind,param", [(DecayKind.POLYNOMIAL, 50.0), (DecayKind.EXPONENTIAL, 50.0)])
     def test_large_parameter_converges_to_naive(self, kind, param):
-        dist = hop_distances(generate_erdos_renyi(15, 2.0, seed=9))
+        net = generate_erdos_renyi(15, 2.0, seed=9)
         values = np.array([0.0, 4, 1, 0, 2, 7, 0, 0, 3, 1, 0, 5, 2, 0, 1], dtype=float)
-        sharp = likeliness_scores(dist, new_cases(values), DecaySpec(kind, param))
-        naive = likeliness_scores(dist, new_cases(values), NAIVE)
+        sharp = likeliness_scores(net, new_cases(values), DecaySpec(kind, param))
+        naive = likeliness_scores(net, new_cases(values), NAIVE)
         assert np.max(np.abs(sharp.scores - naive.scores)) < 1e-6
 
     def test_interchangeable_nodes_tie(self):
@@ -219,8 +226,7 @@ class TestLikelinessScores:
         # Summation order differs per row, so ties hold to accumulation noise.
         adj = np.zeros((4, 4), dtype=int)
         adj[0, 1:] = adj[1:, 0] = 1
-        dist = hop_distances(Network(adj))
-        result = likeliness_scores(dist, new_cases([5.0, 1.0, 1.0, 1.0]), POLY_HALF)
+        result = likeliness_scores(Network(adj), new_cases([5.0, 1.0, 1.0, 1.0]), POLY_HALF)
         assert result.scores[1] == pytest.approx(result.scores[2], abs=1e-13)
         assert result.scores[1] == pytest.approx(result.scores[3], abs=1e-13)
         # and the tied leaves occupy adjacent ranking positions
@@ -231,8 +237,7 @@ class TestLikelinessScores:
         # node 3 isolated: its profile is the unit vector at itself
         adj = np.zeros((4, 4), dtype=int)
         adj[0, 1] = adj[1, 0] = adj[1, 2] = adj[2, 1] = 1
-        dist = hop_distances(Network(adj))
-        result = likeliness_scores(dist, new_cases([4.0, 2.0, 1.0, 0.0]), POLY_HALF)
+        result = likeliness_scores(Network(adj), new_cases([4.0, 2.0, 1.0, 0.0]), POLY_HALF)
         assert result.scores[3] == 0.0
 
 
@@ -244,79 +249,93 @@ class TestDecayProfile:
         # n=300 spans two row blocks. Against the unit vector at node m,
         # candidate i scores w_im / |w_i| exactly, so the scores carry the
         # row norms.
-        dist = hop_distances(generate_erdos_renyi(300, 2.0, seed=17))
+        net = generate_erdos_renyi(300, 2.0, seed=17)
         for spec in ALL_KINDS:
-            scores, _ = score_batch(dist, spec, np.eye(dist.n))
-            weights = decay_weights(spec, dist.d)
+            scores, _ = score_batch(net, spec, np.eye(net.n))
+            weights = decay_weights(spec, hop_distances(net))
             want = weights / np.linalg.norm(weights, axis=1)[:, None]
             assert np.array_equal(scores, want.T)
 
     def test_one_profile_scores_many_vectors(self):
-        dist = hop_distances(generate_erdos_renyi(40, 2.0, seed=18))
+        net = generate_erdos_renyi(40, 2.0, seed=18)
         rng = np.random.default_rng(19)
         values = rng.random((5, 40))
         values[2] = 0.0
-        scores, degenerate = score_batch(dist, POLY_HALF, values)
+        scores, degenerate = score_batch(net, POLY_HALF, values)
         assert degenerate.tolist() == [False, False, True, False, False]
         for row, vector in enumerate(values):
-            want = likeliness_scores(dist, new_cases(vector), POLY_HALF)
+            want = likeliness_scores(net, new_cases(vector), POLY_HALF)
             assert np.array_equal(scores[row], want.scores)
             assert want.degenerate == degenerate[row]
             assert np.array_equal(want.ranking, LikelinessResult(scores[row]).ranking)
 
-    def test_distances_below_unreachable_weigh_zero(self):
-        d = np.array([[0, -5], [-1, 0]])
-        scores, _ = score_batch(DistanceMatrix(d), POLY_HALF, np.array([[1.0, 2.0]]))
-        want = (decay_weights(POLY_HALF, d) @ [1.0, 2.0]) / math.sqrt(5.0)
-        assert np.array_equal(scores[0], want)
+    def test_a_divisor_beyond_float_range_is_refused(self):
+        # Power 400 on a 500-node path weighs some hop of every candidate
+        # above 1e154, so every profile norm overflows; an observation of
+        # 1e200 overflows its own norm. Each would score every candidate 0.
+        net = path_graph(500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"power decay parameter 400\.0 "):
+                likeliness_scores(net, new_cases(np.ones(500)), DecaySpec(DecayKind.POWER, 400.0))
+            with pytest.raises(ValueError, match="observation 1 "):
+                score_batch(net, POLY_HALF, np.stack([np.ones(500), np.full(500, 1e200)]))
+
+    def test_all_zero_rows_are_not_refused(self):
+        # A degenerate row divides nothing, so an overflowing profile norm
+        # does not matter to it.
+        scores, degenerate = score_batch(path_graph(3), DecaySpec(DecayKind.POWER, 1e200), np.zeros((2, 3)))
+        assert degenerate.tolist() == [True, True]
+        assert not scores.any()
 
     def test_rejects_a_stack_of_the_wrong_width(self):
-        dist = path_distances(3)
+        net = path_graph(3)
         for values in (np.ones((2, 4)), np.ones(3)):
             with pytest.raises(ValueError, match="network has 3 nodes"):
-                score_batch(dist, POLY_HALF, values)
+                score_batch(net, POLY_HALF, values)
 
     @pytest.mark.parametrize("spec", ALL_KINDS)
     def test_scores_do_not_depend_on_block_size(self, spec, monkeypatch):
         # n=1031 spans 344 row blocks of 3 rows at the default block size.
         n = 1031
-        dist = hop_distances(generate_erdos_renyi(n, 2.0, seed=21))
+        net = generate_erdos_renyi(n, 2.0, seed=21)
         values = np.random.default_rng(22).random((3, n))
-        want, _ = score_batch(dist, spec, values)
+        want, _ = score_batch(net, spec, values)
         for rows in (1, 8, n):
             monkeypatch.setattr(profiler, "_ROW_BLOCK_ELEMENTS", rows * n)
-            got, _ = score_batch(dist, spec, values)
+            got, _ = score_batch(net, spec, values)
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("spec", ALL_KINDS)
     def test_scores_do_not_depend_on_batch_size(self, spec):
         n = 300
-        dist = hop_distances(generate_erdos_renyi(n, 2.0, seed=23))
+        net = generate_erdos_renyi(n, 2.0, seed=23)
         values = np.random.default_rng(24).random((9, n))
-        stacked, _ = score_batch(dist, spec, values)
+        stacked, _ = score_batch(net, spec, values)
         for lo, hi in ((0, 1), (1, 4), (4, 9)):
-            part, _ = score_batch(dist, spec, values[lo:hi])
+            part, _ = score_batch(net, spec, values[lo:hi])
             assert np.array_equal(part, stacked[lo:hi])
         for row, vector in enumerate(values):
-            assert np.array_equal(likeliness_scores(dist, new_cases(vector), spec).scores, stacked[row])
+            assert np.array_equal(likeliness_scores(net, new_cases(vector), spec).scores, stacked[row])
 
     def test_blocks_in_any_order_score_every_spec_as_score_batch_does(self):
         # Blocks of uneven size in shuffled order, so that a later block
         # reaches farther than every block before it and each spec's table
         # grows mid-stream.
         n = 150
-        dist = hop_distances(generate_erdos_renyi(n, 1.5, seed=31))
+        net = generate_erdos_renyi(n, 1.5, seed=31)
+        d = hop_distances(net)
         values = np.random.default_rng(32).random((3, n))
         values[1] = 0.0
         bounds = [0, 1, 7, 40, 41, 97, n]
-        blocks = [(lo, dist.d[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        blocks = [(lo, d[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
         blocks = [blocks[k] for k in np.random.default_rng(33).permutation(len(blocks))]
         reach = [int(rows.max()) for _, rows in blocks]
         assert any(reach[k] > max(reach[:k]) for k in range(1, len(reach)))
         scores, degenerate = score_blocks(iter(blocks), n, ALL_KINDS, values)
         assert scores.shape == (len(ALL_KINDS), 3, n)
         for spec, got in zip(ALL_KINDS, scores):
-            want, want_degenerate = score_batch(dist, spec, values)
+            want, want_degenerate = score_batch(net, spec, values)
             assert np.array_equal(got, want)
             assert np.array_equal(degenerate, want_degenerate)
 
@@ -335,28 +354,28 @@ class TestDecayProfile:
         # Bit r of zero_rows zeroes row r of the stack, so degenerate rows
         # fall anywhere in and across the row blocks.
         rng = np.random.default_rng(seed)
-        dist = hop_distances(generate_erdos_renyi(n, min(1.5, n - 1.0), seed=seed))
+        d = hop_distances(generate_erdos_renyi(n, min(1.5, n - 1.0), seed=seed))
         values = rng.random((m, n)) * 10.0 ** scale
         values[[bool(zero_rows >> r & 1) for r in range(m)]] = 0.0
         with mock.patch.object(profiler, "_ROW_BLOCK_ELEMENTS", row_elements):
-            scores, degenerate = score_blocks([(0, dist.d)], n, ALL_KINDS, values)
+            scores, degenerate = score_blocks([(0, d)], n, ALL_KINDS, values)
         for spec, got in zip(ALL_KINDS, scores):
-            want, want_degenerate = whole_matrix_scores(dist, spec, values)
+            want, want_degenerate = whole_matrix_scores(d, spec, values)
             assert np.array_equal(got, want)
             assert np.array_equal(degenerate, want_degenerate)
 
     def test_scores_do_not_depend_on_blas_threads(self):
         script = (
             "import hashlib, numpy as np\n"
-            "from epiprofiler.network import generate_erdos_renyi, hop_distances\n"
+            "from epiprofiler.network import generate_erdos_renyi\n"
             "from epiprofiler.profiler import Dataset, DecayKind, DecaySpec, likeliness_scores, score_batch\n"
-            "dist = hop_distances(generate_erdos_renyi(700, 2.0, seed=25))\n"
+            "net = generate_erdos_renyi(700, 2.0, seed=25)\n"
             "values = np.random.default_rng(26).random((4, 700))\n"
             "h = hashlib.sha256()\n"
             "for spec in (DecaySpec(DecayKind.NAIVE), DecaySpec(DecayKind.POWER, 2.0),\n"
             "             DecaySpec(DecayKind.POLYNOMIAL, 0.5), DecaySpec(DecayKind.EXPONENTIAL, 0.05)):\n"
-            "    h.update(score_batch(dist, spec, values)[0].tobytes())\n"
-            "    h.update(likeliness_scores(dist, Dataset(values[0], 'new_cases'), spec).scores.tobytes())\n"
+            "    h.update(score_batch(net, spec, values)[0].tobytes())\n"
+            "    h.update(likeliness_scores(net, Dataset(values[0], 'new_cases'), spec).scores.tobytes())\n"
             "print(h.hexdigest())\n"
         )
         src = str(Path(profiler.__file__).resolve().parents[1])
@@ -375,15 +394,15 @@ class TestDecayProfile:
         # tracemalloc sees numpy's allocations; one N x N float64 array is
         # 8 N^2 bytes, so scoring must gather weights by row block.
         n = 600
-        dist = hop_distances(generate_erdos_renyi(n, 2.0, seed=27))
+        net = generate_erdos_renyi(n, 2.0, seed=27)
         values = np.random.default_rng(28).random((4, n))
-        score_batch(dist, POLY_HALF, values)  # first-call imports
+        score_batch(net, POLY_HALF, values)  # first-call imports
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for vector in values:
-                likeliness_scores(dist, new_cases(vector), POLY_HALF)
-            score_batch(dist, POLY_HALF, values)
+                likeliness_scores(net, new_cases(vector), POLY_HALF)
+            score_batch(net, POLY_HALF, values)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -425,7 +444,6 @@ class TestHitScore:
 
 ARRAY_DATACLASSES = {
     "Network": lambda: generate_erdos_renyi(5, 2.0, seed=1),
-    "DistanceMatrix": lambda: hop_distances(generate_erdos_renyi(5, 2.0, seed=1)),
     "LikelinessResult": lambda: LikelinessResult(np.array([0.3, 0.1, 0.3])),
     "Dataset": lambda: new_cases([1.0, 2.0, 0.0]),
     "Trajectory": lambda: simulate(
@@ -458,7 +476,7 @@ class TestRankingExport:
     def test_csv_ranks_descending(self, tmp_path):
         from epiprofiler.profiler import write_ranking_csv
 
-        result = likeliness_scores(path_distances(3), new_cases([0, 1, 0]), POLY_HALF)
+        result = likeliness_scores(path_graph(3), new_cases([0, 1, 0]), POLY_HALF)
         path = tmp_path / "ranking.csv"
         write_ranking_csv(result, ["a", "b", "c"], path)
         lines = path.read_text().splitlines()
@@ -471,7 +489,7 @@ class TestRankingOrder:
     def test_ranking_descending_with_index_tie_break(self):
         scores = np.array([0.5, 0.8, 0.5, 0.9])
         result = likeliness_scores(
-            path_distances(4), new_cases([1.0, 1.0, 1.0, 1.0]), NAIVE
+            path_graph(4), new_cases([1.0, 1.0, 1.0, 1.0]), NAIVE
         )
         # equal data entries: naive scores all equal, ranking is identity
         assert result.ranking.tolist() == [0, 1, 2, 3]
