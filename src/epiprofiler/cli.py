@@ -1,8 +1,10 @@
 """Batch command-line front end.
 
-Exit codes: 0 success, 2 usage or config error, 1 runtime failure. Every
-subcommand but `rerun` writes a run manifest next to its primary output that
-records each parsed flag as the command normalised it; `rerun` replays a
+Exit codes: 0 success, 2 bad input, 1 runtime failure. ``main`` is the one
+place an exception becomes an exit code: a ``ValueError`` raised anywhere
+under a subcommand is bad input, and any other exception a runtime failure.
+Every subcommand but `rerun` writes a run manifest next to its primary output
+that records each parsed flag as the command normalised it; `rerun` replays a
 manifest and reproduces the output byte for byte. All randomness flows from
 explicit seed flags or config fields. A subcommand imports `simulator`,
 `experiments` or `data_ingest` only when it runs them, so the other
@@ -32,10 +34,6 @@ from .network import (
 from .profiler import Dataset, DecayKind, DecaySpec, ObservableKind, likeliness_scores, write_ranking_csv
 
 
-class UsageError(Exception):
-    """Bad flags, bad config, or unusable input files (exit code 2)."""
-
-
 def _manifest_path(out) -> Path:
     return Path(str(out) + ".manifest.json")
 
@@ -60,9 +58,9 @@ def _write_manifest(args, outputs: list[str]) -> None:
 def _resolve_input(path_text: str) -> str:
     path = Path(path_text)
     if not path.exists():
-        raise UsageError(f"input file not found: {path}")
+        raise ValueError(f"input file not found: {path}")
     if not path.is_file():
-        raise UsageError(f"input is not a regular file: {path}")
+        raise ValueError(f"input is not a regular file: {path}")
     return str(path.resolve())
 
 
@@ -73,9 +71,9 @@ def _check_output(out) -> None:
         return
     path = Path(out)
     if not path.parent.is_dir():
-        raise UsageError(f"output directory does not exist: {path.parent}")
+        raise ValueError(f"output directory does not exist: {path.parent}")
     if path.is_dir():
-        raise UsageError(f"output path is a directory: {path}")
+        raise ValueError(f"output path is a directory: {path}")
 
 
 def _report_progress(done: int, total: int) -> None:
@@ -83,10 +81,7 @@ def _report_progress(done: int, total: int) -> None:
 
 
 def cmd_gen_net(args) -> int:
-    try:
-        net = generate_erdos_renyi(args.nodes, args.mean_degree, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    net = generate_erdos_renyi(args.nodes, args.mean_degree, seed=args.seed)
     save_adjacency(net, args.out)
     _write_manifest(args, [args.out])
     return 0
@@ -95,23 +90,19 @@ def cmd_gen_net(args) -> int:
 def cmd_simulate(args) -> int:
     # Imported here, as in cmd_evaluate, cmd_sweep and cmd_rank_timeline, so
     # that only the subcommands that run a module load it.
-    from .simulator import EpidemicParams, InitialCondition, _check_run, simulate, write_trajectory_csv
+    from .simulator import EpidemicParams, InitialCondition, simulate, write_trajectory_csv
 
-    try:
-        args.net = _resolve_input(args.net)
-        net = load_adjacency(args.net)
-        params = EpidemicParams(args.alpha, args.beta, args.gamma)
-        if args.source == "random":
-            source = int(np.random.default_rng((args.seed, 0)).integers(net.n))
-        elif args.source.lstrip("-").isdigit():
-            source = int(args.source)
-        else:
-            raise ValueError(f"--source must be a node index or 'random', got {args.source!r}")
-        args.source = str(source)
-        init = InitialCondition(source, args.index_cases, args.population)
-        _check_run(net.n, init, args.t_end, args.sim_dt, args.report_dt)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    args.net = _resolve_input(args.net)
+    net = load_adjacency(args.net)
+    params = EpidemicParams(args.alpha, args.beta, args.gamma)
+    if args.source == "random":
+        source = int(np.random.default_rng((args.seed, 0)).integers(net.n))
+    elif args.source.lstrip("-").isdigit():
+        source = int(args.source)
+    else:
+        raise ValueError(f"--source must be a node index or 'random', got {args.source!r}")
+    args.source = str(source)
+    init = InitialCondition(source, args.index_cases, args.population)
     traj = simulate(
         net,
         params,
@@ -153,14 +144,10 @@ def _load_dataset_csv(path, net: Network) -> Dataset:
 
 
 def cmd_profile(args) -> int:
-    try:
-        args.net, args.data = _resolve_input(args.net), _resolve_input(args.data)
-        net = load_adjacency(args.net)
-        data = _load_dataset_csv(args.data, net)
-        spec = DecaySpec(args.decay, args.param)
-        result = likeliness_scores(net, data, spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    args.net, args.data = _resolve_input(args.net), _resolve_input(args.data)
+    net = load_adjacency(args.net)
+    data = _load_dataset_csv(args.data, net)
+    result = likeliness_scores(net, data, DecaySpec(args.decay, args.param))
     write_ranking_csv(result, net.labels, args.out)
     _write_manifest(args, [args.out])
     if result.degenerate:
@@ -179,14 +166,11 @@ def cmd_evaluate(args) -> int:
         write_hit_curves_csv,
     )
 
-    try:
-        args.config = _resolve_input(args.config)
-        exp_file = load_experiment_file(args.config)
-        cfg = exp_file.config
-        if args.seed is not None:
-            cfg = replace(cfg, master_seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    args.config = _resolve_input(args.config)
+    exp_file = load_experiment_file(args.config)
+    cfg = exp_file.config
+    if args.seed is not None:
+        cfg = replace(cfg, master_seed=args.seed)
     if exp_file.experiment == "hit":
         curve = run_hit_experiment(cfg, workers=args.workers, progress=_report_progress)
         write_hit_curves_csv(args.out, hit_curve_rows("hit", curve))
@@ -207,13 +191,10 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     from .experiments import load_experiment_file, sweep_decay_parameter, write_sweep_csv
 
-    try:
-        args.config = _resolve_input(args.config)
-        exp_file = load_experiment_file(args.config)
-        if exp_file.sweep_kind is None:
-            raise UsageError(f"{args.config}: config has no 'sweep' block")
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    args.config = _resolve_input(args.config)
+    exp_file = load_experiment_file(args.config)
+    if exp_file.sweep_kind is None:
+        raise ValueError(f"{args.config}: config has no 'sweep' block")
     result = sweep_decay_parameter(
         exp_file.config,
         exp_file.sweep_kind,
@@ -230,24 +211,18 @@ def cmd_sweep(args) -> int:
 def cmd_rank_timeline(args) -> int:
     from .data_ingest import daily_deltas, filter_regions, load_case_series, rank_timeline, write_timeline_csv
 
-    try:
-        args.net, args.cases = _resolve_input(args.net), _resolve_input(args.cases)
-        net = load_adjacency(args.net)
-        series = load_case_series(args.cases)
-        series = filter_regions(series, min_cases=args.min_cases, window_days=args.window_days)
-        if args.param is None and args.decay == DecayKind.POLYNOMIAL.value:
-            args.param = 0.5
-        spec = DecaySpec(args.decay, args.param)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    args.net, args.cases = _resolve_input(args.net), _resolve_input(args.cases)
+    net = load_adjacency(args.net)
+    series = load_case_series(args.cases)
+    series = filter_regions(series, min_cases=args.min_cases, window_days=args.window_days)
+    if args.param is None and args.decay == DecayKind.POLYNOMIAL.value:
+        args.param = 0.5
+    spec = DecaySpec(args.decay, args.param)
     try:
         datasets = daily_deltas(series, labels=net.labels)
     except ValueError as exc:
-        raise UsageError(f"{args.cases}: {exc}") from exc
-    try:
-        timeline = rank_timeline(net, datasets, spec, dates=series.dates[:-1])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(f"{args.cases}: {exc}") from exc
+    timeline = rank_timeline(net, datasets, spec, dates=series.dates[:-1])
     write_timeline_csv(timeline, args.out)
     _write_manifest(args, [args.out])
     return 0
@@ -266,7 +241,7 @@ def _argv_from_arguments(subcommand: str, arguments: dict, where: str) -> list[s
         flag = "--" + key.replace("_", "-")
         if isinstance(value, bool):
             if key not in switches:
-                raise UsageError(f"{where}: argument {key!r} takes a value, got {json.dumps(value)}")
+                raise ValueError(f"{where}: argument {key!r} takes a value, got {json.dumps(value)}")
             if value:
                 argv.append(flag)
         elif value is not None:
@@ -279,18 +254,18 @@ def cmd_rerun(args) -> int:
         with _open_text(args.manifest) as fh:
             manifest = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read manifest {args.manifest}: {exc}") from exc
+        raise ValueError(f"cannot read manifest {args.manifest}: {exc}") from exc
     if not isinstance(manifest, dict):
-        raise UsageError(f"{args.manifest}: manifest must be a JSON object")
+        raise ValueError(f"{args.manifest}: manifest must be a JSON object")
     subcommand = manifest.get("subcommand")
     if subcommand not in MANIFEST_SUBCOMMANDS:
-        raise UsageError(
+        raise ValueError(
             f"{args.manifest}: 'subcommand' must be one of {', '.join(MANIFEST_SUBCOMMANDS)}, "
             f"got {subcommand!r}"
         )
     arguments = manifest.get("arguments")
     if not isinstance(arguments, dict):
-        raise UsageError(f"{args.manifest}: 'arguments' must be a JSON object")
+        raise ValueError(f"{args.manifest}: 'arguments' must be a JSON object")
     if args.out is not None:
         arguments["out"] = str(args.out)
     return main([subcommand] + _argv_from_arguments(subcommand, arguments, args.manifest))
@@ -380,11 +355,11 @@ def main(argv=None) -> int:
     try:
         _check_output(getattr(args, "out", None))
         if (getattr(args, "seed", None) or 0) < 0:
-            raise UsageError(f"--seed must be non-negative, got {args.seed}")
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         if getattr(args, "workers", 1) < 1:
-            raise UsageError(f"--workers must be >= 1, got {args.workers}")
+            raise ValueError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:  # bad input, wherever in the run it is found
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures

@@ -1,5 +1,6 @@
 import argparse
 import gc
+import importlib
 import json
 import logging
 import math
@@ -364,6 +365,21 @@ class TestEvaluateAndSweep:
         for kind in ("infectious", "cumulative_cases", "infectious_change", "new_cases"):
             assert f"observables[{kind}]" in text
 
+    @pytest.mark.parametrize("replicates,workers", [(1, "1"), (2, "2")], ids=["serial", "pool"])
+    @pytest.mark.parametrize("subcommand", ["evaluate", "sweep"])
+    def test_decay_refused_mid_run_exits_2_naming_it(self, tmp_path, capsys, subcommand,
+                                                      replicates, workers):
+        # Whether a profile norm overflows depends on each drawn network's
+        # diameter, so the refusal comes from inside a replicate, and with two
+        # workers it crosses the process pool.
+        cfg = small_config(tmp_path, nodes=6, replicates=replicates,
+                           decays=[{"kind": "power", "param": 1e200}],
+                           sweep={"kind": "power", "grid": [1e200]})
+        out = tmp_path / "x.csv"
+        assert run(subcommand, "--config", str(cfg), "--workers", workers, "--out", str(out)) == 2
+        assert "power decay parameter 1e+200" in error_line(capsys)
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_sweep_requires_block(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
         assert run("sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")) == 2
@@ -675,6 +691,30 @@ class TestTopLevel:
 
     def test_unknown_subcommand_exits_2(self):
         assert run("frobnicate") == 2
+
+    @pytest.mark.parametrize("module,name", [("data_ingest", "rank_timeline"), ("experiments", "simulate")])
+    @pytest.mark.parametrize("exc,code,err", [
+        (ValueError("x"), 2, "error: x\n"),
+        (RuntimeError("y"), 1, "runtime failure: y\n"),
+    ], ids=["value_error", "runtime_error"])
+    def test_exception_mid_run_sets_exit_code_by_type(self, tmp_path, monkeypatch, capsys,
+                                                      module, name, exc, code, err):
+        # main alone turns an exception into an exit code: a ValueError raised
+        # anywhere in a run is bad input, and any other exception is a runtime
+        # failure, whichever library call raises it.
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(importlib.import_module(f"epiprofiler.{module}"), name, fail)
+        out = tmp_path / "o.csv"
+        if module == "data_ingest":
+            argv = ["rank-timeline", "--net", str(bundled_data_path(SARS_ADJACENCY_FILE)),
+                    "--cases", str(bundled_data_path(SARS_CASES_FILE))]
+        else:
+            argv = ["evaluate", "--config", str(small_config(tmp_path))]
+        assert run(*argv, "--out", str(out)) == code
+        assert capsys.readouterr().err == err
+        assert not out.exists()
 
     def test_unwritable_output_is_runtime_failure(self, tmp_path, path3_csv, capsys):
         # A write that fails while the run writes (here a full device) is a

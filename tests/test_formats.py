@@ -165,6 +165,33 @@ def test_trajectory_csv_and_sidecar():
     ).encode()
 
 
+def test_trajectory_csv_of_integer_arrays_writes_floats():
+    # Trajectory keeps its arrays as given, so the writer must format an int
+    # or bool report as a float (1.0, not 1 or True).
+    traj = Trajectory(
+        reports=dict.fromkeys(SERIES, (0,)),
+        susceptible=np.array([[99, 100]]),
+        infectious=np.array([[1, 0]]),
+        removed=np.array([[False, True]]),
+        cases=np.array([[True, False]]),
+        network=Network(np.array([[0, 1], [1, 0]]), labels=["a", "b"]),
+        params=EpidemicParams(0.4, 0.2, 0.1),
+        init=InitialCondition(0, 1.0, 200.0),
+        seed=(5, 1),
+        sim_dt=1,
+        report_dt=1,
+        noise=False,
+        last_report=0,
+        checksum="0" * 64,
+    )
+    write_trajectory_csv(traj, "traj.csv")
+    assert Path("traj.csv").read_bytes() == csv_bytes(
+        "time,node_label,S,I,R,J",
+        "0.0,a,99.0,1.0,0.0,1.0",
+        "0.0,b,100.0,0.0,1.0,0.0",
+    )
+
+
 def test_manifest_write_leaves_no_garbage():
     # json's indenting encoder leaves its closures in reference cycles; a
     # manifest write must leave nothing for the cycle collector.

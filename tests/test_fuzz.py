@@ -140,7 +140,7 @@ def bounded_simulate():
     simulate = simulator.simulate
 
     def bounded(net, params, init, t_end, *, sim_dt, **kwargs):
-        if net.n * t_end / sim_dt > RUN_BUDGET:
+        if sim_dt > 0 and net.n * t_end / sim_dt > RUN_BUDGET:
             raise _TooCostly
         return simulate(net, params, init, t_end, sim_dt=sim_dt, **kwargs)
 

@@ -94,7 +94,8 @@ def test_wrong_header_names_its_line(tmp_path, parser):
     ("a,b\na,0\nb,1,0\n", 2, "expected 'a' and 2 cells, got 'a' and 1"),
     ("a,b\na,0,1\nc,1,0\n", 3, "expected 'b' and 2 cells, got 'c' and 2"),
     ("a,b\n\na,0,1\nb,1,2\n", 4, "cell (b, b) = '2' is not 0 or 1"),
-], ids=["short-row", "wrong-label", "bad-cell"])
+    ("a,b,c\na,0,1,0\nb,1,x,\nc,0,y,0\n", 3, "cell (b, b) = 'x' is not 0 or 1"),
+], ids=["short-row", "wrong-label", "bad-cell", "first-bad-cell"])
 def test_adjacency_row_error_names_its_line(tmp_path, text, line, problem):
     path = write(tmp_path, text)
     with pytest.raises(ValueError) as info:

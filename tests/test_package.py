@@ -175,6 +175,40 @@ class TestPublicNames:
         assert unused == []
 
 
+class TestExitCodeRule:
+    def test_only_main_turns_an_exception_into_an_exit_code(self):
+        # cli.main maps any ValueError to exit 2 and any other exception to
+        # exit 1. A handler elsewhere in cli.py that returns an exit code, or
+        # that re-raises a caught ValueError as another type, would fork that
+        # rule. Each handler belongs to its innermost function: ast.walk goes
+        # breadth first, so an inner function is reached after its outer one.
+        tree = ast.parse((Path(epiprofiler.__file__).parent / "cli.py").read_text())
+        owner = {node: "<module>" for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)}
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                owner.update((node, func.name) for node in ast.walk(func) if node in owner)
+        forks = []
+        for handler, name in owner.items():
+            where = f"{name}, line {handler.lineno}"
+            types = ast.walk(handler.type) if handler.type else [ast.Name("BaseException")]
+            caught = {n.id for n in types if isinstance(n, ast.Name)}
+            catches_value_error = bool(caught & {"ValueError", "Exception", "BaseException"})
+            for node in ast.walk(handler):
+                value = getattr(node, "value", None)
+                returns_int = isinstance(node, ast.Return) and (
+                    isinstance(value, ast.Constant) and type(value.value) is int
+                    or isinstance(value, ast.Call) and getattr(value.func, "id", None) == "int"
+                )
+                if returns_int and name != "main":
+                    forks.append(f"{where}: returns an exit code")
+                if isinstance(node, ast.Raise) and node.exc is not None and catches_value_error:
+                    raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if getattr(raised, "id", None) != "ValueError":
+                        forks.append(f"{where}: re-raises a ValueError as {ast.unparse(raised)}")
+        assert forks == []
+        assert "main" in owner.values()
+
+
 def small_net():
     return generate_erdos_renyi(6, 2.0, seed=1)
 
