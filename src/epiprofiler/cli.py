@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-net", help="generate a random transport network CSV")
     p.add_argument("--nodes", type=int, required=True, help="node count (>= 2)")
-    p.add_argument("--mean-degree", type=float, required=True, help="expected degree, in (0, nodes)")
+    p.add_argument("--mean-degree", type=float, required=True, help="expected degree, in (0, nodes - 1]")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--out", required=True, help="output adjacency CSV path")
     p.set_defaults(func=cmd_gen_net)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import partial
@@ -253,8 +254,10 @@ def _run_replicates(
     checksums = []
     hits = np.empty((cfg.replicates, len(kinds), len(cfg.decays), times))
     correlations = np.empty((cfg.replicates, times))
-    # A pool starts all its workers at once, so it is never larger than the work.
-    workers = min(workers, cfg.replicates)
+    # A pool starts all its workers at once, so it is never larger than the
+    # work or the CPUs this process may run on.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, cfg.replicates, cpus)
     with ExitStack() as stack:
         mapper = map
         if workers > 1:

@@ -217,9 +217,14 @@ def _validated_csr(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"but adjacency[{j}][{i}]={adj[j, i] != 0:d}"
         )
     rows, indices = np.nonzero(adj)
-    indptr = np.zeros(adj.shape[0] + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=adj.shape[0]), out=indptr[1:])
-    return indptr, indices
+    return _indptr(rows, len(adj)), indices
+
+
+def _indptr(rows, n):
+    """CSR ``indptr`` on ``n`` nodes for entries of nodes ``rows``."""
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
 
 
 def _distance_dtype(n: int) -> np.dtype:
@@ -229,11 +234,11 @@ def _distance_dtype(n: int) -> np.dtype:
 
 
 def _check_graph(n, mean_degree) -> tuple[int, float]:
-    """A random network's node count (at least 2) and mean degree (in (0, n))."""
+    """A random network's node count (at least 2) and mean degree (in (0, n - 1])."""
     n = _number(n, "nodes", 2, integer=True)
     mean_degree = _number(mean_degree, "mean_degree", 0, strict=True)
-    if mean_degree >= n:
-        raise ValueError(f"mean_degree must lie in (0, {n}), got {mean_degree!r}")
+    if mean_degree > n - 1:
+        raise ValueError(f"mean_degree must lie in (0, {n - 1}], got {mean_degree!r}")
     return n, mean_degree
 
 
@@ -244,19 +249,19 @@ def generate_erdos_renyi(n: int, mean_degree: float, seed) -> Network:
     deterministic for a fixed seed. Disconnected results are kept as-is.
     """
     n, mean_degree = _check_graph(n, mean_degree)
-    p = mean_degree / (n - 1)
     rng = np.random.default_rng(seed)
-    # Pairs (i, j > i) in row-major order, one row of uniforms at a time:
-    # the same stream as one draw over the whole upper triangle, without
-    # its n^2/2-sized index and uniform arrays or any N x N matrix.
-    upper = [np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1) for i in range(n - 1)]
-    src = np.repeat(np.arange(n - 1), [links.size for links in upper])
-    dst = np.concatenate(upper)
+    # Pair k in row-major order is (i, j > i), i the first row with ends[i] > k.
+    # Uniforms come 2^14 at a time: the same stream as one draw over all pairs.
+    ends = np.cumsum(np.arange(n - 1, 0, -1))
+    links = np.concatenate([
+        np.flatnonzero(rng.random(min(16384, ends[-1] - k)) < mean_degree / (n - 1)) + k
+        for k in range(0, ends[-1], 16384)
+    ])
+    src = np.searchsorted(ends, links, "right")
+    dst = links - ends[src] + n
     # Each link in both directions, sorted by node, then by neighbour.
     rows, cols = np.concatenate([src, dst]), np.concatenate([dst, src])
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return Network._from_csr(indptr, cols[np.lexsort((cols, rows))])
+    return Network._from_csr(_indptr(rows, n), cols[np.lexsort((cols, rows))])
 
 
 # Sources x nodes covered by one BFS block, which bounds the (source, node)

@@ -266,6 +266,10 @@ def simulate(
 
     rng = np.random.default_rng(seed_tuple) if noise else None
     alpha_dt, beta_dt = params.alpha * sim_dt, params.beta * sim_dt
+    # The step's work arrays, allocated once per run: the mass moved along
+    # each edge of each compartment, and its noise amplitude.
+    moved, amp = np.empty(3 * ne), np.empty((3, ne))
+    moved3 = moved.reshape(3, ne)
 
     step = 0
     # Report 0 is the initial state, reached after no steps.
@@ -282,7 +286,10 @@ def simulate(
                 infect = alpha_dt * frac
                 remove = beta_dt * inf
                 grow = alpha_dt * inf
-                moved = rate3_dt * x[src3]
+                # The indices are valid, so "clip" only skips the copy of out
+                # that take's default mode gathers into first.
+                np.take(x, src3, out=moved, mode="clip")
+                moved *= rate3_dt
 
                 if noise:
                     # Channel layout: infection, removal, then per compartment
@@ -290,9 +297,13 @@ def simulate(
                     z = rng.standard_normal(2 * n + 6 * ne)
                     z_force = z[:n]
                     z_mig = z[2 * n :].reshape(3, 2, ne)
-                    amp = np.sqrt(moved).reshape(3, ne)
-                    out_noise = np.bincount(src3, weights=(amp * z_mig[:, 1]).ravel(), minlength=3 * n)
-                    moved = moved + (amp * z_mig[:, 0]).ravel()
+                    np.sqrt(moved3, out=amp)
+                    # The inflow noise goes into its own normals' slots, and
+                    # amp then holds the outflow noise.
+                    z_mig[:, 0] *= amp
+                    amp *= z_mig[:, 1]
+                    out_noise = np.bincount(src3, weights=amp.ravel(), minlength=3 * n)
+                    moved3 += z_mig[:, 0]
                     grow = grow + np.sqrt(grow) * z_force
                     infect = infect + np.sqrt(infect) * z_force
                     remove = remove + np.sqrt(remove) * z[n : 2 * n]
@@ -303,8 +314,11 @@ def simulate(
                 d[:n] -= infect
                 d[n : 2 * n] += infect - remove
                 d[2 * n :] += remove
-                x = np.maximum(x + d, 0.0)
-                cases = cases + np.maximum(grow, 0.0)
+                # In place: each report copies the rows it keeps and hashes x
+                # before the next step, so no view of x outlives a step.
+                x += d
+                np.maximum(x, 0.0, out=x)
+                cases += np.maximum(grow, 0.0)
                 step += 1
 
         # Non-finite values persist once they appear, so checking at report

@@ -10,7 +10,7 @@ from itertools import permutations
 
 import numpy as np
 
-from epiprofiler.network import UNREACHABLE, mobility_edges
+from epiprofiler.network import UNREACHABLE, Network, mobility_edges
 from epiprofiler.profiler import DecayKind, _weight_table
 from epiprofiler.simulator import ZeroVarianceError
 
@@ -20,6 +20,22 @@ def adjacency(net):
     adj = np.zeros((net.n, net.n), dtype=bool)
     adj[np.repeat(np.arange(net.n), net.degrees()), net.indices] = True
     return adj
+
+
+def erdos_renyi_by_rows(n, mean_degree, seed):
+    """``generate_erdos_renyi`` drawn one row of the upper triangle at a
+    time: row i's uniforms decide its pairs (i, j > i). The library draws
+    the same stream in fixed-size chunks of pairs, so the networks must be
+    equal."""
+    p = mean_degree / (n - 1)
+    rng = np.random.default_rng(seed)
+    upper = [np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1) for i in range(n - 1)]
+    src = np.repeat(np.arange(n - 1), [links.size for links in upper])
+    dst = np.concatenate(upper)
+    rows, cols = np.concatenate([src, dst]), np.concatenate([dst, src])
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return Network._from_csr(indptr, cols[np.lexsort((cols, rows))])
 
 
 def mobility_matrix(net, gamma):

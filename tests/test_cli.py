@@ -70,10 +70,12 @@ class TestGenNet:
         assert a.read_bytes() == b.read_bytes()
 
     def test_mean_degree_out_of_range_is_usage_error(self, tmp_path, capsys):
-        code = run("gen-net", "--nodes", "100", "--mean-degree", "200",
-                   "--out", str(tmp_path / "x.csv"))
-        assert code == 2
-        assert "mean_degree" in capsys.readouterr().err
+        for nodes, mean_degree in (("100", "200"), ("10", "9.5")):
+            code = run("gen-net", "--nodes", nodes, "--mean-degree", mean_degree,
+                       "--out", str(tmp_path / "x.csv"))
+            assert code == 2
+            assert "mean_degree" in capsys.readouterr().err
+            assert not (tmp_path / "x.csv").exists()
 
     def test_missing_required_flag_exits_2(self, tmp_path):
         assert run("gen-net", "--nodes", "10", "--out", str(tmp_path / "x.csv")) == 2
@@ -342,12 +344,15 @@ class TestEvaluateAndSweep:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        cfg = small_config(tmp_path, sweep={"kind": "polynomial", "grid": [0.5]})
+        # More replicates than usable CPUs, so the CPUs bound the pool.
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        cfg = small_config(tmp_path, replicates=cpus + 2, sweep={"kind": "polynomial", "grid": [0.5]})
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(subcommand, "--config", str(cfg), "--workers", "5000", "--out", str(a)) == 0
-        assert sizes == [2]
+        pools = [cpus] if cpus > 1 else []
+        assert sizes == pools
         assert run(subcommand, "--config", str(cfg), "--out", str(b)) == 0
-        assert sizes == [2]
+        assert sizes == pools
         assert a.read_bytes() == b.read_bytes()
 
     def test_correlation_mode(self, tmp_path):

@@ -1,7 +1,11 @@
 import hashlib
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -37,7 +41,7 @@ def star_graph(leaves):
     return Network(adj)
 
 
-from oracles import adjacency, is_interchangeable, mobility_matrix, relaxation_distances
+from oracles import adjacency, erdos_renyi_by_rows, is_interchangeable, mobility_matrix, relaxation_distances
 
 BLOCK_N = 400
 # Planted faults: ((row, column), value) cells. The first row block holds
@@ -330,10 +334,53 @@ class TestErdosRenyi:
             assert np.array_equal(checked.indices, net.indices)
             assert checked.labels == net.labels
 
-    @pytest.mark.parametrize("n,k", [(1, 0.5), (0, 1.0), (10, 0.0), (10, 10.0), (10, -1.0)])
+    @pytest.mark.parametrize("n,k", [(1, 0.5), (0, 1.0), (10, 0.0), (10, 10.0), (10, -1.0), (10, 9.5), (2, 1.5)])
     def test_parameter_errors(self, n, k):
         with pytest.raises(ValueError):
             generate_erdos_renyi(n, k, seed=0)
+
+    def test_mean_degree_n_minus_1_gives_the_complete_graph(self):
+        net = generate_erdos_renyi(10, 9.0, seed=0)
+        assert np.array_equal(net.degrees(), np.full(10, 9))
+
+    # N=182 has 16,471 pairs, so its draw crosses one boundary of the 2^14-uniform chunks.
+    @pytest.mark.parametrize("n,k", [(n, k) for n in (2, 3, 182, 300, 1000, 2000) for k in (1, 2, n / 2) if k <= n - 1])
+    @pytest.mark.parametrize("seed", [0, 7, (1, 0, 0), (3, 5, 2)], ids=repr)
+    def test_chunked_draw_matches_the_draw_by_rows(self, n, k, seed):
+        net, want = generate_erdos_renyi(n, k, seed=seed), erdos_renyi_by_rows(n, k, seed)
+        for got, expected in ((net.indptr, want.indptr), (net.indices, want.indices)):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+    def test_draw_leaves_little_malloc_memory_in_use(self):
+        # numpy keeps freed buffers below 1 KiB for reuse, which tracemalloc
+        # does not see; glibc's in-use byte count does. A draw that makes a
+        # buffer of each of many sizes leaves hundreds of KiB in that cache.
+        code = """if True:
+            import ctypes
+            libc = ctypes.CDLL(None)
+            if not hasattr(libc, "mallinfo2"):
+                print("skip")
+                raise SystemExit
+            names = ("arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks",
+                     "keepcost")
+            class Mallinfo2(ctypes.Structure):
+                _fields_ = [(name, ctypes.c_size_t) for name in names]
+            libc.mallinfo2.restype = Mallinfo2
+            from epiprofiler.network import generate_erdos_renyi
+            generate_erdos_renyi(2, 1.0, seed=0)  # first-call imports
+            before = libc.mallinfo2().uordblks
+            net = generate_erdos_renyi(1000, 2.0, seed=(1, 0, 0))
+            print(libc.mallinfo2().uordblks - before)
+        """
+        src = str(Path(network.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        if proc.stdout.strip() == "skip":
+            pytest.skip("glibc mallinfo2 is not available")
+        assert int(proc.stdout) < 128 * 1024
 
 
 class TestHopDistances:

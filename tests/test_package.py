@@ -368,6 +368,12 @@ NUMERIC_FIELDS = {
     ("filter_regions", "min_cases"): ("min_cases", lambda v: filter_regions(series(), v, 1), 5, None),
 }
 INTEGER_FIELDS = {key for key, (_, _, good, _) in NUMERIC_FIELDS.items() if isinstance(good, int)}
+# The owners of a random network's mean degree, called with (nodes,
+# mean_degree): each keeps the mean degree in (0, nodes - 1].
+GRAPH_FIELDS = {
+    ("ExperimentConfig", "mean_degree"): lambda n, k: config(n_nodes=n, mean_degree=k),
+    ("generate_erdos_renyi", "mean_degree"): lambda n, k: generate_erdos_renyi(n, k, seed=1),
+}
 
 
 @pytest.mark.parametrize("key", NUMERIC_FIELDS, ids="-".join)
@@ -390,6 +396,14 @@ def test_numeric_field_keeps_numpy_scalars_as_python_numbers(key):
         if kept is not None:
             assert kept(result) == good
             assert type(kept(result)) is plain
+
+
+@pytest.mark.parametrize("key", GRAPH_FIELDS, ids="-".join)
+@pytest.mark.parametrize("n,k", [(10, 9.5), (2, 1.5)])
+def test_mean_degree_above_nodes_minus_one_is_refused(key, n, k):
+    with pytest.raises(ValueError, match=re.escape(f"mean_degree must lie in (0, {n - 1}], got {k!r}")):
+        GRAPH_FIELDS[key](n, k)
+    assert GRAPH_FIELDS[key](n, float(n - 1)) is not None
 
 
 @pytest.mark.parametrize("key", sorted(INTEGER_FIELDS), ids="-".join)

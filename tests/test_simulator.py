@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from epiprofiler.experiments import ExperimentConfig, _replicate
 from epiprofiler.network import Network, generate_erdos_renyi
+from epiprofiler.profiler import DecayKind, DecaySpec
 from epiprofiler.simulator import (
     MAX_REPORT_VALUES,
     MAX_STEPS,
@@ -479,6 +481,52 @@ class TestRecordedRows:
             for series in (traj.susceptible, traj.infectious, traj.removed, traj.cases):
                 h.update(series[k].tobytes())
         assert traj.checksum == h.hexdigest()
+
+
+def path_with_isolated_node():
+    """Nodes 0-1-2-3 on a path, and node 4 linked to none."""
+    adj = np.zeros((5, 5), dtype=int)
+    for i in range(3):
+        adj[i, i + 1] = adj[i + 1, i] = 1
+    return Network(adj)
+
+
+def thirty_nodes():
+    return generate_erdos_renyi(30, 3.0, seed=(5, 0, 0))
+
+
+# Runs of t_end 10 at sim_dt 0.05 (seed 7, 1e6 people, 20 index cases), as
+# (network, params, source, noise) with the checksum the step gave them
+# before it reused its work arrays. A change to any trajectory bit shows
+# here; a change of the model must change these on purpose.
+PINNED_RUNS = {
+    "noise": (thirty_nodes, HIGH_R_PARAMS, 4, True,
+              "f0107765d2353fd9ef044dae4f5cf5a21fee0ebb97bfd6cd03f00dce879d4f47"),
+    "no-noise": (thirty_nodes, HIGH_R_PARAMS, 4, False,
+                 "d685cc5abb9dc10e9a4430ff8241defb3ed812678873693b06475ff40aa116ee"),
+    # No migration: the edge arrays are empty, and bincount returns int64.
+    "gamma-0": (thirty_nodes, EpidemicParams(0.16, 0.04, 0.0), 4, True,
+                "eefca658a152dbca6670f1887c92a6fa389531320215702bed34b71f0fc1f8e9"),
+    "isolated-node": (path_with_isolated_node, HIGH_R_PARAMS, 1, True,
+                      "f39c1fcd6490d45f63b12e4311319286c0a81eaace8464a36b7f354b2a98c4e9"),
+}
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("name", PINNED_RUNS)
+    def test_checksum(self, name):
+        net, params, source, noise, checksum = PINNED_RUNS[name]
+        traj = simulate(net(), params, InitialCondition(source, 20.0, 1e6), 10.0, seed=7, noise=noise)
+        assert traj.checksum == checksum
+
+    def test_n1000_benchmark_replicate(self):
+        # Replicate 1 of an ensemble-n1000 run with master seed 1.
+        cfg = ExperimentConfig(replicates=2, params=EpidemicParams(0.11, 0.09, 0.2),
+                               decays=(DecaySpec(DecayKind.POLYNOMIAL, 0.5),), n_nodes=1000,
+                               observation_times=(5.0, 10.0, 15.0, 20.0), master_seed=1)
+        checksum, hits, _ = _replicate(cfg, (cfg.kind,), 1)
+        assert checksum == "0042a45dad2758b6f846c987c676856d891fc64477400fbd06ea7a71f2c292c6"
+        assert hits.ravel().tolist() == [0.004, 0.204, 0.127, 0.689]
 
 
 class TestTrajectoryAccess:
