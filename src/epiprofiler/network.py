@@ -7,7 +7,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -68,7 +67,8 @@ def _open_text(path) -> io.StringIO:
     are left as they are, like ``open(path, newline="")``: the one place that
     decodes an input file. Bytes that are not UTF-8 raise a ``ValueError``
     naming the path and the line."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:  # not pathlib, which interns each part of the path
+        data = fh.read()
     try:
         return io.StringIO(data.decode("utf-8"), newline="")
     except UnicodeDecodeError as exc:
@@ -264,13 +264,12 @@ def generate_erdos_renyi(n: int, mean_degree: float, seed) -> Network:
     return Network._from_csr(_indptr(rows, n), cols[np.lexsort((cols, rows))])
 
 
-# Sources x nodes covered by one BFS block, which bounds the (source, node)
-# pairs a frontier can hold.
+# Sources x nodes covered by one BFS block, which bounds the int32 rows a
+# block yields.
 _BFS_BLOCK_PAIRS = 1 << 15
-# (source, neighbor) keys one expansion step makes at most (more only when a
-# single node has more neighbors), which bounds a level's scratch however
-# dense the network is.
-_BFS_CHUNK_KEYS = 1 << 12
+# Edges one gather step reads at most (more only when a single node has more
+# neighbors), which bounds a level's scratch however dense the network is.
+_BFS_RANGE_EDGES = 1 << 12
 
 
 def _bfs_blocks(net: Network):
@@ -281,57 +280,65 @@ def _bfs_blocks(net: Network):
     once. ``rows`` is a scratch array that the next block overwrites, so a
     caller reads or copies it before asking for the next one.
 
-    A level-synchronous BFS over the CSR neighbour list runs from a block of
-    sources at once; a frontier is a list of (source, node) pairs, so each
-    level costs time proportional to the edges it expands. A level is
-    expanded in chunks of at most ``_BFS_CHUNK_KEYS`` (source, neighbor)
-    keys. A block covers at most ``_BFS_BLOCK_PAIRS`` (source, node) pairs.
+    A level-synchronous BFS runs from a block of sources at once, one bit
+    per source (Then et al., "The More the Merrier", PVLDB 8(4), 2014):
+    each node holds little-endian uint64 words of frontier bits and of
+    reached bits. A level ORs each node's neighbours' frontier words, keeps
+    the bits not reached before and writes the level where they are set.
+    The neighbours are gathered in node ranges of at most
+    ``_BFS_RANGE_EDGES`` edges. A block covers at most ``_BFS_BLOCK_PAIRS``
+    (source, node) pairs. Every array keeps one shape for the whole call,
+    so no level leaves a buffer of a new size in numpy's cache of freed
+    small buffers; all but a level's unpacked bits are allocated once.
     """
     n = net.n
-    degree = net.degrees()
-    first_edge = net.indptr[:-1]
-    dst = net.indices
+    indptr, dst = net.indptr, net.indices
     block = max(1, min(n, _BFS_BLOCK_PAIRS // n))
     scratch = np.empty((block, n), dtype=np.int32)
+    words = np.zeros((3, n, -(-block // 64)), dtype="<u8")
+    frontier, nxt, reached = words
+    isolated = np.flatnonzero(indptr[1:] == indptr[:-1])
+    # Node ranges [v0, v1) and their edges [e0, e1); starts[v] is node v's
+    # first edge within its range. Row e1 - e0 of the gather scratch is
+    # zero, so a range's trailing isolated nodes reduce to 0; the value
+    # reduceat gives an earlier isolated node is zeroed after the ranges.
+    ranges = []
+    starts = indptr[:-1].copy()
+    v0 = 0
+    while v0 < n:
+        e0 = indptr[v0]
+        v1 = max(v0 + 1, int(np.searchsorted(indptr, e0 + _BFS_RANGE_EDGES, side="right")) - 1)
+        starts[v0:v1] -= e0
+        ranges.append((v0, v1, e0, indptr[v1]))
+        v0 = v1
+    gather = np.empty((max(e1 - e0 for _, _, e0, e1 in ranges) + 1, words.shape[2]), dtype=words.dtype)
     for lo in range(0, n, block):
         rows = scratch[: min(block, n - lo)]
         rows.fill(UNREACHABLE)
-        flat = rows.reshape(-1)  # view; key b * n + v is rows[b, v]
-        frontier = np.arange(rows.shape[0]) * (n + 1) + lo
-        flat[frontier] = 0
+        frontier.fill(0)
+        for b in range(rows.shape[0]):
+            rows[b, lo + b] = 0
+            frontier[lo + b, b >> 6] = 1 << (b & 63)
+        reached[...] = frontier
         level = 0
-        while frontier.size:
+        while True:
             level += 1
-            ends = degree[frontier % n]
-            np.cumsum(ends, out=ends)  # keys made up to and with each entry
-            found = []
-            start = 0
-            while start < frontier.size:
-                done = int(ends[start - 1]) if start else 0
-                stop = int(np.searchsorted(ends, done + _BFS_CHUNK_KEYS, side="right"))
-                stop = max(stop, start + 1)
-                owner, node = np.divmod(frontier[start:stop], n)
-                counts = degree[node]
-                # Key of every (source, neighbor) pair this chunk reaches.
-                edge = np.repeat(first_edge[node] - (ends[start:stop] - counts - done), counts)
-                edge += np.arange(edge.size)
-                keys = np.repeat(owner * n, counts)
-                keys += dst[edge]
-                del edge
-                # Keys set to this level by an earlier chunk fail this filter.
-                keys = keys[flat[keys] == UNREACHABLE]
-                # Keep one copy of each key: scatter distinct stamps, then keep
-                # the entry whose stamp survived. A chunk has at most
-                # max(_BFS_CHUNK_KEYS, largest degree) stamps, so they fit
-                # the int32 scratch but not always the int8 result.
-                stamps = UNREACHABLE - 1 - np.arange(keys.size)
-                flat[keys] = stamps
-                keys = keys[flat[keys] == stamps]
-                flat[keys] = level
-                found.append(keys)
-                start = stop
-            del ends
-            frontier = np.concatenate(found)
+            for v0, v1, e0, e1 in ranges:
+                # The indices are valid, so "clip" only skips the copy of out
+                # that take's default mode gathers into first.
+                np.take(frontier, dst[e0:e1], axis=0, mode="clip", out=gather[: e1 - e0])
+                gather[e1 - e0] = 0
+                np.bitwise_or.reduceat(gather[: e1 - e0 + 1], starts[v0:v1], axis=0, out=nxt[v0:v1])
+            nxt[isolated] = 0
+            nxt |= reached
+            nxt -= reached  # the bits first reached at this level
+            if not nxt.any():
+                break
+            reached |= nxt
+            # Bit b of node v's words is row b, column v of the unpacked bits.
+            bits = np.unpackbits(nxt.view(np.uint8).T, axis=0, count=rows.shape[0], bitorder="little")
+            rows[bits.view(bool)] = level
+            frontier, nxt = nxt, frontier
         yield lo, rows
 
 

@@ -3,9 +3,11 @@ and the dense views and statistics that only the tests need.
 
 The reference implementations recompute results from scratch along a
 different route than the library (scalar arithmetic, compensated summation,
-triple relaxation), so agreement is meaningful.
+triple relaxation, a per-source queue, a matrix exponential), so agreement
+is meaningful.
 """
 import math
+from collections import deque
 from itertools import permutations
 
 import numpy as np
@@ -47,6 +49,28 @@ def mobility_matrix(net, gamma):
     return g
 
 
+def linear_phase(net, params, init, t):
+    """The infectious vector I(t) of the noise-off model while I is much
+    smaller than S, where dI/dt = M I is linear: exp(tM) I0, with
+    M = (alpha - beta) Id + G^T - diag(outflow) and G the mobility rates.
+    The exponential is a Taylor sum of tM / 2^s, with s chosen so that its
+    1-norm is at most 1/2, squared s times (scaling and squaring; Higham,
+    SIAM J. Matrix Anal. Appl. 26:1179, 2005)."""
+    g = mobility_matrix(net, params.gamma) if params.gamma > 0 else np.zeros((net.n, net.n))
+    a = t * (g.T - np.diag(g.sum(axis=1)) + (params.alpha - params.beta) * np.eye(net.n))
+    s = max(0, math.ceil(math.log2(2 * max(np.abs(a).sum(axis=0).max(), 1e-300))))
+    a /= 2**s
+    term = exp = np.eye(net.n)
+    for k in range(1, 25):  # the remainder is below 2^-25 / 25!
+        term = term @ a / k
+        exp = exp + term
+    for _ in range(s):
+        exp = exp @ exp
+    start = np.zeros(net.n)
+    start[init.source] = init.index_cases
+    return exp @ start
+
+
 def is_interchangeable(d, nodes):
     """True when every permutation of the given nodes leaves the distance
     matrix ``d`` unchanged, i.e. the nodes occupy interchangeable positions."""
@@ -77,6 +101,26 @@ def relaxation_distances(adj):
                         d[i, j] = d[i, k] + d[k, j]
                         changed = True
     d[d >= big] = UNREACHABLE
+    return d
+
+
+def bfs_distances(net):
+    """All-pairs hop counts by one plain-Python breadth-first search per
+    source, a ``collections.deque`` over the CSR neighbour list: fast enough
+    for the networks the relaxation oracle cannot reach."""
+    indptr, indices = net.indptr.tolist(), net.indices.tolist()
+    d = np.empty((net.n, net.n), dtype=int)
+    for source in range(net.n):
+        row = [UNREACHABLE] * net.n
+        row[source] = 0
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            for u in indices[indptr[v] : indptr[v + 1]]:
+                if row[u] == UNREACHABLE:
+                    row[u] = row[v] + 1
+                    queue.append(u)
+        d[source] = row
     return d
 
 

@@ -420,6 +420,19 @@ class TestRankTimeline:
         rank_one = [row[3] for row in rows if row[2] == "1"]
         assert rank_one and all(region == "HKG" for region in rank_one)
 
+    def test_a_run_interns_no_strings(self, tmp_path, monkeypatch):
+        # Python 3.11's pathlib interns each part of a path it parses. Parts
+        # that die with their path leave dead entries in the interpreter's
+        # table of interned strings, and a process that called main in a
+        # loop rebuilt that table (about 1 MB) every few hundred runs.
+        argv = ["rank-timeline", "--net", str(bundled_data_path(SARS_ADJACENCY_FILE)),
+                "--cases", str(bundled_data_path(SARS_CASES_FILE)), "--out", str(tmp_path / "timeline.csv")]
+        assert run(*argv) == 0
+        interned = []
+        monkeypatch.setattr(sys, "intern", lambda text: interned.append(text) or text)
+        assert run(*argv) == 0
+        assert interned == []
+
     @pytest.mark.parametrize("min_cases,dropped", [("0", "IRL, ITA"), ("3", "ITA")],
                              ids=["min_cases_0", "min_cases_3"])
     def test_regions_the_network_lacks_are_dropped_with_a_warning(self, tmp_path, caplog,

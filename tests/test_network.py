@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from dataclasses import FrozenInstanceError
 from pathlib import Path
@@ -41,7 +42,14 @@ def star_graph(leaves):
     return Network(adj)
 
 
-from oracles import adjacency, erdos_renyi_by_rows, is_interchangeable, mobility_matrix, relaxation_distances
+from oracles import (
+    adjacency,
+    bfs_distances,
+    erdos_renyi_by_rows,
+    is_interchangeable,
+    mobility_matrix,
+    relaxation_distances,
+)
 
 BLOCK_N = 400
 # Planted faults: ((row, column), value) cells. The first row block holds
@@ -148,6 +156,35 @@ class TestNetworkValidation:
         assert str(exc.value) == message
 
 
+def malloc_growth(body):
+    """Run ``body`` in a fresh interpreter, where ``in_use()`` gives glibc's
+    in-use heap bytes (``mallinfo2().uordblks``), and return the int it
+    prints; skip where glibc has no ``mallinfo2``."""
+    prelude = """if True:
+        import ctypes
+        libc = ctypes.CDLL(None)
+        if not hasattr(libc, "mallinfo2"):
+            print("skip")
+            raise SystemExit
+        names = ("arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks",
+                 "keepcost")
+        class Mallinfo2(ctypes.Structure):
+            _fields_ = [(name, ctypes.c_size_t) for name in names]
+        libc.mallinfo2.restype = Mallinfo2
+        def in_use():
+            return libc.mallinfo2().uordblks
+    """
+    code = prelude + textwrap.indent(textwrap.dedent(body), " " * 8)
+    src = str(Path(network.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "skip":
+        pytest.skip("glibc mallinfo2 is not available")
+    return int(proc.stdout)
+
+
 class TestStorage:
     """Each N x N array is kept in the narrowest dtype that holds it."""
 
@@ -218,20 +255,23 @@ class TestStorage:
         assert bfs_peak <= 7 * n * n
 
     def test_bfs_memory_budget_dense_network(self):
-        # At mean degree 20 a level reaches 20 keys per frontier entry; the
-        # BFS expands them in bounded chunks, so its peak stays within the
-        # degree-2 budget (the int8 result is N^2 of it).
+        # A level gathers the frontier words of every edge; the BFS gathers
+        # them in node ranges of bounded edge count, so its peak stays
+        # within the degree-2 budget (the int8 result is N^2 of it) at mean
+        # degree 20, N/2 and N - 1, where N(N - 1) edges in one gather would
+        # not.
         n = 600
         hop_distances(generate_erdos_renyi(10, 2.0, seed=0))  # first-call imports
-        net = generate_erdos_renyi(n, 20.0, seed=1)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            hop_distances(net)
-            bfs_peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert bfs_peak <= 7 * n * n
+        for mean_degree in (20.0, n / 2, n - 1.0):
+            net = generate_erdos_renyi(n, mean_degree, seed=1)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                hop_distances(net)
+                bfs_peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert bfs_peak <= 7 * n * n, mean_degree
 
 
 class TestCsrNetwork:
@@ -356,31 +396,14 @@ class TestErdosRenyi:
         # numpy keeps freed buffers below 1 KiB for reuse, which tracemalloc
         # does not see; glibc's in-use byte count does. A draw that makes a
         # buffer of each of many sizes leaves hundreds of KiB in that cache.
-        code = """if True:
-            import ctypes
-            libc = ctypes.CDLL(None)
-            if not hasattr(libc, "mallinfo2"):
-                print("skip")
-                raise SystemExit
-            names = ("arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks",
-                     "keepcost")
-            class Mallinfo2(ctypes.Structure):
-                _fields_ = [(name, ctypes.c_size_t) for name in names]
-            libc.mallinfo2.restype = Mallinfo2
+        grown = malloc_growth("""
             from epiprofiler.network import generate_erdos_renyi
             generate_erdos_renyi(2, 1.0, seed=0)  # first-call imports
-            before = libc.mallinfo2().uordblks
+            before = in_use()
             net = generate_erdos_renyi(1000, 2.0, seed=(1, 0, 0))
-            print(libc.mallinfo2().uordblks - before)
-        """
-        src = str(Path(network.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60
-        )
-        assert proc.returncode == 0, proc.stderr
-        if proc.stdout.strip() == "skip":
-            pytest.skip("glibc mallinfo2 is not available")
-        assert int(proc.stdout) < 128 * 1024
+            print(in_use() - before)
+        """)
+        assert grown < 128 * 1024
 
 
 class TestHopDistances:
@@ -402,7 +425,9 @@ class TestHopDistances:
         n = int(rng.integers(2, 21))
         k = float(rng.uniform(0.5, min(n - 1, 4)))
         net = generate_erdos_renyi(n, k, seed=(8, seed))
-        assert np.array_equal(hop_distances(net), relaxation_distances(adjacency(net)))
+        expected = relaxation_distances(adjacency(net))
+        assert np.array_equal(hop_distances(net), expected)
+        assert np.array_equal(bfs_distances(net), expected)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -416,19 +441,54 @@ class TestHopDistances:
             adj[i, j] = adj[j, i] = 1
         assert np.array_equal(hop_distances(Network(adj)), relaxation_distances(adj))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=20, deadline=None)
     @given(data=st.data())
-    def test_matches_relaxation_oracle_in_small_chunks(self, data):
-        # Levels split into chunks of a few keys, down to one key per chunk.
-        n = data.draw(st.integers(min_value=1, max_value=14), label="n")
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges") if pairs else []
-        chunk = data.draw(st.integers(min_value=1, max_value=8), label="chunk")
-        adj = np.zeros((n, n), dtype=int)
-        for i, j in edges:
-            adj[i, j] = adj[j, i] = 1
-        with mock.patch.object(network, "_BFS_CHUNK_KEYS", chunk):
+    def test_matches_relaxation_oracle_in_blocks_of_any_width(self, data):
+        # Blocks of one source, of one 64-bit word less one bit, exactly one
+        # word, one word and a bit, and over two words, on one or two blocks;
+        # node ranges down to a single node. Isolated nodes inside the node
+        # order and at its end, where reduceat has no edge row of their own.
+        sources = data.draw(st.sampled_from([1, 63, 64, 65, 130]), label="sources")
+        n = data.draw(st.integers(sources, sources + 8) if sources > 1 else st.integers(1, 30), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        upper = np.triu(rng.random((n, n)) < data.draw(st.floats(0.2, 4.0), label="mean_degree") / n, 1)
+        adj = (upper | upper.T).astype(int)
+        isolated = data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="isolated")
+        isolated += range(n - data.draw(st.integers(0, min(n, 3)), label="trailing"), n)
+        adj[isolated] = 0
+        adj[:, isolated] = 0
+        edges = data.draw(st.sampled_from([1, 2, 7, network._BFS_RANGE_EDGES]), label="range_edges")
+        with mock.patch.object(network, "_BFS_BLOCK_PAIRS", sources * n), \
+                mock.patch.object(network, "_BFS_RANGE_EDGES", edges):
             assert np.array_equal(hop_distances(Network(adj)), relaxation_distances(adj))
+
+    @pytest.mark.parametrize("n,mean_degree", [(300, 0.8), (300, 2.0), (300, 8.0), (1000, 2.0)])
+    def test_matches_bfs_oracle_on_random_networks(self, n, mean_degree):
+        # Sizes the O(N^3) relaxation oracle cannot reach; mean degree 0.8
+        # leaves many small components and isolated nodes.
+        net = generate_erdos_renyi(n, mean_degree, seed=(11, n, 0))
+        assert np.array_equal(hop_distances(net), bfs_distances(net))
+
+    def test_bfs_leaves_no_more_malloc_memory_in_use_per_network(self):
+        # numpy's cache of freed small buffers (see the draw's test above)
+        # keeps one set per byte size. Every BFS array has one shape per
+        # call, so after two networks, ten more leave no more of it in use;
+        # level arrays of a new size at nearly every level grew it by about
+        # 242 KiB over these ten.
+        grown = malloc_growth("""
+            from epiprofiler.network import _bfs_blocks, generate_erdos_renyi
+            nets = [generate_erdos_renyi(1000, 2.0, seed=(s, 0, 0)) for s in range(12)]
+            def bfs(net):
+                for _ in _bfs_blocks(net):
+                    pass
+            for net in nets[:2]:
+                bfs(net)
+            before = in_use()
+            for net in nets[2:]:
+                bfs(net)
+            print(in_use() - before)
+        """)
+        assert grown < 64 * 1024
 
     def test_adjacent_iff_distance_one(self):
         net = generate_erdos_renyi(40, 3.0, seed=3)
