@@ -1,9 +1,11 @@
 """Stochastic metapopulation SIR integrator and observation synthesis.
 
 The infectious compartment and the cumulative case counter follow a Langevin
-system: frequency-dependent infection, constant removal, degree-weighted
-migration between linked nodes, and one independent Gaussian channel per
-demographic event type. The susceptible and removed compartments mirror the
+system: frequency-dependent infection, constant removal and degree-weighted
+migration between linked nodes. Each reaction channel (an infection or a
+removal at a node, or a move of one compartment along one directed link) has
+one Gaussian noise term, and the channel's increment leaves one compartment
+and enters another. The susceptible and removed compartments mirror the
 infectious dynamics with the same migration law; that mirroring is a modelling
 extension documented in the README.
 """
@@ -198,16 +200,18 @@ def simulate(
 ) -> Trajectory:
     """Integrate the Langevin SIR system with the Euler–Maruyama scheme.
 
-    Every noise channel (infection, removal, and each migration direction per
-    compartment, inflow and outflow separately) draws an independent standard
-    Gaussian each step, scaled by sqrt(sim_dt). The infection channel is
-    shared between the infectious compartment and the case counter. States are
-    clamped at zero after each step and the case-counter increment is clamped
-    at zero, so cumulative cases never decrease. With ``noise=False`` the
-    integration reduces to deterministic Euler on the drift terms.
-
-    Migration runs over the directed edge list of :func:`mobility_edges`, so
-    a step costs O(N + E) for N nodes and E directed edges.
+    A step is one list of 2N + 3E reaction channels, for N nodes and the E
+    directed edges of :func:`mobility_edges`: infection S_i -> I_i, removal
+    I_i -> R_i, then the move of S, of I and of R along every edge. Each
+    channel draws one standard Gaussian z per step, and its amount
+    a + sqrt(a) z, with a its expected amount in sim_dt, leaves one
+    compartment and enters another; so a step costs O(N + E), and with noise
+    on or off only the clamps change the population, to rounding. The case
+    counter adds alpha I sim_dt + sqrt(alpha I sim_dt) z with the infection
+    channel's z. States are clamped at zero after each step and the
+    case-counter increment is clamped at zero, so cumulative cases never
+    decrease. With ``noise=False`` the integration reduces to deterministic
+    Euler on the drift terms.
 
     Returns the run's :class:`Trajectory`. ``record`` maps series of
     :data:`SERIES` to the report indices to keep of them, and the run keeps
@@ -244,18 +248,24 @@ def simulate(
     cursor = dict.fromkeys(SERIES, 0)
     digest = hashlib.sha256()
 
+    alpha_dt, beta_dt = params.alpha * sim_dt, params.beta * sim_dt
     if params.gamma > 0:
         src_e, dst_e, rate_e = mobility_edges(net, params.gamma)
     else:
         src_e = dst_e = np.zeros(0, dtype=np.intp)
         rate_e = np.zeros(0)
-    ne = src_e.size
-    # The state is S, I and R stacked into one vector of 3N slots; edge e of
-    # compartment c runs from slot c*N + src_e[e] to slot c*N + dst_e[e].
-    src3 = (src_e + n * np.arange(3)[:, None]).ravel()
-    dst3 = (dst_e + n * np.arange(3)[:, None]).ravel()
-    rate3_dt = np.tile(rate_e * sim_dt, 3)
-    leave3_dt = np.bincount(src3, weights=rate3_dt, minlength=3 * n)
+    # The reaction channels, built once per run. The state is S, I and R
+    # stacked into one vector of 3N slots, and channel k moves its amount
+    # from slot frm[k] to slot to[k]: infection S_i -> I_i, removal
+    # I_i -> R_i, then every directed edge of S, of I and of R, in row-major
+    # edge order. Channel k's expected amount in a step is rate_dt[k] times
+    # the state at frm[k], except infection's, which is alpha_dt times the
+    # frequency-dependent force S_i I_i / (S_i + I_i + R_i).
+    nodes = np.arange(n)
+    offsets = n * np.arange(3)[:, None]
+    frm = np.concatenate((nodes, n + nodes, (src_e + offsets).ravel()))
+    to = np.concatenate((n + nodes, 2 * n + nodes, (dst_e + offsets).ravel()))
+    rate_dt = np.concatenate((np.full(n, alpha_dt), np.full(n, beta_dt), np.tile(rate_e * sim_dt, 3)))
 
     x = np.zeros(3 * n)
     x[:n] = share
@@ -265,11 +275,13 @@ def simulate(
     cases[init.source] = init.index_cases
 
     rng = np.random.default_rng(seed_tuple) if noise else None
-    alpha_dt, beta_dt = params.alpha * sim_dt, params.beta * sim_dt
-    # The step's work arrays, allocated once per run: the mass moved along
-    # each edge of each compartment, and its noise amplitude.
-    moved, amp = np.empty(3 * ne), np.empty((3, ne))
-    moved3 = moved.reshape(3, ne)
+    # The step's work arrays, allocated once per run: each channel's amount,
+    # its noise and its standard normal.
+    amt, amp, z = np.empty(frm.size), np.empty(frm.size), np.empty(frm.size)
+    # The infection channels, and the channels whose amount is linear in the
+    # state at their frm slot.
+    amt_force, rate_force, z_force = amt[:n], rate_dt[:n], z[:n]
+    amt_linear, rate_linear, frm_linear = amt[n:], rate_dt[n:], frm[n:]
 
     step = 0
     # Report 0 is the initial state, reached after no steps.
@@ -278,42 +290,26 @@ def simulate(
         # arithmetic may produce inf/nan without warning spam.
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(steps_per_report if report else 0):
-                # Expected events this step: infections, removals, new cases,
-                # and the mass moved along each edge of each compartment.
                 sus, inf = x[:n], x[n : 2 * n]
                 total = sus + inf + x[2 * n :]
                 frac = np.divide(sus * inf, total, out=np.zeros(n), where=total > 0)
-                infect = alpha_dt * frac
-                remove = beta_dt * inf
-                grow = alpha_dt * inf
+                np.multiply(rate_force, frac, out=amt_force)
                 # The indices are valid, so "clip" only skips the copy of out
                 # that take's default mode gathers into first.
-                np.take(x, src3, out=moved, mode="clip")
-                moved *= rate3_dt
-
+                np.take(x, frm_linear, out=amt_linear, mode="clip")
+                amt_linear *= rate_linear
+                # New cases share the infection channel's normal.
+                grow = alpha_dt * inf
                 if noise:
-                    # Channel layout: infection, removal, then per compartment
-                    # the inflow and the outflow noise of every edge.
-                    z = rng.standard_normal(2 * n + 6 * ne)
-                    z_force = z[:n]
-                    z_mig = z[2 * n :].reshape(3, 2, ne)
-                    np.sqrt(moved3, out=amp)
-                    # The inflow noise goes into its own normals' slots, and
-                    # amp then holds the outflow noise.
-                    z_mig[:, 0] *= amp
-                    amp *= z_mig[:, 1]
-                    out_noise = np.bincount(src3, weights=amp.ravel(), minlength=3 * n)
-                    moved3 += z_mig[:, 0]
+                    rng.standard_normal(out=z)
                     grow = grow + np.sqrt(grow) * z_force
-                    infect = infect + np.sqrt(infect) * z_force
-                    remove = remove + np.sqrt(remove) * z[n : 2 * n]
-
-                d = np.bincount(dst3, weights=moved, minlength=3 * n) - leave3_dt * x
-                if noise:
-                    d -= out_noise
-                d[:n] -= infect
-                d[n : 2 * n] += infect - remove
-                d[2 * n :] += remove
+                    np.sqrt(amt, out=amp)
+                    amp *= z
+                    amt += amp
+                # Each channel's amount leaves its frm slot and enters its to
+                # slot, so the step moves population without changing its sum.
+                d = np.bincount(to, weights=amt, minlength=3 * n)
+                d -= np.bincount(frm, weights=amt, minlength=3 * n)
                 # In place: each report copies the rows it keeps and hashes x
                 # before the next step, so no view of x outlives a step.
                 x += d
@@ -340,8 +336,10 @@ def simulate(
                 out[name][c] = vectors[name]
                 cursor[name] = c + 1
         # The checksum's bytes of this report: t, then S, I and R (the
-        # state x, in that order) and J, all float64.
-        digest.update(np.float64(report * report_dt).tobytes())
+        # state x, in that order) and J, all float64. The scalar is hashed
+        # through its buffer: with numpy 2.4, its tobytes() left about 2.6
+        # small objects alive per N=100 run (tracemalloc over 100 runs).
+        digest.update(np.float64(report * report_dt))
         digest.update(x)
         digest.update(cases)
 
@@ -394,8 +392,10 @@ def _observation_reads(kind: ObservableKind, t_obs: float, delta_t: float) -> tu
 
 def initial_correlation(traj: Trajectory, t: float) -> float:
     """Pearson correlation between the infectious profile at time t and the
-    initial profile (report 0). Raises ZeroVarianceError when either profile
-    is constant across nodes, so callers may skip the sample."""
+    initial profile (report 0), clipped into [-1, 1] against rounding (a
+    profile proportional to the initial one can otherwise come out a few ulp
+    above 1). Raises ZeroVarianceError when either profile is constant across
+    nodes, so callers may skip the sample."""
     start = traj.row("infectious", 0)
     now = traj.row("infectious", traj.report_index(t))
     x = start - start.mean()
@@ -405,7 +405,7 @@ def initial_correlation(traj: Trajectory, t: float) -> float:
     if sx == 0.0 or sy == 0.0:
         which = "initial" if sx == 0.0 else f"t={t}"
         raise ZeroVarianceError(f"infectious profile at {which} is constant across nodes")
-    return float((x @ y) / math.sqrt(sx * sy))
+    return min(1.0, max(-1.0, float((x @ y) / math.sqrt(sx * sy))))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> Path:

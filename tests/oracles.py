@@ -50,25 +50,31 @@ def mobility_matrix(net, gamma):
 
 
 def linear_phase(net, params, init, t):
-    """The infectious vector I(t) of the noise-off model while I is much
-    smaller than S, where dI/dt = M I is linear: exp(tM) I0, with
+    """The infectious vector I(t) and the case counter J(t) of the noise-off
+    model while I is much smaller than S, where dI/dt = M I and dJ/dt =
+    alpha I are linear: exp(tA) (I0, J0) with A = [[M, 0], [alpha Id, 0]],
     M = (alpha - beta) Id + G^T - diag(outflow) and G the mobility rates.
-    The exponential is a Taylor sum of tM / 2^s, with s chosen so that its
+    The exponential is a Taylor sum of tA / 2^s, with s chosen so that its
     1-norm is at most 1/2, squared s times (scaling and squaring; Higham,
     SIAM J. Matrix Anal. Appl. 26:1179, 2005)."""
-    g = mobility_matrix(net, params.gamma) if params.gamma > 0 else np.zeros((net.n, net.n))
-    a = t * (g.T - np.diag(g.sum(axis=1)) + (params.alpha - params.beta) * np.eye(net.n))
+    n = net.n
+    g = mobility_matrix(net, params.gamma) if params.gamma > 0 else np.zeros((n, n))
+    a = np.zeros((2 * n, 2 * n))
+    a[:n, :n] = g.T - np.diag(g.sum(axis=1)) + (params.alpha - params.beta) * np.eye(n)
+    a[n:, :n] = params.alpha * np.eye(n)
+    a *= t
     s = max(0, math.ceil(math.log2(2 * max(np.abs(a).sum(axis=0).max(), 1e-300))))
     a /= 2**s
-    term = exp = np.eye(net.n)
+    term = exp = np.eye(2 * n)
     for k in range(1, 25):  # the remainder is below 2^-25 / 25!
         term = term @ a / k
         exp = exp + term
     for _ in range(s):
         exp = exp @ exp
-    start = np.zeros(net.n)
-    start[init.source] = init.index_cases
-    return exp @ start
+    start = np.zeros(2 * n)
+    start[[init.source, n + init.source]] = init.index_cases
+    infectious, cases = np.split(exp @ start, 2)
+    return infectious, cases
 
 
 def is_interchangeable(d, nodes):

@@ -445,10 +445,10 @@ class TestSweep:
             sweep_decay_parameter(tiny_config(), DecayKind.POLYNOMIAL, [])
 
     def test_tie_breaks_toward_smaller_parameter(self):
-        # a removal rate that kills the outbreak instantly makes every dataset
-        # degenerate, so every parameter ties at hit score 1
+        # with alpha=0 no case is ever added, so every new-case snapshot is all
+        # zero, noise on or off, and every parameter ties at hit score 1
         cfg = tiny_config(
-            params=EpidemicParams(1e-9, 30.0, 0.2),
+            params=EpidemicParams(0.0, 30.0, 0.2),
             observation_times=(5.0, 8.0),
             sim_dt=0.01,
         )
@@ -526,12 +526,14 @@ class TestHitVsCorrelation:
         assert hit_vs_correlation(cfg).pairs == hit_vs_correlation(cfg).pairs
 
     def test_extinct_runs_are_skipped_and_counted(self):
-        # huge removal rate: infection dies instantly, I(t) becomes all-zero
+        # noise off, no infection, no migration and beta * sim_dt = 1: the
+        # first step removes every infectious person, so I(t) is all zero
         cfg = tiny_config(
-            params=EpidemicParams(1e-9, 30.0, 0.2),
+            params=EpidemicParams(0.0, 100.0, 0.0),
             observation_times=(5.0, 8.0),
             sim_dt=0.01,
             decays=(POLY,),
+            noise=False,
         )
         samples = hit_vs_correlation(cfg)
         assert samples.skipped == 3 * 2
