@@ -15,7 +15,6 @@ _EXPORTS = {
     "UNREACHABLE": "network",
     "Network": "network",
     "generate_erdos_renyi": "network",
-    "hop_distances": "network",
     "load_adjacency": "network",
     "save_adjacency": "network",
     "EpidemicParams": "simulator",
@@ -34,7 +33,6 @@ _EXPORTS = {
     "LikelinessResult": "profiler",
     "decay_weight": "profiler",
     "likeliness_scores": "profiler",
-    "hit_score": "profiler",
     "ExperimentConfig": "experiments",
     "HitCurve": "experiments",
     "CorrelationSamples": "experiments",

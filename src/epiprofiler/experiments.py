@@ -10,21 +10,13 @@ import os
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import partial
-from pathlib import Path
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .network import (
-    _bfs_blocks,
-    _check_graph,
-    _number,
-    _open_text,
-    _write_csv,
-    generate_erdos_renyi,
-    hop_distances,
-)
-from .profiler import DecayKind, DecaySpec, ObservableKind, hit_score, score_blocks
+from .network import _check_graph, _number, _open_text, _write_csv, generate_erdos_renyi
+from .profiler import DecayKind, DecaySpec, ObservableKind, _hit_scores
 from .simulator import (
     MAX_REPORT_VALUES,
     EpidemicParams,
@@ -160,9 +152,9 @@ def _replicate(cfg: ExperimentConfig, kinds: tuple[ObservableKind, ...], rep: in
     The phases run in this order: simulate, keeping only the rows that the
     observations read (and, with ``correlate``, the infectious rows that the
     correlations read); write the observations into one (m, N) stack, take
-    the correlations and release the rows; then score by the rule of
-    :func:`_streams`, reading one spec's scores at a time and dropping them
-    before the next spec's are asked for.
+    the correlations and release the rows; then count every hit score in
+    the one pass of :func:`profiler._hit_scores` over the breadth-first
+    search, which holds no (m, N) scores and no N x N array.
     """
     net = generate_erdos_renyi(cfg.n_nodes, cfg.mean_degree, seed=(cfg.master_seed, rep, 0))
     source_rng = np.random.default_rng((cfg.master_seed, rep, 1))
@@ -191,11 +183,10 @@ def _replicate(cfg: ExperimentConfig, kinds: tuple[ObservableKind, ...], rep: in
     except SimulationDiverged as exc:
         raise SimulationDiverged(f"replicate {rep}: {exc}") from exc
     checksum = rows.checksum
-    # Row r of the stack is the observation of cell cells[r] = (kind, time).
-    cells = list(np.ndindex(len(kinds), len(times)))
-    values = np.empty((len(cells), cfg.n_nodes))
-    for row, (k_idx, t_idx) in enumerate(cells):
-        values[row] = synthesize_dataset(rows, times[t_idx], cfg.delta_t, kinds[k_idx]).values
+    # The stack's rows are the (kind, time) observations in row-major order.
+    values = np.empty((len(kinds) * len(times), cfg.n_nodes))
+    for row, (kind, t) in enumerate(product(kinds, times)):
+        values[row] = synthesize_dataset(rows, t, cfg.delta_t, kind).values
     correlations = np.full(len(times), np.nan)
     for t_idx, t in enumerate(times if correlate else ()):
         try:
@@ -203,40 +194,8 @@ def _replicate(cfg: ExperimentConfig, kinds: tuple[ObservableKind, ...], rep: in
         except ZeroVarianceError:
             pass
     del rows
-    hits = np.empty((len(kinds), len(cfg.decays), len(times)))
-    spec_scores = _spec_scores(net, cfg.decays, values)
-    for s_idx in range(len(cfg.decays)):
-        scores = next(spec_scores)
-        for row, (k_idx, t_idx) in enumerate(cells):
-            hits[k_idx, s_idx, t_idx] = hit_score(scores[row], source)
-        # Freed before the next spec is scored. (An enumerate over the
-        # generator would hold this spec's scores in its result tuple.)
-        del scores
-    return checksum, hits, correlations
-
-
-def _streams(n: int, specs: int, rows: int) -> bool:
-    """The stream-or-hold rule for scoring ``rows`` stacked observations
-    with ``specs`` decay specs on N = ``n`` nodes: stream when the float64
-    scores of every spec (8 specs rows N bytes) fit in the N^2 bytes of the
-    int8 distance matrix, that is, when 8 specs rows <= N."""
-    return 8 * specs * rows <= n
-
-
-def _spec_scores(net, specs, values: np.ndarray):
-    """Each spec's (m, N) scores of the stacked observations ``values``, in
-    spec order. When :func:`_streams` holds, the hop distances are streamed
-    block by block from the BFS into every spec at once, so the N x N
-    distance matrix is never built; otherwise the matrix is built and each
-    spec is scored only when the caller asks for it, so a caller that drops
-    a spec's scores before asking for the next holds one spec's at a time.
-    Both give the same bits."""
-    if _streams(net.n, len(specs), values.shape[0]):
-        yield from score_blocks(_bfs_blocks(net), net.n, specs, values)[0]
-    else:
-        dist = hop_distances(net)
-        for spec in specs:
-            yield score_blocks([(0, dist)], net.n, (spec,), values)[0][0]
+    hits = _hit_scores(net, cfg.decays, values, source).reshape(len(cfg.decays), len(kinds), len(times))
+    return checksum, hits.transpose(1, 0, 2), correlations
 
 
 def _run_replicates(
@@ -503,7 +462,6 @@ def experiment_file_from_dict(raw: dict, where: str = "config") -> ExperimentFil
 
 
 def load_experiment_file(path) -> ExperimentFile:
-    path = Path(path)
     try:
         with _open_text(path) as fh:
             raw = json.load(fh)

@@ -227,12 +227,6 @@ def _indptr(rows, n):
     return indptr
 
 
-def _distance_dtype(n: int) -> np.dtype:
-    """Narrowest dtype that holds any hop count on N nodes (a hop count is at
-    most N - 1): where distances are kept when some value does not fit int8."""
-    return np.dtype(np.int16 if n <= np.iinfo(np.int16).max + 1 else np.int32)
-
-
 def _check_graph(n, mean_degree) -> tuple[int, float]:
     """A random network's node count (at least 2) and mean degree (in (0, n - 1])."""
     n = _number(n, "nodes", 2, integer=True)
@@ -272,13 +266,14 @@ _BFS_BLOCK_PAIRS = 1 << 15
 _BFS_RANGE_EDGES = 1 << 12
 
 
-def _bfs_blocks(net: Network):
+def _bfs_blocks(net: Network, first: int = 0):
     """Breadth-first all-pairs shortest hop counts, one block of source rows
     at a time: yields ``(lo, rows)``, where ``rows`` is an int32 view whose
     row b holds the hop counts from source ``lo + b`` (UNREACHABLE where
-    there is no path). Blocks come in source order and cover every source
-    once. ``rows`` is a scratch array that the next block overwrites, so a
-    caller reads or copies it before asking for the next one.
+    there is no path). The block that holds source ``first`` comes first,
+    then the others in source order; together they cover every source once.
+    ``rows`` is a scratch array that the next block overwrites, so a caller
+    reads or copies it before asking for the next one.
 
     A level-synchronous BFS runs from a block of sources at once, one bit
     per source (Then et al., "The More the Merrier", PVLDB 8(4), 2014):
@@ -312,7 +307,8 @@ def _bfs_blocks(net: Network):
         ranges.append((v0, v1, e0, indptr[v1]))
         v0 = v1
     gather = np.empty((max(e1 - e0 for _, _, e0, e1 in ranges) + 1, words.shape[2]), dtype=words.dtype)
-    for lo in range(0, n, block):
+    head = first - first % block
+    for lo in (head, *range(0, head, block), *range(head + block, n, block)):
         rows = scratch[: min(block, n - lo)]
         rows.fill(UNREACHABLE)
         frontier.fill(0)
@@ -340,22 +336,6 @@ def _bfs_blocks(net: Network):
             rows[bits.view(bool)] = level
             frontier, nxt = nxt, frontier
         yield lo, rows
-
-
-def hop_distances(net: Network) -> np.ndarray:
-    """Breadth-first all-pairs shortest hop counts, UNREACHABLE where there
-    is no path: the blocks of :func:`_bfs_blocks` copied into a read-only
-    int8 matrix. The first block that holds a hop count above 127 (only on a
-    network of diameter 128 or more) widens the result once to
-    ``_distance_dtype(N)``.
-    """
-    n = net.n
-    d = np.empty((n, n), dtype=np.int8)
-    for lo, rows in _bfs_blocks(net):
-        if d.dtype == np.int8 and rows.max() > np.iinfo(np.int8).max:
-            d = d.astype(_distance_dtype(n))
-        d[lo : lo + rows.shape[0]] = rows
-    return _readonly(d)
 
 
 def mobility_edges(net: Network, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

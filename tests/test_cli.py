@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from epiprofiler import network
 from epiprofiler.cli import build_parser, main
 from epiprofiler.data_ingest import SARS_ADJACENCY_FILE, SARS_CASES_FILE, bundled_data_path
 from epiprofiler.network import load_adjacency
@@ -551,40 +550,6 @@ class TestRerun:
             {"subcommand": "rerun", "arguments": {"manifest": str(manifest)}}))
         assert run("rerun", "--manifest", str(manifest)) == 2
         assert "'subcommand'" in capsys.readouterr().err
-
-
-def test_profile_and_rank_timeline_never_build_the_distance_matrix(tmp_path, monkeypatch):
-    # Both stream the breadth-first search into the scoring; only the
-    # ensemble experiments may hold the N x N hop-distance matrix.
-    net, cases = str(bundled_data_path(SARS_ADJACENCY_FILE)), str(bundled_data_path(SARS_CASES_FILE))
-    data = tmp_path / "data.csv"
-    labels = load_adjacency(net).labels
-    data.write_text("node_label,value\n" + "".join(f"{lab},{i % 3}\n" for i, lab in enumerate(labels)))
-    runs = {
-        "profile": ["profile", "--net", net, "--data", str(data), "--decay", "polynomial", "--param", "0.5"],
-        "rank-timeline": ["rank-timeline", "--net", net, "--cases", cases],
-    }
-
-    def outputs(tag):
-        got = {}
-        for name, argv in runs.items():
-            out = tmp_path / f"{name}-{tag}.csv"
-            assert run(*argv, "--out", str(out)) == 0
-            got[name] = out.read_bytes()
-        return got
-
-    want = outputs("free")
-
-    def no_matrix(net):
-        raise AssertionError("the N x N distance matrix was built")
-
-    real = network.hop_distances
-    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "epiprofiler"]:
-        for name, value in list(vars(module).items()):
-            if value is real:
-                monkeypatch.setattr(module, name, no_matrix)
-    assert network.hop_distances is no_matrix
-    assert outputs("patched") == want
 
 
 def error_line(capsys) -> str:

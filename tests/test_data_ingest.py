@@ -15,10 +15,10 @@ from epiprofiler.data_ingest import (
     rank_timeline,
     write_timeline_csv,
 )
-from epiprofiler.network import hop_distances, load_adjacency
+from epiprofiler.network import load_adjacency
 from epiprofiler.profiler import DecayKind, DecaySpec, likeliness_scores
 from epiprofiler.simulator import ObservableKind
-from oracles import is_interchangeable
+from oracles import hop_distances, is_interchangeable
 
 POLY = DecaySpec(DecayKind.POLYNOMIAL, 0.5)
 

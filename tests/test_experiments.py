@@ -24,7 +24,7 @@ from epiprofiler.experiments import (
     _replicate,
 )
 from epiprofiler.network import generate_erdos_renyi
-from epiprofiler.profiler import DecayKind, DecaySpec, hit_score, likeliness_scores
+from epiprofiler.profiler import DecayKind, DecaySpec, likeliness_scores, score_batch
 from epiprofiler.simulator import (
     EpidemicParams,
     InitialCondition,
@@ -35,7 +35,7 @@ from epiprofiler.simulator import (
     synthesize_dataset,
 )
 
-from oracles import _average_ranks, average_ranks, rank_correlation
+from oracles import _average_ranks, average_ranks, hit_score, rank_correlation
 
 POLY = DecaySpec(DecayKind.POLYNOMIAL, 0.5)
 NAIVE = DecaySpec(DecayKind.NAIVE)
@@ -232,10 +232,12 @@ class TestHitExperiment:
         assert seen == [(1, 3), (2, 3), (3, 3)]
 
 
-def full_trajectory(cfg, rep):
+def full_trajectory(cfg, rep, net=None):
     """The network, source and full trajectory of replicate ``rep``, rebuilt
-    from its documented seeds (master_seed, rep, 0|1|2)."""
-    net = generate_erdos_renyi(cfg.n_nodes, cfg.mean_degree, seed=(cfg.master_seed, rep, 0))
+    from its documented seeds (master_seed, rep, 0|1|2); ``net``, when
+    given, stands in for the network that seed 0 draws."""
+    if net is None:
+        net = generate_erdos_renyi(cfg.n_nodes, cfg.mean_degree, seed=(cfg.master_seed, rep, 0))
     source = int(np.random.default_rng((cfg.master_seed, rep, 1)).integers(cfg.n_nodes))
     traj = simulate(
         net,
@@ -295,92 +297,86 @@ def _replicate_peak(cfg):
         tracemalloc.stop()
 
 
+def sweep_config():
+    """One replicate of the N=300 sweep benchmark's shape: 10 polynomial
+    specs and m = 100 stacked observations."""
+    grid = [round(0.25 * 32 ** (k / 9), 4) for k in range(10)]
+    return ExperimentConfig(
+        replicates=1, params=EpidemicParams(0.133, 0.067, 0.2), n_nodes=300,
+        observation_times=tuple(float(t) for t in range(1, 101)),
+        decays=tuple(DecaySpec(DecayKind.POLYNOMIAL, p) for p in grid), master_seed=3,
+    )
+
+
+def stack_bytes(cfg):
+    """Bytes of a one-kind replicate's (m, N) float64 observation stack."""
+    return 8 * len(cfg.observation_times) * cfg.n_nodes
+
+
 class TestReplicateMemory:
-    def test_hop_distances_are_the_one_n_by_n_array(self):
-        # The int8 distances (N^2 bytes) are a replicate's only N x N array;
-        # the scoring blocks stay small.
+    def test_replicate_holds_no_n_by_n_array(self):
+        # Scoring streams the BFS blocks, so no replicate array is N x N.
         n = 600
         assert _replicate_peak(ExperimentConfig(n_nodes=n, **N1000_SETTINGS)) <= 6 * n * n
 
     def test_trajectory_and_distances_are_not_held_at_once(self):
         # The trajectory (about 1.2 N^2 bytes here) is released before the
-        # hop distances are built, so the peak is the larger of the two
-        # phases, not their sum.
+        # BFS runs, so the peak is the larger of the two phases, not their
+        # sum.
         n = 600
         assert _replicate_peak(ExperimentConfig(n_nodes=n, **N1000_SETTINGS)) <= 3.5 * n * n
 
     def test_replicate_at_the_n1000_benchmark_settings_stays_below_n_squared(self):
-        # The int8 distance matrix alone would be N^2 bytes; the streamed
-        # side never builds it, and the simulate phase keeps 8 of 88 rows.
+        # The int8 distance matrix alone would be N^2 bytes; scoring never
+        # builds it, and the simulate phase keeps 8 of 88 rows.
         n = 1000
         assert _replicate_peak(ExperimentConfig(n_nodes=n, **N1000_SETTINGS)) < n * n
 
     def test_sweep_replicate_holds_one_specs_scores_at_a_time(self):
-        # The N=300 sweep benchmark's shape: 10 specs and m = 100 stacked
-        # observations, so the held side scores one spec at a time. Beside
-        # the (m, N) stack and the N^2-byte distances, a replicate holds one
-        # spec's (m, N) scores and block-sized scratch; keeping the previous
-        # spec's scores, full-size normalisation temporaries or the unread
-        # infectious rows would each add about another 8 m N bytes.
-        n, times = 300, tuple(float(t) for t in range(1, 101))
-        grid = [round(0.25 * 32 ** (k / 9), 4) for k in range(10)]
-        cfg = ExperimentConfig(
-            replicates=1, params=EpidemicParams(0.133, 0.067, 0.2), n_nodes=n, observation_times=times,
-            decays=tuple(DecaySpec(DecayKind.POLYNOMIAL, p) for p in grid), master_seed=3,
-        )
-        assert not experiments._streams(n, len(grid), len(times))
-        assert _replicate_peak(cfg) < 4 * 8 * len(times) * n
+        # Beside the (m, N) stack, a replicate holds no spec's (m, N) scores,
+        # only chunk-sized scratch; holding a spec's scores, full-size
+        # normalisation temporaries or the unread infectious rows would each
+        # add about another 8 m N bytes.
+        cfg = sweep_config()
+        assert _replicate_peak(cfg) < 4 * stack_bytes(cfg)
 
-    def test_streamed_side_never_builds_the_distance_matrix(self, monkeypatch):
-        def no_matrix(net):
-            raise AssertionError("the N x N distance matrix was built")
-
-        cfg = tiny_config(n_nodes=60, decays=(POLY,), observation_times=(2.0, 5.0))
-        assert experiments._streams(cfg.n_nodes, len(cfg.decays), len(cfg.observation_times))
-        held = [_replicate(cfg, (cfg.kind,), rep) for rep in range(cfg.replicates)]
-        monkeypatch.setattr(experiments, "hop_distances", no_matrix)
-        for rep, (checksum, hits, correlations) in enumerate(held):
-            got = _replicate(cfg, (cfg.kind,), rep)
-            assert got[0] == checksum
-            assert np.array_equal(got[1], hits)
-            assert np.array_equal(got[2], correlations, equal_nan=True)
+    def test_sweep_replicate_counts_hits_without_a_specs_scores(self):
+        # Counting the hits chunk by chunk holds no (m, N) scores beside the
+        # stack: holding one spec's scores peaked at 3.14 stacks.
+        cfg = sweep_config()
+        assert _replicate_peak(cfg) < 2.75 * stack_bytes(cfg)
 
 
 ALL_SPECS = (POLY, NAIVE, DecaySpec(DecayKind.POWER, 2.0), DecaySpec(DecayKind.EXPONENTIAL, 0.05))
 
 
-def _replicate_on_side(cfg, kinds, rep, stream):
-    with mock.patch.object(experiments, "_streams", lambda n, specs, rows: stream):
-        return _replicate(cfg, kinds, rep)
+def star_network(n):
+    """A star on ``n`` nodes with hub 0: its leaves are interchangeable."""
+    adj = np.zeros((n, n), dtype=bool)
+    adj[0, 1:] = adj[1:, 0] = True
+    return network.Network(adj)
 
 
-def _assert_same_bits(a, b):
-    assert a[0] == b[0]
-    assert np.array_equal(a[1], b[1])
-    assert np.array_equal(a[2], b[2], equal_nan=True)
+def replicate_on(cfg, kinds, star):
+    """``_replicate(cfg, kinds, 0)`` and the network it ran on: its own draw,
+    or with ``star`` a star on cfg.n_nodes nodes."""
+    if not star:
+        return _replicate(cfg, kinds, 0), None
+    net = star_network(cfg.n_nodes)
+    with mock.patch.object(experiments, "generate_erdos_renyi", lambda *args, **kwargs: net):
+        return _replicate(cfg, kinds, 0), net
 
 
-class TestStreamOrHold:
-    """The stream-or-hold rule picks how hop distances reach scoring, never
-    what the scores are."""
-
-    @pytest.mark.parametrize("n,specs,times,kinds,streams", [
-        (60, 1, 2, (ObservableKind.NEW_CASES,), True),  # 8 * 1 * 2 = 16 <= 60
-        (20, 2, 3, (ObservableKind.NEW_CASES,), False),  # 48 > 20
-        (100, 1, 3, tuple(ObservableKind), True),  # 8 * 1 * 12 = 96 <= 100
-        (100, 2, 3, tuple(ObservableKind), False),  # 192 > 100
-    ])
-    def test_rule_picks_the_side_by_input_size(self, n, specs, times, kinds, streams):
-        cfg = tiny_config(replicates=1, n_nodes=n, decays=ALL_SPECS[:specs],
-                          observation_times=(2.0, 5.0, 10.0)[:times])
-        assert experiments._streams(n, specs, len(kinds) * times) is streams
-        natural = _replicate(cfg, kinds, 0)
-        _assert_same_bits(natural, _replicate_on_side(cfg, kinds, 0, not streams))
+class TestOnePath:
+    """A replicate counts its hit scores in one pass over the BFS blocks;
+    each must be the hit score of the whole ``score_batch`` row."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         n=st.integers(2, 70),
-        mean_degree=st.sampled_from([0.3, 1.0, 2.5]),
+        topology=st.sampled_from(["sparse", "connected", "star"]),
+        alpha=st.sampled_from([0.16, 0.0]),
+        noise=st.booleans(),
         specs=st.integers(1, len(ALL_SPECS)),
         times=st.integers(1, 3),
         all_kinds=st.booleans(),
@@ -388,22 +384,86 @@ class TestStreamOrHold:
         row_elements=st.sampled_from([1, 50, 1 << 12, 1 << 14]),
         seed=st.integers(0, 1000),
     )
-    def test_streamed_and_held_sides_give_the_same_bits(
-        self, n, mean_degree, specs, times, all_kinds, bfs_pairs, row_elements, seed
+    def test_hits_are_hit_scores_of_the_whole_score_rows(
+        self, n, topology, alpha, noise, specs, times, all_kinds, bfs_pairs, row_elements, seed
     ):
-        # Mean degrees below 1 leave the network disconnected; small BFS
-        # blocks leave N off a multiple of the block, and small row blocks
-        # split each BFS block again.
-        cfg = tiny_config(replicates=1, n_nodes=n, mean_degree=min(mean_degree, n - 1.0),
-                          decays=ALL_SPECS[:specs], observation_times=(0.0, 3.0, 7.0)[:times],
+        # A mean degree of 0.3 leaves the network disconnected. A star run
+        # with noise off gives interchangeable leaves equal data, so their
+        # scores can tie. With alpha 0 the new-case rows are all zero. Small
+        # BFS blocks leave N off a multiple of the block and put the source
+        # in any block; small row blocks split each BFS block again.
+        mean_degree = min(0.3 if topology == "sparse" else 2.5, n - 1.0)
+        cfg = tiny_config(replicates=1, n_nodes=n, mean_degree=mean_degree, params=EpidemicParams(alpha, 0.04, 0.2),
+                          noise=noise, decays=ALL_SPECS[:specs], observation_times=(0.0, 3.0, 7.0)[:times],
                           master_seed=seed)
         kinds = tuple(ObservableKind) if all_kinds else (ObservableKind.NEW_CASES,)
         with mock.patch.object(network, "_BFS_BLOCK_PAIRS", bfs_pairs), \
                 mock.patch.object(profiler, "_ROW_BLOCK_ELEMENTS", row_elements):
-            streamed = _replicate_on_side(cfg, kinds, 0, True)
-            held = _replicate_on_side(cfg, kinds, 0, False)
-        _assert_same_bits(streamed, held)
-        _assert_same_bits(_replicate(cfg, kinds, 0), held)
+            (checksum, hits, _), star = replicate_on(cfg, kinds, topology == "star")
+        net, source, traj = full_trajectory(cfg, 0, star)
+        assert checksum == traj.checksum
+        values = np.array([synthesize_dataset(traj, t, cfg.delta_t, kind).values
+                           for kind in kinds for t in cfg.observation_times])
+        for s_idx, spec in enumerate(cfg.decays):
+            scores, _ = score_batch(net, spec, values)
+            want = [hit_score(row, source) for row in scores]
+            assert hits[:, s_idx].ravel().tolist() == want
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 70),
+        star=st.booleans(),
+        where=st.sampled_from(["first", "middle", "last"]),
+        m=st.integers(1, 6),
+        bfs_pairs=st.sampled_from([1, 40, 97, 1 << 15]),
+        row_elements=st.sampled_from([1, 50, 1 << 12, 1 << 14]),
+        seed=st.integers(0, 1000),
+    )
+    def test_counts_equal_hit_score_with_the_source_in_any_block(
+        self, n, star, where, m, bfs_pairs, row_elements, seed
+    ):
+        # The source sits in the first, a middle or the last BFS block. On a
+        # star every leaf gets the same data, so a leaf source ties with
+        # interchangeable leaves; about a third of the rows are all zero.
+        rng = np.random.default_rng(seed)
+        net = star_network(n) if star else generate_erdos_renyi(n, min(0.8, n - 1.0), seed=seed)
+        values = rng.random((m, n))
+        if star:
+            values[:, 1:] = values[:, [1]]
+        values[rng.random(m) < 0.3] = 0.0
+        block = max(1, min(n, bfs_pairs // n))
+        starts = range(0, n, block)
+        lo = {"first": starts[0], "middle": starts[len(starts) // 2], "last": starts[-1]}[where]
+        source = min(n - 1, lo + int(rng.integers(block)))
+        with mock.patch.object(network, "_BFS_BLOCK_PAIRS", bfs_pairs), \
+                mock.patch.object(profiler, "_ROW_BLOCK_ELEMENTS", row_elements):
+            hits = profiler._hit_scores(net, ALL_SPECS, values, source)
+        assert hits.shape == (len(ALL_SPECS), m)
+        for spec, got in zip(ALL_SPECS, hits):
+            scores, _ = score_batch(net, spec, values)
+            assert got.tolist() == [hit_score(row, source) for row in scores]
+
+    @pytest.mark.parametrize("topology,alpha,noise", [
+        ("connected", 0.16, True),
+        ("sparse", 0.16, True),
+        ("star", 0.16, False),  # tied leaves
+        ("star", 0.0, False),  # all-zero new-case rows
+        ("sparse", 0.0, True),
+    ])
+    def test_every_hit_score_is_finite_and_at_least_one_node(self, topology, alpha, noise):
+        # The source itself is always counted, so 1/N <= H <= 1; an all-zero
+        # observation scores every candidate 0, so its H is 1.
+        n = 30
+        kinds = tuple(ObservableKind)
+        for seed in range(3):
+            cfg = tiny_config(replicates=1, n_nodes=n, mean_degree=0.3 if topology == "sparse" else 2.5,
+                              params=EpidemicParams(alpha, 0.04, 0.2), noise=noise, decays=ALL_SPECS,
+                              observation_times=(0.0, 3.0, 7.0), master_seed=seed)
+            (_, hits, _), _ = replicate_on(cfg, kinds, topology == "star")
+            assert np.isfinite(hits).all()
+            assert (hits >= 1 / n).all() and (hits <= 1).all()
+            if alpha == 0.0:
+                assert (hits[kinds.index(ObservableKind.NEW_CASES)] == 1.0).all()
 
 
 class TestPairedArms:
@@ -646,6 +706,14 @@ class TestConfigFile:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
             load_experiment_file(path)
+
+    def test_errors_name_the_path_as_given(self, tmp_path):
+        # The path is not parsed, so an unnormalised one is named as spelt.
+        (tmp_path / "cfg.json").write_text("{not json")
+        given = f"{tmp_path}/./cfg.json"
+        with pytest.raises(ConfigError) as exc:
+            load_experiment_file(given)
+        assert str(exc.value).startswith(f"{given}: invalid JSON: ")
 
     def test_sweep_block(self):
         raw = self.good_raw()

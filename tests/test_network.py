@@ -20,8 +20,8 @@ from epiprofiler.data_ingest import SARS_ADJACENCY_FILE, bundled_data_path
 from epiprofiler.network import (
     UNREACHABLE,
     Network,
+    _bfs_blocks,
     generate_erdos_renyi,
-    hop_distances,
     load_adjacency,
     mobility_edges,
     save_adjacency,
@@ -43,9 +43,11 @@ def star_graph(leaves):
 
 
 from oracles import (
+    _distance_dtype,
     adjacency,
     bfs_distances,
     erdos_renyi_by_rows,
+    hop_distances,
     is_interchangeable,
     mobility_matrix,
     relaxation_distances,
@@ -211,9 +213,9 @@ class TestStorage:
 
     def test_distance_dtype_follows_node_count(self):
         # A hop count is at most N - 1, so int16 holds every one up to N = 32768.
-        assert network._distance_dtype(1) == np.int16
-        assert network._distance_dtype(32768) == np.int16
-        assert network._distance_dtype(32769) == np.int32
+        assert _distance_dtype(1) == np.int16
+        assert _distance_dtype(32768) == np.int16
+        assert _distance_dtype(32769) == np.int32
 
     def test_hop_distances_fill_the_wider_dtype(self, monkeypatch):
         # A 129-node path (the shortest that widens) labelled from the middle
@@ -239,39 +241,44 @@ class TestStorage:
         # (8 bytes per entry) on any of these paths breaks its budget. Mean
         # degree 2 as in the acceptance ensembles.
         n = 600
-        hop_distances(generate_erdos_renyi(10, 2.0, seed=0))  # first-call imports
+        bfs_pass(generate_erdos_renyi(10, 2.0, seed=0))  # first-call imports
         tracemalloc.start()
         try:
             net = generate_erdos_renyi(n, 2.0, seed=1)
             generate_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            dist = hop_distances(net)
+            bfs_pass(net)
             bfs_peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert dist.nbytes == n * n
         assert generate_peak <= 4 * n * n
         assert bfs_peak <= 7 * n * n
 
     def test_bfs_memory_budget_dense_network(self):
         # A level gathers the frontier words of every edge; the BFS gathers
         # them in node ranges of bounded edge count, so its peak stays
-        # within the degree-2 budget (the int8 result is N^2 of it) at mean
-        # degree 20, N/2 and N - 1, where N(N - 1) edges in one gather would
-        # not.
+        # within the degree-2 budget at mean degree 20, N/2 and N - 1, where
+        # N(N - 1) edges in one gather would not.
         n = 600
-        hop_distances(generate_erdos_renyi(10, 2.0, seed=0))  # first-call imports
+        bfs_pass(generate_erdos_renyi(10, 2.0, seed=0))  # first-call imports
         for mean_degree in (20.0, n / 2, n - 1.0):
             net = generate_erdos_renyi(n, mean_degree, seed=1)
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                hop_distances(net)
+                bfs_pass(net)
                 bfs_peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
             assert bfs_peak <= 7 * n * n, mean_degree
+
+
+def bfs_pass(net):
+    """One whole pass of the breadth-first blocks, each read and dropped, as
+    the profiler reads them."""
+    for _, rows in _bfs_blocks(net):
+        rows.max()
 
 
 class TestCsrNetwork:
@@ -468,6 +475,30 @@ class TestHopDistances:
         # leaves many small components and isolated nodes.
         net = generate_erdos_renyi(n, mean_degree, seed=(11, n, 0))
         assert np.array_equal(hop_distances(net), bfs_distances(net))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 70),
+        mean_degree=st.sampled_from([0.5, 2.0]),
+        sources=st.sampled_from([1, 3, 64, 1 << 15]),
+        data=st.data(),
+    )
+    def test_blocks_from_any_first_source_hold_the_same_rows(self, n, mean_degree, sources, data):
+        # Blocks of `sources` rows, so `first` falls in the first, a middle
+        # or the last block: its block comes first, then the others in source
+        # order, and every row is the one the oracle gives.
+        net = generate_erdos_renyi(n, min(mean_degree, n - 1.0), seed=n)
+        first = data.draw(st.integers(0, n - 1), label="first")
+        with mock.patch.object(network, "_BFS_BLOCK_PAIRS", sources * n):
+            starts = [lo for lo, _ in _bfs_blocks(net)]
+            blocks = [(lo, rows.copy()) for lo, rows in _bfs_blocks(net, first)]
+        head, rows = blocks[0]
+        assert head <= first < head + rows.shape[0]
+        assert [lo for lo, _ in blocks] == [head] + [lo for lo in starts if lo != head]
+        d = np.full((n, n), n)
+        for lo, rows in blocks:
+            d[lo : lo + rows.shape[0]] = rows
+        assert np.array_equal(d, bfs_distances(net))
 
     def test_bfs_leaves_no_more_malloc_memory_in_use_per_network(self):
         # numpy's cache of freed small buffers (see the draw's test above)

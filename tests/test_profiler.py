@@ -19,14 +19,12 @@ from epiprofiler.network import (
     UNREACHABLE,
     Network,
     generate_erdos_renyi,
-    hop_distances,
 )
 from epiprofiler.profiler import (
     DecayKind,
     DecaySpec,
     LikelinessResult,
     decay_weight,
-    hit_score,
     likeliness_scores,
     score_batch,
     score_blocks,
@@ -54,7 +52,15 @@ def new_cases(values):
     return Dataset(np.asarray(values, dtype=float), ObservableKind.NEW_CASES)
 
 
-from oracles import adjacency, decay_weights, oracle_scores, scalar_weight, whole_matrix_scores
+from oracles import (
+    adjacency,
+    decay_weights,
+    hit_score,
+    hop_distances,
+    oracle_scores,
+    scalar_weight,
+    whole_matrix_scores,
+)
 
 
 class TestDecaySpec:
