@@ -21,10 +21,7 @@ _EXPORTS = {
     "InitialCondition": "simulator",
     "Trajectory": "simulator",
     "SimulationDiverged": "simulator",
-    "ZeroVarianceError": "simulator",
     "simulate": "simulator",
-    "synthesize_dataset": "simulator",
-    "initial_correlation": "simulator",
     "write_trajectory_csv": "simulator",
     "Dataset": "profiler",
     "ObservableKind": "profiler",

@@ -18,7 +18,6 @@ import json
 import os
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -56,33 +55,29 @@ def _write_manifest(args, outputs: list[str]) -> None:
     _write_json(_manifest_path(outputs[0]), manifest)
 
 
-# A path a run accepts is checked with os.path, and only a refused one is
-# parsed by pathlib, for its message. Python 3.11's pathlib interns every
-# part of a path it parses, and parts that die with the path leave dead
-# entries in the interpreter's table of interned strings: a process that ran
-# commands in a loop rebuilt that table, about 1 MB, every few hundred runs.
+# Paths are checked with os.path alone and named as given. Python 3.11's
+# pathlib interns every part of a path it parses, and parts that die with
+# the path leave dead entries in the interpreter's table of interned
+# strings: a process that ran commands in a loop rebuilt that table, about
+# 1 MB, every few hundred runs.
 def _resolve_input(path_text: str) -> str:
-    if os.path.isfile(path_text):
-        return os.path.realpath(path_text)
-    path = Path(path_text)
-    if not path.exists():
-        raise ValueError(f"input file not found: {path}")
-    if not path.is_file():
-        raise ValueError(f"input is not a regular file: {path}")
-    return str(path.resolve())
+    if not os.path.exists(path_text):
+        raise ValueError(f"input file not found: {path_text}")
+    if not os.path.isfile(path_text):
+        raise ValueError(f"input is not a regular file: {path_text}")
+    return os.path.realpath(path_text)
 
 
 def _check_output(out) -> None:
     """Reject an ``--out`` that cannot be written as a file before any work
-    is done."""
+    is done. A trailing separator names a directory."""
     if out is None:
         return
-    if out and os.path.isdir(os.path.dirname(out) or ".") and not os.path.isdir(out):
-        return  # see _resolve_input
-    path = Path(out)
-    if not path.parent.is_dir():
-        raise ValueError(f"output directory does not exist: {path.parent}")
-    if path.is_dir():
+    path = out or os.curdir
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        raise ValueError(f"output directory does not exist: {parent}")
+    if os.path.isdir(path):
         raise ValueError(f"output path is a directory: {path}")
 
 
@@ -107,7 +102,7 @@ def cmd_simulate(args) -> int:
     params = EpidemicParams(args.alpha, args.beta, args.gamma)
     if args.source == "random":
         source = int(np.random.default_rng((args.seed, 0)).integers(net.n))
-    elif args.source.lstrip("-").isdigit():
+    elif args.source.lstrip("-").isdecimal():
         source = int(args.source)
     else:
         raise ValueError(f"--source must be a node index or 'random', got {args.source!r}")

@@ -4,6 +4,7 @@ sweeps. Each replicate derives its RNG streams from (master_seed, replicate
 index), so results are identical no matter how replicates are scheduled."""
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -22,13 +23,9 @@ from .simulator import (
     EpidemicParams,
     InitialCondition,
     SimulationDiverged,
-    ZeroVarianceError,
     _check_run,
     _grid_steps,
-    _observation_reads,
-    initial_correlation,
-    simulate,
-    synthesize_dataset,
+    _reports,
 )
 
 DEFAULT_OBSERVATION_TIMES = tuple(float(t) for t in range(5, 101, 5))
@@ -149,53 +146,73 @@ def _replicate(cfg: ExperimentConfig, kinds: tuple[ObservableKind, ...], rep: in
     observation time, NaN where the correlation has zero variance or when
     ``correlate`` is off.
 
-    The phases run in this order: simulate, keeping only the rows that the
-    observations read (and, with ``correlate``, the infectious rows that the
-    correlations read); write the observations into one (m, N) stack, take
-    the correlations and release the rows; then count every hit score in
-    the one pass of :func:`profiler._hit_scores` over the breadth-first
-    search, which holds no (m, N) scores and no N x N array.
+    The phases run in this order: draw the network and the source; run the
+    step loop and slice the observations and correlations out of it
+    (:func:`_observe`); then count every hit score in the one pass of
+    :func:`profiler._hit_scores` over the breadth-first search, which holds
+    no (m, N) scores and no N x N array.
     """
     net = generate_erdos_renyi(cfg.n_nodes, cfg.mean_degree, seed=(cfg.master_seed, rep, 0))
     source_rng = np.random.default_rng((cfg.master_seed, rep, 1))
     source = int(source_rng.integers(cfg.n_nodes))
     init = InitialCondition(source, cfg.index_cases, cfg.population)
-    times = cfg.observation_times
-    # Report indices each series is read at. The correlations read the
-    # infectious rows at 0 and, as INFECTIOUS observations would, at each t.
-    record = {"infectious": {0} if correlate else set(), "cases": set()}
-    for kind in (ObservableKind.INFECTIOUS, *kinds) if correlate else kinds:
-        for t in times:
-            series, read = _observation_reads(kind, t, cfg.delta_t)
-            record[series].update(_grid_steps(u, cfg.report_dt, "t") for u in read)
     try:
-        rows = simulate(
-            net,
-            cfg.params,
-            init,
-            cfg.t_end,
-            sim_dt=cfg.sim_dt,
-            report_dt=cfg.report_dt,
-            seed=(cfg.master_seed, rep, 2),
-            noise=cfg.noise,
-            record=record,
-        )
+        checksum, values, correlations = _observe(cfg, kinds, net, init, (cfg.master_seed, rep, 2), correlate)
     except SimulationDiverged as exc:
         raise SimulationDiverged(f"replicate {rep}: {exc}") from exc
-    checksum = rows.checksum
-    # The stack's rows are the (kind, time) observations in row-major order.
-    values = np.empty((len(kinds) * len(times), cfg.n_nodes))
-    for row, (kind, t) in enumerate(product(kinds, times)):
-        values[row] = synthesize_dataset(rows, t, cfg.delta_t, kind).values
-    correlations = np.full(len(times), np.nan)
-    for t_idx, t in enumerate(times if correlate else ()):
-        try:
-            correlations[t_idx] = initial_correlation(rows, t)
-        except ZeroVarianceError:
-            pass
-    del rows
-    hits = _hit_scores(net, cfg.decays, values, source).reshape(len(cfg.decays), len(kinds), len(times))
+    hits = _hit_scores(net, cfg.decays, values, source).reshape(len(cfg.decays), len(kinds), -1)
     return checksum, hits.transpose(1, 0, 2), correlations
+
+
+def _observe(cfg: ExperimentConfig, kinds, net, init: InitialCondition, seed, correlate: bool):
+    """Run a replicate's step loop, :func:`simulator._reports`, copying only
+    the rows that the observations (and, with ``correlate``, the initial
+    correlations) read into one block allocated before the run. Returns the
+    checksum, the (m, N) stack of the (kind, time) observations in row-major
+    order, and the correlations. The block dies with this call."""
+    times, step = cfg.observation_times, cfg.report_dt
+    # The block row of each (series, report) read, in order of first read,
+    # and the block rows that each observation and each correlation reads. A
+    # difference kind observes max(0, X(t + delta_t) - X(t)), a snapshot X(t).
+    slot, observations, pairs = {}, [], []
+    for kind, t in product(kinds, times):
+        series = "infectious" if kind in (ObservableKind.INFECTIOUS, ObservableKind.INFECTIOUS_CHANGE) else "cases"
+        read = (t, t + cfg.delta_t) if kind.is_difference else (t,)
+        observations.append([slot.setdefault((series, _grid_steps(u, step, "t")), len(slot)) for u in read])
+    for t in times if correlate else ():
+        pairs.append([slot.setdefault(("infectious", _grid_steps(u, step, "t")), len(slot)) for u in (0.0, t)])
+    fills = {}
+    for (series, report), i in slot.items():
+        fills.setdefault(report, []).append((series, i))
+    block = np.empty((len(slot), cfg.n_nodes))
+    steps_per_report, n_reports = _check_run(cfg.n_nodes, init, cfg.t_end, cfg.sim_dt, step)
+    digest = hashlib.sha256()
+    run = _reports(net, cfg.params, init, cfg.sim_dt, step, steps_per_report, n_reports, seed, cfg.noise, digest)
+    for report, vectors in run:
+        for series, i in fills.get(report, ()):
+            block[i] = vectors[series]
+    values = np.empty((len(observations), cfg.n_nodes))
+    for row, read in zip(values, observations):
+        if len(read) == 1:
+            row[:] = block[read[0]]
+        else:
+            np.subtract(block[read[1]], block[read[0]], out=row)
+            np.maximum(row, 0.0, out=row)
+    correlations = np.full(len(times), np.nan)
+    for t_idx, (start, now) in enumerate(pairs):
+        correlations[t_idx] = _correlation(block[start], block[now])
+    return digest.hexdigest(), values, correlations
+
+
+def _correlation(start: np.ndarray, now: np.ndarray) -> float:
+    """Pearson correlation between two profiles across nodes, clipped into
+    [-1, 1] against rounding (a profile proportional to the other can
+    otherwise come out a few ulp above 1); NaN when either is constant."""
+    x, y = start - start.mean(), now - now.mean()
+    sx, sy = float(x @ x), float(y @ y)
+    if sx == 0.0 or sy == 0.0:
+        return math.nan
+    return min(1.0, max(-1.0, float((x @ y) / math.sqrt(sx * sy))))
 
 
 def _run_replicates(

@@ -32,8 +32,12 @@ class ObservableKind(str, enum.Enum):
 class Dataset(_ReadOnlyArrays):
     """One observation vector (a number per node) plus its kind tag.
 
-    ``t_obs`` is provenance for synthetic data only; real pipelines leave it
-    unset because the outbreak start time is unknown.
+    ``t_obs`` is the time the observation starts, when it is known.
+    Synthetic observations count it from the outbreak's start;
+    :func:`data_ingest.daily_deltas`, which cannot know that start, sets the
+    day offset of each interval's start from the first report date.
+    :func:`data_ingest.rank_timeline` reads it as the day index, and uses
+    the dataset's position in its list when it is unset.
     """
 
     values: np.ndarray

@@ -1,4 +1,4 @@
-"""Stochastic metapopulation SIR integrator and observation synthesis.
+"""Stochastic metapopulation SIR integrator and trajectory export.
 
 The infectious compartment and the cumulative case counter follow a Langevin
 system: frequency-dependent infection, constant removal and degree-weighted
@@ -11,7 +11,6 @@ extension documented in the README.
 """
 from __future__ import annotations
 
-import bisect
 import hashlib
 import math
 from dataclasses import dataclass
@@ -20,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .network import Network, _number, _readonly, _ReadOnlyArrays, _write_csv, _write_json, mobility_edges
-from .profiler import Dataset, ObservableKind
 
 
 # The reported series of a run, in the order the state keeps them; the
@@ -35,10 +33,6 @@ MAX_REPORT_VALUES = 10**8
 
 class SimulationDiverged(RuntimeError):
     """Raised when a state becomes non-finite during integration."""
-
-
-class ZeroVarianceError(ValueError):
-    """Raised when a correlation is requested for a constant profile."""
 
 
 @dataclass(frozen=True)
@@ -78,21 +72,16 @@ class InitialCondition:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory(_ReadOnlyArrays):
-    """The record of one simulation run: the rows it kept of each reported
-    series, with the provenance and the checksum of the whole run.
+    """The record of one simulation run: every report of every series.
 
-    The run reports at t = k * report_dt for k = 0..last_report.
-    ``reports[name]`` lists, ascending, the report indices kept of series
-    ``name`` (one of :data:`SERIES`), and the array field ``name``, shaped
-    (kept reports, nodes), holds those rows in that order; a default
-    :func:`simulate` run keeps every report of every series. Provenance
-    (network, parameters, seed, step sizes, noise flag) is carried along so
-    runs can be reproduced. ``checksum`` is the content hash of every report
-    of the run, kept or not: for each report k, in order, the float64 bytes
-    of t_k, then S_k, I_k, R_k and J_k.
+    The run reports at t = k * report_dt for k = 0..last_report, and the
+    array field ``name`` of each series of :data:`SERIES`, shaped
+    (last_report + 1, nodes), holds report k in row k. Provenance (network,
+    parameters, seed, step sizes, noise flag) is carried along so runs can
+    be reproduced. ``checksum`` is the content hash of the run: for each
+    report k, in order, the float64 bytes of t_k, then S_k, I_k, R_k and J_k.
     """
 
-    reports: dict[str, tuple[int, ...]]
     susceptible: np.ndarray
     infectious: np.ndarray
     removed: np.ndarray
@@ -111,9 +100,8 @@ class Trajectory(_ReadOnlyArrays):
         for name in SERIES:
             given = getattr(self, name)
             arr = np.asarray(given)
-            kept = len(self.reports[name])
-            if len(arr) != kept:
-                raise ValueError(f"{name} has {len(arr)} rows for its {kept} kept reports")
+            if len(arr) != self.last_report + 1:
+                raise ValueError(f"{name} has {len(arr)} rows for the run's {self.last_report + 1} reports")
             self._keep(name, arr, given)
 
     @property
@@ -124,24 +112,6 @@ class Trajectory(_ReadOnlyArrays):
     def times(self) -> np.ndarray:
         """The time of every report of the run."""
         return _readonly(np.arange(self.last_report + 1, dtype=float) * self.report_dt)
-
-    def report_index(self, t: float) -> int:
-        """Index of reporting time t (every run starts at t = 0)."""
-        return _grid_steps(t, self.report_dt, "t")
-
-    def row(self, series: str, report: int) -> np.ndarray:
-        """The vector of ``series`` (one of :data:`SERIES`) at report index
-        ``report``, which the run must have kept."""
-        if report > self.last_report:
-            raise ValueError(
-                f"t={report * self.report_dt!r} is outside the simulated range "
-                f"[0.0, {self.last_report * self.report_dt!r}]"
-            )
-        kept = self.reports[series]
-        i = bisect.bisect_left(kept, report)
-        if i == len(kept) or kept[i] != report:
-            raise ValueError(f"report {report} of {series} was not kept")
-        return getattr(self, series)[i]
 
 
 def _grid_steps(t: float, dt: float, name: str, grid: str = "reporting grid (report_dt)") -> int:
@@ -196,7 +166,6 @@ def simulate(
     report_dt: float = 1.0,
     seed=0,
     noise: bool = True,
-    record=None,
 ) -> Trajectory:
     """Integrate the Langevin SIR system with the Euler–Maruyama scheme.
 
@@ -213,41 +182,47 @@ def simulate(
     decrease. With ``noise=False`` the integration reduces to deterministic
     Euler on the drift terms.
 
-    Returns the run's :class:`Trajectory`. ``record`` maps series of
-    :data:`SERIES` to the report indices to keep of them, and the run keeps
-    only those rows (none of a series it does not name); ``record=None``
-    keeps every report of every series. Whatever is kept, the integration,
-    and so every value, is the same, and the step loop takes the checksum of
-    every report as it goes.
+    Returns the run's :class:`Trajectory`, every report of every series.
 
     Raises SimulationDiverged if any state becomes non-finite, naming the
     node and time.
     """
-    n = net.n
-    steps_per_report, n_reports = _check_run(n, init, t_end, sim_dt, report_dt, noise)
+    steps_per_report, n_reports = _check_run(net.n, init, t_end, sim_dt, report_dt, noise)
     sim_dt, report_dt = float(sim_dt), float(report_dt)  # checked by _check_run
-    share = init.population / n
     seeds = seed if isinstance(seed, (tuple, list, np.ndarray)) else (seed,)
     seed_tuple = tuple(_number(s, "seed", 0, integer=True) for s in seeds)
-    if record is None:
-        record = dict.fromkeys(SERIES, range(n_reports + 1))
-    unknown = sorted(map(str, set(record) - set(SERIES)))
-    if unknown:
-        raise ValueError(f"only {', '.join(SERIES)} can be recorded, got {', '.join(unknown)}")
-    reports = {}
-    for name in SERIES:
-        given = list(record.get(name, ()))
-        if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in given):
-            raise ValueError(f"recorded reports of {name} must be integers, got {given}")
-        reports[name] = kept = tuple(sorted({int(k) for k in given}))
-        if kept and not 0 <= kept[0] <= kept[-1] <= n_reports:
-            raise ValueError(f"recorded reports of {name} must lie in [0, {n_reports}], got {list(kept)}")
-    # Row c of out[name] holds report reports[name][c] of series name; the
-    # cursor is the next row to fill, so recording costs O(1) per report.
-    out = {name: np.empty((len(kept), n)) for name, kept in reports.items()}
-    cursor = dict.fromkeys(SERIES, 0)
+    out = {name: np.empty((n_reports + 1, net.n)) for name in SERIES}
     digest = hashlib.sha256()
+    run = _reports(net, params, init, sim_dt, report_dt, steps_per_report, n_reports, seed_tuple, noise, digest)
+    for report, vectors in run:
+        for name, vec in vectors.items():
+            out[name][report] = vec
+    # Read-only before they are handed over, so the result keeps them uncopied.
+    out = {name: _readonly(arr) for name, arr in out.items()}
+    return Trajectory(
+        **out,
+        network=net,
+        params=params,
+        init=init,
+        seed=seed_tuple,
+        sim_dt=sim_dt,
+        report_dt=report_dt,
+        noise=noise,
+        last_report=n_reports,
+        checksum=digest.hexdigest(),
+    )
 
+
+def _reports(net, params, init, sim_dt, report_dt, steps_per_report, n_reports, seed, noise, digest):
+    """The step loop of a run that :func:`_check_run` accepted: yields
+    ``(k, vectors)`` for each report k = 0..n_reports, where ``vectors``
+    maps each name of :data:`SERIES` to its vector at report k. The vectors
+    are views of the state, valid until the loop is resumed, so a consumer
+    copies what it keeps. The loop checks each report for divergence and
+    feeds its bytes to ``digest`` (a ``hashlib`` object), so a consumer that
+    runs the loop to its end holds the run's checksum there."""
+    n = net.n
+    share = init.population / n
     alpha_dt, beta_dt = params.alpha * sim_dt, params.beta * sim_dt
     if params.gamma > 0:
         src_e, dst_e, rate_e = mobility_edges(net, params.gamma)
@@ -274,7 +249,7 @@ def simulate(
     cases = np.zeros(n)
     cases[init.source] = init.index_cases
 
-    rng = np.random.default_rng(seed_tuple) if noise else None
+    rng = np.random.default_rng(seed) if noise else None
     # The step's work arrays, allocated once per run: each channel's amount,
     # its noise and its standard normal.
     amt, amp, z = np.empty(frm.size), np.empty(frm.size), np.empty(frm.size)
@@ -282,6 +257,7 @@ def simulate(
     # state at their frm slot.
     amt_force, rate_force, z_force = amt[:n], rate_dt[:n], z[:n]
     amt_linear, rate_linear, frm_linear = amt[n:], rate_dt[n:], frm[n:]
+    vectors = dict(zip(SERIES, (*x.reshape(3, n), cases)))
 
     step = 0
     # Report 0 is the initial state, reached after no steps.
@@ -310,8 +286,7 @@ def simulate(
                 # slot, so the step moves population without changing its sum.
                 d = np.bincount(to, weights=amt, minlength=3 * n)
                 d -= np.bincount(frm, weights=amt, minlength=3 * n)
-                # In place: each report copies the rows it keeps and hashes x
-                # before the next step, so no view of x outlives a step.
+                # In place, so the yielded views of x and cases stay the state.
                 x += d
                 np.maximum(x, 0.0, out=x)
                 cases += np.maximum(grow, 0.0)
@@ -319,7 +294,6 @@ def simulate(
 
         # Non-finite values persist once they appear, so checking at report
         # boundaries still catches every divergence.
-        vectors = dict(zip(SERIES, (*x.reshape(3, n), cases)))
         if not (np.isfinite(x).all() and np.isfinite(cases).all()):
             t_fail = step * sim_dt
             for name, vec in vectors.items():
@@ -330,11 +304,6 @@ def simulate(
                         f"non-finite {name} at node {net.labels[node]} "
                         f"(index {node}) at t={t_fail:.6g}"
                     )
-        for name, kept in reports.items():
-            c = cursor[name]
-            if c < len(kept) and kept[c] == report:
-                out[name][c] = vectors[name]
-                cursor[name] = c + 1
         # The checksum's bytes of this report: t, then S, I and R (the
         # state x, in that order) and J, all float64. The scalar is hashed
         # through its buffer: with numpy 2.4, its tobytes() left about 2.6
@@ -342,80 +311,12 @@ def simulate(
         digest.update(np.float64(report * report_dt))
         digest.update(x)
         digest.update(cases)
-
-    # Read-only before they are handed over, so the result keeps them uncopied.
-    out = {name: _readonly(arr) for name, arr in out.items()}
-    return Trajectory(
-        reports,
-        **out,
-        network=net,
-        params=params,
-        init=init,
-        seed=seed_tuple,
-        sim_dt=sim_dt,
-        report_dt=report_dt,
-        noise=noise,
-        last_report=n_reports,
-        checksum=digest.hexdigest(),
-    )
-
-
-def synthesize_dataset(
-    traj: Trajectory,
-    t_obs: float,
-    delta_t: float = 1.0,
-    kind: ObservableKind = ObservableKind.NEW_CASES,
-) -> Dataset:
-    """Slice an observation vector out of a trajectory that kept the rows
-    it reads (see :func:`_observation_reads`).
-
-    Difference kinds report max(0, X(t_obs + delta_t) - X(t_obs)) per node,
-    for a finite positive delta_t; snapshot kinds report the raw vector at
-    t_obs (delta_t is ignored).
-    """
-    kind = ObservableKind(kind)
-    series, times = _observation_reads(kind, t_obs, delta_t)
-    rows = [traj.row(series, traj.report_index(t)) for t in times]
-    values = rows[0].copy() if len(rows) == 1 else np.maximum(rows[1] - rows[0], 0.0)
-    return Dataset(values, kind, t_obs=float(t_obs))
-
-
-def _observation_reads(kind: ObservableKind, t_obs: float, delta_t: float) -> tuple[str, tuple]:
-    """The series an observation of ``kind`` at ``t_obs`` reads, and the
-    times it reads it at: t_obs, and t_obs + delta_t for a difference kind."""
-    kind = ObservableKind(kind)
-    delta_t = _number(delta_t, "delta_t", 0, strict=True) if kind.is_difference else delta_t
-    infectious = kind in (ObservableKind.INFECTIOUS, ObservableKind.INFECTIOUS_CHANGE)
-    times = (t_obs, t_obs + delta_t) if kind.is_difference else (t_obs,)
-    return "infectious" if infectious else "cases", times
-
-
-def initial_correlation(traj: Trajectory, t: float) -> float:
-    """Pearson correlation between the infectious profile at time t and the
-    initial profile (report 0), clipped into [-1, 1] against rounding (a
-    profile proportional to the initial one can otherwise come out a few ulp
-    above 1). Raises ZeroVarianceError when either profile is constant across
-    nodes, so callers may skip the sample."""
-    start = traj.row("infectious", 0)
-    now = traj.row("infectious", traj.report_index(t))
-    x = start - start.mean()
-    y = now - now.mean()
-    sx = float(x @ x)
-    sy = float(y @ y)
-    if sx == 0.0 or sy == 0.0:
-        which = "initial" if sx == 0.0 else f"t={t}"
-        raise ZeroVarianceError(f"infectious profile at {which} is constant across nodes")
-    return min(1.0, max(-1.0, float((x @ y) / math.sqrt(sx * sy))))
+        yield report, vectors
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> Path:
     """Export the reported series as CSV (time, node_label, S, I, R, J) and
-    echo all run parameters into a .meta.json sidecar. The trajectory must
-    have kept every report of every series."""
-    every = tuple(range(traj.last_report + 1))
-    for name in SERIES:
-        if traj.reports[name] != every:
-            raise ValueError(f"a trajectory CSV needs every report, but {name} kept only some")
+    echo all run parameters into a .meta.json sidecar."""
     path = Path(path)
     series = (traj.susceptible, traj.infectious, traj.removed, traj.cases)
     rows = (

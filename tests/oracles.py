@@ -12,9 +12,13 @@ from itertools import permutations
 
 import numpy as np
 
-from epiprofiler.network import UNREACHABLE, Network, _bfs_blocks, _readonly, mobility_edges
-from epiprofiler.profiler import DecayKind, _weight_table
-from epiprofiler.simulator import ZeroVarianceError
+from epiprofiler.network import UNREACHABLE, Network, _bfs_blocks, _number, _readonly, mobility_edges
+from epiprofiler.profiler import Dataset, DecayKind, ObservableKind, _weight_table
+from epiprofiler.simulator import _grid_steps
+
+
+class ZeroVarianceError(ValueError):
+    """Raised when a correlation is requested for a constant profile."""
 
 
 def adjacency(net):
@@ -72,6 +76,66 @@ def hit_score(scores, source):
     if not 0 <= source < n:
         raise ValueError(f"source index {source} out of range for {n} nodes")
     return float(np.count_nonzero(scores >= scores[source])) / n
+
+
+def report_index(traj, t):
+    """Index of reporting time t of a trajectory (every run starts at t = 0)."""
+    return _grid_steps(t, traj.report_dt, "t")
+
+
+def row(traj, series, report):
+    """The vector of ``series`` (one of ``simulator.SERIES``) at report
+    index ``report`` of a trajectory."""
+    if report > traj.last_report:
+        raise ValueError(
+            f"t={report * traj.report_dt!r} is outside the simulated range "
+            f"[0.0, {traj.last_report * traj.report_dt!r}]"
+        )
+    return getattr(traj, series)[report]
+
+
+def synthesize_dataset(traj, t_obs, delta_t=1.0, kind=ObservableKind.NEW_CASES):
+    """Slice an observation vector out of a whole trajectory, one
+    observation at a time. The library slices a replicate's whole stack of
+    observations from the rows it kept of the run.
+
+    Difference kinds report max(0, X(t_obs + delta_t) - X(t_obs)) per node,
+    for a finite positive delta_t; snapshot kinds report the raw vector at
+    t_obs (delta_t is ignored).
+    """
+    kind = ObservableKind(kind)
+    series, times = _observation_reads(kind, t_obs, delta_t)
+    rows = [row(traj, series, report_index(traj, t)) for t in times]
+    values = rows[0].copy() if len(rows) == 1 else np.maximum(rows[1] - rows[0], 0.0)
+    return Dataset(values, kind, t_obs=float(t_obs))
+
+
+def _observation_reads(kind, t_obs, delta_t):
+    """The series an observation of ``kind`` at ``t_obs`` reads, and the
+    times it reads it at: t_obs, and t_obs + delta_t for a difference kind."""
+    kind = ObservableKind(kind)
+    delta_t = _number(delta_t, "delta_t", 0, strict=True) if kind.is_difference else delta_t
+    infectious = kind in (ObservableKind.INFECTIOUS, ObservableKind.INFECTIOUS_CHANGE)
+    times = (t_obs, t_obs + delta_t) if kind.is_difference else (t_obs,)
+    return "infectious" if infectious else "cases", times
+
+
+def initial_correlation(traj, t):
+    """Pearson correlation between the infectious profile at time t and the
+    initial profile (report 0), clipped into [-1, 1] against rounding (a
+    profile proportional to the initial one can otherwise come out a few ulp
+    above 1). Raises ZeroVarianceError when either profile is constant across
+    nodes, so callers may skip the sample."""
+    start = row(traj, "infectious", 0)
+    now = row(traj, "infectious", report_index(traj, t))
+    x = start - start.mean()
+    y = now - now.mean()
+    sx = float(x @ x)
+    sy = float(y @ y)
+    if sx == 0.0 or sy == 0.0:
+        which = "initial" if sx == 0.0 else f"t={t}"
+        raise ZeroVarianceError(f"infectious profile at {which} is constant across nodes")
+    return min(1.0, max(-1.0, float((x @ y) / math.sqrt(sx * sy))))
 
 
 def mobility_matrix(net, gamma):

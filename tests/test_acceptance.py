@@ -21,8 +21,15 @@ from epiprofiler.experiments import (
     run_hit_experiment,
     sweep_decay_parameter,
 )
-from epiprofiler.profiler import DecayKind, DecaySpec, LikelinessResult, decay_weight, likeliness_scores
-from epiprofiler.simulator import EpidemicParams, InitialCondition, ObservableKind, simulate
+from epiprofiler.profiler import (
+    DecayKind,
+    DecaySpec,
+    LikelinessResult,
+    ObservableKind,
+    decay_weight,
+    likeliness_scores,
+)
+from epiprofiler.simulator import EpidemicParams, InitialCondition, simulate
 from oracles import (
     adjacency,
     hit_score,

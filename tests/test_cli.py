@@ -123,11 +123,13 @@ class TestSimulate:
                    "--t-end", "5", "--out", str(tmp_path / "x.csv")) == 2
 
     def test_bad_source_exits_2(self, tmp_path, net_csv, capsys):
-        code = run("simulate", "--net", str(net_csv), "--alpha", "0.1", "--beta", "0.1",
-                   "--gamma", "0.1", "--source", "banana", "--t-end", "5",
-                   "--seed", "1", "--out", str(tmp_path / "x.csv"))
-        assert code == 2
-        assert "--source" in capsys.readouterr().err
+        # A superscript digit passes str.isdigit but not int().
+        for source in ("banana", "\u00b2"):
+            code = run("simulate", "--net", str(net_csv), "--alpha", "0.1", "--beta", "0.1",
+                       "--gamma", "0.1", "--source", source, "--t-end", "5",
+                       "--seed", "1", "--out", str(tmp_path / "x.csv"))
+            assert code == 2
+            assert f"--source must be a node index or 'random', got {source!r}" in error_line(capsys)
 
     @pytest.mark.parametrize("flag,field", [
         ("--t-end=0", "t_end"),
@@ -631,6 +633,13 @@ class TestBadFiles:
         assert "replicate" not in err
         assert err == f"error: output directory does not exist: {out.parent}\n"
 
+    def test_output_with_trailing_slash_in_missing_directory_exits_2(self, tmp_path, capsys):
+        # A trailing separator names a directory, which must exist.
+        out = tmp_path / "missing_dir"
+        assert run("gen-net", "--nodes", "5", "--mean-degree", "2", "--out", f"{out}{os.sep}") == 2
+        assert capsys.readouterr().err == f"error: output directory does not exist: {out}\n"
+        assert not out.exists()
+
     def test_rerun_redirect_into_missing_directory_exits_2(self, tmp_path, net_csv, capsys):
         out = tmp_path / "missing_dir" / "o.csv"
         manifest = str(net_csv) + ".manifest.json"
@@ -675,7 +684,7 @@ class TestTopLevel:
     def test_unknown_subcommand_exits_2(self):
         assert run("frobnicate") == 2
 
-    @pytest.mark.parametrize("module,name", [("data_ingest", "rank_timeline"), ("experiments", "simulate")])
+    @pytest.mark.parametrize("module,name", [("data_ingest", "rank_timeline"), ("experiments", "_reports")])
     @pytest.mark.parametrize("exc,code,err", [
         (ValueError("x"), 2, "error: x\n"),
         (RuntimeError("y"), 1, "runtime failure: y\n"),

@@ -16,8 +16,7 @@ from epiprofiler.data_ingest import (
     write_timeline_csv,
 )
 from epiprofiler.network import load_adjacency
-from epiprofiler.profiler import DecayKind, DecaySpec, likeliness_scores
-from epiprofiler.simulator import ObservableKind
+from epiprofiler.profiler import DecayKind, DecaySpec, ObservableKind, likeliness_scores
 from oracles import hop_distances, is_interchangeable
 
 POLY = DecaySpec(DecayKind.POLYNOMIAL, 0.5)
@@ -268,7 +267,7 @@ class TestBundledReconstruction:
 
 class TestRankTimeline:
     def test_degenerate_day_flagged(self, sars_network):
-        from epiprofiler.simulator import Dataset
+        from epiprofiler.profiler import Dataset
 
         zero = Dataset(np.zeros(11), ObservableKind.NEW_CASES, t_obs=0.0)
         timeline = rank_timeline(sars_network, [zero], POLY)
@@ -276,7 +275,7 @@ class TestRankTimeline:
         assert timeline.entries[0].result.ranking.tolist() == list(range(11))
 
     def test_size_mismatch_rejected(self, sars_network):
-        from epiprofiler.simulator import Dataset
+        from epiprofiler.profiler import Dataset
 
         bad = Dataset(np.zeros(5), ObservableKind.NEW_CASES)
         with pytest.raises(ValueError, match="nodes"):

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 from unittest import mock
 
@@ -24,18 +25,18 @@ from epiprofiler.experiments import (
     _replicate,
 )
 from epiprofiler.network import generate_erdos_renyi
-from epiprofiler.profiler import DecayKind, DecaySpec, likeliness_scores, score_batch
-from epiprofiler.simulator import (
-    EpidemicParams,
-    InitialCondition,
-    ObservableKind,
+from epiprofiler.profiler import DecayKind, DecaySpec, ObservableKind, likeliness_scores, score_batch
+from epiprofiler.simulator import EpidemicParams, InitialCondition, simulate
+
+from oracles import (
     ZeroVarianceError,
+    _average_ranks,
+    average_ranks,
+    hit_score,
     initial_correlation,
-    simulate,
+    rank_correlation,
     synthesize_dataset,
 )
-
-from oracles import _average_ranks, average_ranks, hit_score, rank_correlation
 
 POLY = DecaySpec(DecayKind.POLYNOMIAL, 0.5)
 NAIVE = DecaySpec(DecayKind.NAIVE)
@@ -523,10 +524,23 @@ class TestSweep:
             assert 0.0 < value <= 1.0
 
 
+class ReadLog(dict):
+    """One report's vectors from the step loop, noting in ``log`` the
+    (series, report) of each vector read."""
+
+    def __init__(self, vectors, report, log):
+        super().__init__(vectors)
+        self.report, self.log = report, log
+
+    def __getitem__(self, series):
+        self.log.append((series, self.report))
+        return super().__getitem__(series)
+
+
 class TestRecordedRows:
-    """A replicate asks ``simulate`` only for the rows its experiment reads. The
-    correlations read the infectious rows at 0 and at each t, and only
-    hit_vs_correlation reads the correlations."""
+    """A replicate copies out of the step loop only the rows its experiment
+    reads, each once. The correlations read the infectious rows at 0 and at
+    each t, and only hit_vs_correlation reads the correlations."""
 
     @pytest.mark.parametrize("experiment,infectious", [
         (run_hit_experiment, set()),
@@ -537,16 +551,59 @@ class TestRecordedRows:
     ])
     def test_experiments_record_only_the_infectious_rows_they_read(self, monkeypatch, experiment, infectious):
         cfg = tiny_config()  # times 2, 5, 10 on a unit report grid, delta_t 1
-        seen = []
-        real = experiments.simulate
+        logs = []
+        real = experiments._reports
 
-        def spy(*args, record, **kwargs):
-            seen.append(set(record["infectious"]))
-            return real(*args, record=record, **kwargs)
+        def spy(*args, **kwargs):
+            logs.append([])
+            for report, vectors in real(*args, **kwargs):
+                yield report, ReadLog(vectors, report, logs[-1])
 
-        monkeypatch.setattr(experiments, "simulate", spy)
+        monkeypatch.setattr(experiments, "_reports", spy)
         experiment(cfg)
-        assert seen == [infectious] * cfg.replicates
+        assert len(logs) == cfg.replicates
+        for log in logs:
+            assert len(log) == len(set(log))
+            assert {report for series, report in log if series == "infectious"} == infectious
+
+    @pytest.mark.parametrize("report_dt,delta_t,times,extinct", [
+        (1.0, 2.0, (0.0, 1.0, 4.0, 9.0), False),
+        (0.5, 1.0, (0.0, 0.5, 2.0, 4.5), False),
+        (1.0, 2.0, (0.0, 1.0, 4.0), True),
+    ], ids=["unit-grid", "half-grid", "extinct"])
+    def test_stack_and_correlations_are_the_oracles_of_the_full_run(
+        self, monkeypatch, report_dt, delta_t, times, extinct
+    ):
+        # The (m, N) stack the scoring pass gets, and the correlations, equal
+        # the observations and correlations sliced one at a time from the
+        # whole trajectory, bit for bit; delta_t is two reports. In the
+        # extinct run, noise off, no infection or migration and
+        # beta * sim_dt = 1 remove every infectious person in the first
+        # step, so each correlation after t = 0 is undefined.
+        cfg = tiny_config(observation_times=times, delta_t=delta_t, report_dt=report_dt)
+        if extinct:
+            cfg = replace(cfg, params=EpidemicParams(0.0, 100.0, 0.0), sim_dt=0.01, noise=False)
+        kinds = tuple(ObservableKind)
+        stacks = []
+        real = experiments._hit_scores
+
+        def spy(net, specs, values, source):
+            stacks.append(values.copy())
+            return real(net, specs, values, source)
+
+        monkeypatch.setattr(experiments, "_hit_scores", spy)
+        for rep in range(cfg.replicates):
+            checksum, _, correlations = _replicate(cfg, kinds, rep, correlate=True)
+            _, _, traj = full_trajectory(cfg, rep)
+            assert checksum == traj.checksum
+            want = np.array([synthesize_dataset(traj, t, cfg.delta_t, kind).values for kind in kinds for t in times])
+            assert stacks[rep].tobytes() == want.tobytes()
+            for t_idx, t in enumerate(times):
+                try:
+                    assert correlations[t_idx] == initial_correlation(traj, t)
+                except ZeroVarianceError:
+                    assert np.isnan(correlations[t_idx])
+            assert np.isnan(correlations[1:]).all() == extinct
 
     def test_correlation_pairs_match_the_full_trajectories(self):
         cfg = tiny_config(decays=(POLY,))

@@ -24,7 +24,7 @@ from epiprofiler.experiments import (
 )
 from epiprofiler.network import Network
 from epiprofiler.profiler import DecayKind, DecaySpec, LikelinessResult, write_ranking_csv
-from epiprofiler.simulator import SERIES, EpidemicParams, InitialCondition, Trajectory, write_trajectory_csv
+from epiprofiler.simulator import EpidemicParams, InitialCondition, Trajectory, write_trajectory_csv
 
 NAIVE = DecaySpec(DecayKind.NAIVE)
 POLY = DecaySpec(DecayKind.POLYNOMIAL, 0.5)
@@ -113,7 +113,6 @@ def test_timeline_csv():
 
 def test_trajectory_csv_and_sidecar():
     traj = Trajectory(
-        reports=dict.fromkeys(SERIES, (0, 1)),
         susceptible=np.array([[99.0, 100.0], [98.5, 99.75]]),
         infectious=np.array([[1.0, 0.0], [1.25, 0.1]]),
         removed=np.array([[0.0, 0.0], [0.25, 0.15]]),
@@ -169,7 +168,6 @@ def test_trajectory_csv_of_integer_arrays_writes_floats():
     # Trajectory keeps its arrays as given, so the writer must format an int
     # or bool report as a float (1.0, not 1 or True).
     traj = Trajectory(
-        reports=dict.fromkeys(SERIES, (0,)),
         susceptible=np.array([[99, 100]]),
         infectious=np.array([[1, 0]]),
         removed=np.array([[False, True]]),

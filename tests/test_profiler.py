@@ -21,15 +21,17 @@ from epiprofiler.network import (
     generate_erdos_renyi,
 )
 from epiprofiler.profiler import (
+    Dataset,
     DecayKind,
     DecaySpec,
     LikelinessResult,
+    ObservableKind,
     decay_weight,
     likeliness_scores,
     score_batch,
     score_blocks,
 )
-from epiprofiler.simulator import Dataset, EpidemicParams, InitialCondition, ObservableKind, simulate
+from epiprofiler.simulator import EpidemicParams, InitialCondition, simulate
 
 NAIVE = DecaySpec(DecayKind.NAIVE)
 POLY_HALF = DecaySpec(DecayKind.POLYNOMIAL, 0.5)

@@ -15,25 +15,21 @@ from hypothesis import strategies as st
 
 from epiprofiler.experiments import ExperimentConfig, _replicate
 from epiprofiler.network import Network, generate_erdos_renyi
-from epiprofiler.profiler import DecayKind, DecaySpec
+from epiprofiler.profiler import Dataset, DecayKind, DecaySpec, ObservableKind
 from epiprofiler.simulator import (
     MAX_REPORT_VALUES,
     MAX_STEPS,
-    Dataset,
     EpidemicParams,
     InitialCondition,
-    ObservableKind,
     SERIES,
     SimulationDiverged,
     Trajectory,
-    ZeroVarianceError,
     _check_run,
-    initial_correlation,
+    _reports,
     simulate,
-    synthesize_dataset,
     write_trajectory_csv,
 )
-from oracles import linear_phase
+from oracles import ZeroVarianceError, initial_correlation, linear_phase, synthesize_dataset
 
 HIGH_R_PARAMS = EpidemicParams(0.16, 0.04, 0.2)
 
@@ -264,22 +260,26 @@ class TestSimulate:
 
 
 def make_trajectory(times, cases, infectious=None):
-    """Hand-built trajectory for observation tests: every series keeps the
-    reports at ``times``, on the grid their first step sets."""
-    cases = np.asarray(cases, dtype=float)
-    n = cases.shape[1]
-    if infectious is None:
-        infectious = np.zeros_like(cases)
-    net = Network(np.zeros((n, n), dtype=int))
-    zeros = np.zeros_like(cases)
+    """Hand-built trajectory for observation tests: the given rows of the
+    case and infectious series (zero when not given) sit at the reports at
+    ``times``, on the grid their first step sets, and every other report is
+    zero."""
     report_dt = float(times[1] - times[0])
-    kept = tuple(int(round(t / report_dt)) for t in times)
+    kept = [int(round(t / report_dt)) for t in times]
+    n = np.shape(cases)[1]
+    net = Network(np.zeros((n, n), dtype=int))
+
+    def at_reports(rows):
+        out = np.zeros((kept[-1] + 1, n))
+        out[kept] = rows
+        return out
+
+    zeros = at_reports(0.0)
     return Trajectory(
-        reports=dict.fromkeys(SERIES, kept),
         susceptible=zeros,
-        infectious=np.asarray(infectious, dtype=float),
+        infectious=zeros if infectious is None else at_reports(infectious),
         removed=zeros,
-        cases=cases,
+        cases=at_reports(cases),
         network=net,
         params=EpidemicParams(0.1, 0.1, 0.1),
         init=InitialCondition(0, 1.0, float(n)),
@@ -446,59 +446,37 @@ class TestRunBudget:
 
 
 class TestRecordedRows:
-    def run(self, **kwargs):
+    def run(self):
         net = generate_erdos_renyi(12, 2.0, seed=6)
-        return simulate(net, HIGH_R_PARAMS, InitialCondition(2, 20, 1e5), 8.0, seed=3, **kwargs)
+        return simulate(net, HIGH_R_PARAMS, InitialCondition(2, 20, 1e5), 8.0, seed=3)
 
     def test_rows_and_checksum_are_the_trajectory_s(self):
+        # simulate collects every report of the step loop, which hashes each
+        # report into the digest it is given as it goes.
         traj = self.run()
-        record = {"infectious": [0, 5, 3, 5], "cases": [8, 2], "removed": [4]}
-        rows = self.run(record=record)
-        assert rows.reports == {"susceptible": (), "infectious": (0, 3, 5), "removed": (4,), "cases": (2, 8)}
-        for series, kept in rows.reports.items():
-            assert not getattr(rows, series).flags.writeable
-            assert getattr(rows, series).shape == (len(kept), 12)
-            for report in kept:
-                assert np.array_equal(rows.row(series, report), traj.row(series, report))
-        assert rows.checksum == traj.checksum
-        assert self.run(record={}).checksum == traj.checksum
+        steps_per_report, n_reports = _check_run(12, traj.init, 8.0, traj.sim_dt, traj.report_dt)
+        digest = hashlib.sha256()
+        seen = []
+        for report, vectors in _reports(traj.network, traj.params, traj.init, traj.sim_dt, traj.report_dt,
+                                        steps_per_report, n_reports, traj.seed, traj.noise, digest):
+            assert tuple(vectors) == SERIES
+            for series, vec in vectors.items():
+                assert np.array_equal(vec, getattr(traj, series)[report])
+            seen.append(report)
+        assert seen == list(range(9))
+        assert digest.hexdigest() == traj.checksum
 
     def test_none_keeps_every_report_of_every_series(self):
         traj = self.run()
-        every = self.run(record=dict.fromkeys(SERIES, range(9)))
-        assert traj.reports == every.reports == dict.fromkeys(SERIES, tuple(range(9)))
+        assert traj.last_report == 8
         for series in SERIES:
-            assert np.array_equal(getattr(traj, series), getattr(every, series))
-        assert traj.checksum == every.checksum
+            assert getattr(traj, series).shape == (9, 12)
+            assert not getattr(traj, series).flags.writeable
         np.testing.assert_array_equal(traj.times, np.arange(9.0))
 
-    def test_observations_read_the_same_bits(self):
-        traj = self.run()
-        rows = self.run(record={"infectious": [0, 2, 3], "cases": [2, 3]})
-        for kind in ObservableKind:
-            assert np.array_equal(synthesize_dataset(rows, 2.0, 1.0, kind).values,
-                                  synthesize_dataset(traj, 2.0, 1.0, kind).values)
-        assert initial_correlation(rows, 3.0) == initial_correlation(traj, 3.0)
-        with pytest.raises(ValueError, match="report 4 of cases was not kept"):
-            synthesize_dataset(rows, 3.0, 1.0, ObservableKind.NEW_CASES)
-        with pytest.raises(ValueError, match="range"):
-            synthesize_dataset(rows, 9.0, 1.0, ObservableKind.CUMULATIVE_CASES)
-
-    def test_bad_record_rejected(self):
-        with pytest.raises(ValueError, match="can be recorded, got exposed"):
-            self.run(record={"exposed": [1]})
-        with pytest.raises(ValueError, match="can be recorded, got 1, 2"):
-            self.run(record=[1, 2])
-        with pytest.raises(ValueError, match=r"must lie in \[0, 8\]"):
-            self.run(record={"cases": [9]})
-        with pytest.raises(ValueError, match=r"reports of cases must be integers, got \[1.5, 2\]"):
-            self.run(record={"cases": [1.5, 2]})
-        with pytest.raises(ValueError, match=r"reports of cases must be integers, got \[True, 2\]"):
-            self.run(record={"cases": [True, 2]})
-
     def test_rows_must_match_their_reports(self):
-        traj = self.run(record={"cases": [2, 8]})
-        with pytest.raises(ValueError, match="cases has 1 rows for its 2 kept reports"):
+        traj = self.run()
+        with pytest.raises(ValueError, match="cases has 1 rows for the run's 9 reports"):
             dataclasses.replace(traj, cases=traj.cases[:1])
 
     def test_checksum_hashes_each_report_in_order(self):
@@ -565,8 +543,7 @@ def early_phase_totals(params):
     """Mean and standard error of the total I(20) over noise seeds 0..63 of
     the early-phase run (see :class:`TestEarlyPhase`), and its exact I(20)."""
     net, init = early_phase_network(), InitialCondition(0, 20.0)
-    totals = [simulate(net, params, init, 20.0, seed=s, record={"infectious": [20]}).infectious[0].sum()
-              for s in range(64)]
+    totals = [simulate(net, params, init, 20.0, seed=s).infectious[20].sum() for s in range(64)]
     se = float(np.std(totals, ddof=1)) / math.sqrt(len(totals))
     return float(np.mean(totals)), se, linear_phase(net, params, init, 20.0)[0]
 
@@ -583,10 +560,9 @@ class TestEarlyPhase:
         net, init = early_phase_network(), InitialCondition(0, 20.0)
         params = EpidemicParams(0.11, 0.09, 0.2)
         exact = linear_phase(net, params, init, 20.0)
-        runs = [simulate(net, params, init, 20.0, sim_dt=dt, noise=False, record={"infectious": [20], "cases": [20]})
-                for dt in (0.1, 0.05, 0.025, 0.0125)]
+        runs = [simulate(net, params, init, 20.0, sim_dt=dt, noise=False) for dt in (0.1, 0.05, 0.025, 0.0125)]
         for series, want in zip(("infectious", "cases"), exact):
-            errors = [np.abs(getattr(run, series)[0] - want).sum() / want.sum() for run in runs]
+            errors = [np.abs(getattr(run, series)[20] - want).sum() / want.sum() for run in runs]
             ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
             assert all(1.8 <= ratio <= 2.2 for ratio in ratios), (series, ratios)
 
@@ -645,11 +621,3 @@ class TestTrajectoryExport:
         meta = json.loads(write_trajectory_csv(traj, tmp_path / "traj.csv").read_text())
         assert meta["source"] == 2 and meta["index_cases"] == 20.0 and meta["alpha"] == 0.125
         assert meta["sim_dt"] == 0.25 and meta["report_dt"] == 1.0 and meta["seed"] == [5, 1]
-
-    def test_partial_trajectory_rejected_naming_the_series(self, tmp_path):
-        net = generate_erdos_renyi(4, 2.0, seed=3)
-        record = {**dict.fromkeys(SERIES, range(4)), "removed": [0, 1, 3]}
-        traj = simulate(net, HIGH_R_PARAMS, InitialCondition(1), 3.0, seed=5, record=record)
-        with pytest.raises(ValueError, match="removed kept only some"):
-            write_trajectory_csv(traj, tmp_path / "traj.csv")
-        assert not (tmp_path / "traj.csv").exists()
