@@ -63,6 +63,7 @@ class ExperimentConfig:
         decays = tuple(self.decays)
         if not decays:
             raise ValueError("decays must hold at least one decay spec")
+        _refuse_repeats(decays, "decays")
         times = tuple(_number(t, f"observation_times[{i}]") for i, t in enumerate(self.observation_times))
         if not times:
             raise ValueError("observation_times must not be empty")
@@ -342,7 +343,17 @@ def _sweep_specs(kind, grid) -> tuple[DecaySpec, ...]:
         raise ValueError(f"{field}: {exc}") from None
     if not specs:
         raise ValueError("sweep.grid must not be empty")
+    _refuse_repeats(specs, "sweep.grid")
     return tuple(specs)
+
+
+def _refuse_repeats(specs, field: str) -> None:
+    """Refuse a spec listed twice: results are keyed by spec (or parameter),
+    so a repeat would be scored and then silently merged."""
+    first = {}
+    for idx, spec in enumerate(specs):
+        if first.setdefault(spec, idx) != idx:
+            raise ValueError(f"{field}[{idx}] repeats {field}[{first[spec]}]")
 
 
 # ---------------------------------------------------------------------------

@@ -227,9 +227,17 @@ def _indptr(rows, n):
     return indptr
 
 
+# The node pairs of the largest random network: 14142 nodes. The draw visits
+# every pair, and a dense adjacency CSV of that size is already about 400 MB.
+_MAX_NODE_PAIRS = 10**8
+
+
 def _check_graph(n, mean_degree) -> tuple[int, float]:
-    """A random network's node count (at least 2) and mean degree (in (0, n - 1])."""
+    """A random network's node count (at least 2, and at most
+    ``_MAX_NODE_PAIRS`` node pairs) and mean degree (in (0, n - 1])."""
     n = _number(n, "nodes", 2, integer=True)
+    if n * (n - 1) // 2 > _MAX_NODE_PAIRS:
+        raise ValueError(f"nodes ({n}) give more than {_MAX_NODE_PAIRS} node pairs, the limit for one network")
     mean_degree = _number(mean_degree, "mean_degree", 0, strict=True)
     if mean_degree > n - 1:
         raise ValueError(f"mean_degree must lie in (0, {n - 1}], got {mean_degree!r}")

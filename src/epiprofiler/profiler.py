@@ -140,17 +140,19 @@ class LikelinessResult(_ReadOnlyArrays):
         self._keep("ranking", np.lexsort((np.arange(scores.shape[0]), -scores)))
         object.__setattr__(self, "degenerate", bool(self.degenerate))
 
-    @property
-    def n(self) -> int:
-        return self.scores.shape[0]
-
 
 # Rows x columns of one row block: bounds the float64 decay weights (and
 # squared weights) gathered at a time, and the observation rows whose norms
 # are taken at a time.
 _ROW_BLOCK_ELEMENTS = 1 << 12
 
+# A norm below this (about 1.5e-154) is the root of a sum of squares below
+# the smallest normal float, so the squares lost bits or underflowed to 0.
+_UNDERFLOW_NORM = math.sqrt(np.finfo(float).tiny)
 
+
+# An overflow is refused below, so numpy's warning about it would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def score_batch(net: Network, spec: DecaySpec, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Score every candidate source of the network against each row of an
     ``(m, N)`` stack of observation vectors.
@@ -158,39 +160,20 @@ def score_batch(net: Network, spec: DecaySpec, values: np.ndarray) -> tuple[np.n
     Candidate i's profile is its row of decay weights over hop distances.
     It is compared with the observations by normalized scalar product
     (Euclidean norms), so scaling the observations leaves scores unchanged.
-    Returns the ``(m, N)`` scores and an ``(m,)`` flag that is set for an
-    all-zero row, whose scores are all 0.
-
-    This is :func:`score_blocks` for one spec, fed block by block by the
-    breadth-first search, so the N x N hop-distance matrix is never built.
-    """
-    scores, degenerate = score_blocks(_bfs_blocks(net), net.n, (spec,), values)
-    return scores[0], degenerate
-
-
-# An overflow is refused below, so numpy's warning about it would only repeat it.
-@np.errstate(over="ignore", invalid="ignore")
-def score_blocks(blocks, n: int, specs, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`score_batch` for every spec in ``specs`` at once, from hop
-    distances that arrive as blocks of candidate rows.
-
-    ``blocks`` yields ``(lo, rows)``: the hop-distance rows of candidates
-    lo, lo + 1, ..., each of length ``n``, with UNREACHABLE where there is no
-    path. Together they cover every candidate once, in any order, and each
-    block is read before the next is asked for (so ``network._bfs_blocks``
-    can feed it without building the N x N matrix). Returns the
-    ``(len(specs), m, n)`` scores, the chunks of :func:`_scored_chunks`
-    copied into place, and the ``(m,)`` degenerate flags.
+    Returns the ``(m, N)`` scores, the chunks of :func:`_scored_chunks`
+    copied into place as the breadth-first search feeds it block by block
+    (so the N x N hop-distance matrix is never built), and an ``(m,)`` flag
+    that is set for an all-zero row, whose scores are all 0.
 
     A live (not all-zero) row whose divisor, a profile norm times the row's
     norm, is beyond float range is refused with a ``ValueError``. It names
     the observation when the row's norm overflows, which is checked before
-    any block is read, and the decay parameter when a profile norm does.
+    the search starts, and the decay parameter when a profile norm does.
     """
-    values, data_norms = _observations(values, n)
-    scores = np.empty((len(specs), values.shape[0], n))
-    for s_idx, lo, chunk in _scored_chunks(blocks, specs, values, data_norms):
-        scores[s_idx, :, lo : lo + chunk.shape[1]] = chunk
+    values, data_norms = _observations(values, net.n)
+    scores = np.empty(values.shape)
+    for _, lo, chunk in _scored_chunks(_bfs_blocks(net), (spec,), values, data_norms):
+        scores[:, lo : lo + chunk.shape[1]] = chunk
     return scores, data_norms[:, 0] == 0.0
 
 
@@ -202,7 +185,7 @@ def _hit_scores(net: Network, specs, values: np.ndarray, source: int) -> np.ndar
     row). One BFS pass, from the block holding the source, feeds
     :func:`_scored_chunks`: the source's own row first, whose scores (copied,
     as chunks are scratch) are the thresholds, then every chunk, counted
-    against them. Errors are those of :func:`score_blocks`.
+    against them. Errors are those of :func:`score_batch`.
     """
     values, data_norms = _observations(values, net.n)
     blocks = _bfs_blocks(net, source)
@@ -220,7 +203,11 @@ def _observations(values, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``(m, n)`` stack ``values`` as C-ordered floats, so that einsum
     sums each row's products in one order whatever the caller's layout, and
     its row norms as an ``(m, 1)`` column, each its own pairwise sum taken
-    one row block at a time. A norm beyond float range is refused."""
+    one row block at a time. A norm beyond float range is refused. A
+    non-zero row whose norm is below ``_UNDERFLOW_NORM``, where its squares
+    underflowed (to 0, so it would pass for an all-zero row, or to
+    subnormals short of bits), is divided by its largest magnitude on a copy
+    and its norm taken again; every other row keeps its bits."""
     values = np.ascontiguousarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != n:
         raise ValueError(f"dataset has {values.shape[-1]} entries but the network has {n} nodes")
@@ -232,17 +219,24 @@ def _observations(values, n: int) -> tuple[np.ndarray, np.ndarray]:
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
         raise ValueError(f"observation {bad[0]} is too large to score: its norm is beyond float range")
+    low = np.flatnonzero(norms[:, 0] < _UNDERFLOW_NORM)
+    tiny = low[values[low].any(axis=1)]
+    if tiny.size:
+        values = values.copy()
+        values[tiny] /= np.abs(values[tiny]).max(axis=1, keepdims=True)
+        norms[tiny, 0] = np.sqrt(np.add.reduce(values[tiny] ** 2, axis=1))
     return values, norms
 
 
 def _scored_chunks(blocks, specs, values: np.ndarray, data_norms: np.ndarray):
-    """The one scorer of hop-distance ``blocks`` (see :func:`score_blocks`),
-    run under ``np.errstate`` by its callers: yields ``(s_idx, lo, scores)``
-    for each spec on each chunk of candidates lo .. lo + b - 1, ``scores``
-    being :func:`_score_rows`' (m, b) scratch, which the next overwrites. A
-    chunk gathers at most ``_ROW_BLOCK_ELEMENTS`` weights from its spec's
-    table, grown to the largest distance seen so far (no weight depends on
-    the table's length)."""
+    """The one scorer (see :func:`score_batch`), run under ``np.errstate``
+    by its callers. ``blocks`` yields ``(lo, rows)``, the hop-distance rows
+    of candidates lo, lo + 1, ..., and covers each candidate once, in any
+    order. Yields ``(s_idx, lo, scores)`` for each spec on each chunk of
+    candidates lo .. lo + b - 1, ``scores`` being :func:`_score_rows`' (m, b)
+    scratch, which the next overwrites. A chunk gathers at most
+    ``_ROW_BLOCK_ELEMENTS`` weights from its spec's table, grown to the
+    largest distance seen so far (no weight depends on the table's length)."""
     m, n = values.shape
     step = max(1, min(n, _ROW_BLOCK_ELEMENTS // max(n, 1)))
     scratch = np.empty((m, step))

@@ -76,6 +76,12 @@ class TestGenNet:
             assert "mean_degree" in capsys.readouterr().err
             assert not (tmp_path / "x.csv").exists()
 
+    def test_nodes_over_the_pair_budget_exit_2_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run("gen-net", "--nodes", "10000000", "--mean-degree", "2", "--out", str(out)) == 2
+        assert "nodes (10000000)" in error_line(capsys)
+        assert not out.exists()
+
     def test_missing_required_flag_exits_2(self, tmp_path):
         assert run("gen-net", "--nodes", "10", "--out", str(tmp_path / "x.csv")) == 2
 
@@ -206,6 +212,21 @@ class TestProfile:
         assert "degenerate" in capsys.readouterr().err
         assert len(out.read_text().splitlines()) == 4
 
+    def test_values_whose_squares_underflow_are_not_degenerate(self, tmp_path, capsys):
+        # Every square of 1e-200 underflows to 0; the ranking is that of
+        # any other constant vector.
+        net = tmp_path / "net6.csv"
+        assert run("gen-net", "--nodes", "6", "--mean-degree", "2", "--seed", "1", "--out", str(net)) == 0
+        outs = {}
+        for value in ("1e-200", "1"):
+            data = tmp_path / f"data{value}.csv"
+            data.write_text("node_label,value\n" + "".join(f"n{i},{value}\n" for i in range(6)))
+            outs[value] = tmp_path / f"ranking{value}.csv"
+            assert run("profile", "--net", str(net), "--data", str(data), "--decay", "polynomial",
+                       "--param", "0.5", "--out", str(outs[value])) == 0
+            assert "degenerate" not in capsys.readouterr().err
+        assert outs["1e-200"].read_bytes() == outs["1"].read_bytes()
+
     def test_label_mismatch_exits_2(self, tmp_path, path3_csv, capsys):
         data = tmp_path / "data.csv"
         data.write_text("node_label,value\nx,1\ny,2\nz,3\n")
@@ -301,6 +322,10 @@ class TestEvaluateAndSweep:
         ({"noise": 1}, "noise"),
         ({"decays": [{"kind": "polynomial", "param": 0.5, "parm": 9}]}, "decays[0]: unknown field 'parm'"),
         ({"sweep": {"kind": "polynomial", "grid": [1.0], "grd": [2.0]}}, "sweep: unknown field 'grd'"),
+        ({"decays": [{"kind": "naive"}, {"kind": "naive"}]}, "decays[1] repeats decays[0]"),
+        ({"decays": [{"kind": "polynomial", "param": 0.5}, {"kind": "naive"}, {"kind": "polynomial", "param": 0.5}]},
+         "decays[2] repeats decays[0]"),
+        ({"sweep": {"kind": "polynomial", "grid": [0.5, 0.5, 1.0]}}, "sweep.grid[1] repeats sweep.grid[0]"),
     ])
     def test_invalid_config_value_exits_2_naming_field(self, tmp_path, capsys, extra, field):
         cfg = small_config(tmp_path, **extra)

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -118,6 +119,11 @@ class TestConfig:
     def test_rejects_empty_decays(self):
         with pytest.raises(ValueError, match="decay"):
             tiny_config(decays=())
+
+    def test_rejects_a_repeated_decay_naming_it(self):
+        # HitCurve.mean is keyed by spec, so a repeat could not be reported.
+        with pytest.raises(ValueError, match=re.escape("decays[2] repeats decays[1]")):
+            tiny_config(decays=(NAIVE, POLY, DecaySpec(DecayKind.POLYNOMIAL, 0.5)))
 
     @pytest.mark.parametrize("overrides", [
         dict(sim_dt=1e-300),
@@ -504,6 +510,11 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="grid"):
             sweep_decay_parameter(tiny_config(), DecayKind.POLYNOMIAL, [])
+
+    def test_repeated_grid_value_rejected_naming_it(self):
+        # SweepResult.mean is keyed by parameter, so a repeat could not be reported.
+        with pytest.raises(ValueError, match=re.escape("sweep.grid[2] repeats sweep.grid[0]")):
+            sweep_decay_parameter(tiny_config(), DecayKind.POLYNOMIAL, [0.5, 1.0, 0.5])
 
     def test_tie_breaks_toward_smaller_parameter(self):
         # with alpha=0 no case is ever added, so every new-case snapshot is all

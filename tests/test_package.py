@@ -153,6 +153,25 @@ class TestPublicNames:
         }
         assert listed == epiprofiler._EXPORTS
 
+    def test_readme_names_only_code_that_exists(self):
+        # Every `module.attr` in an inline code span, fenced blocks (the
+        # file tree) left out, resolves on its module; `cli.py` is a file.
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        spans = re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+        modules = "network|simulator|profiler|experiments|data_ingest|cli"
+        cited = {
+            (module, attr)
+            for span in spans
+            for module, attr in re.findall(rf"(?<![\w.])({modules})\.([A-Za-z_]\w*)", span)
+            if attr != "py"
+        }
+        assert len(cited) >= 15
+        missing = [
+            f"{module}.{attr}" for module, attr in sorted(cited)
+            if not hasattr(importlib.import_module(f"epiprofiler.{module}"), attr)
+        ]
+        assert missing == []
+
     def test_every_public_definition_is_used_by_the_package(self):
         # A top-level public function or class that no package code names
         # outside its own definition serves only the tests: it belongs in
@@ -401,6 +420,15 @@ def test_mean_degree_above_nodes_minus_one_is_refused(key, n, k):
     with pytest.raises(ValueError, match=re.escape(f"mean_degree must lie in (0, {n - 1}], got {k!r}")):
         GRAPH_FIELDS[key](n, k)
     assert GRAPH_FIELDS[key](n, float(n - 1)) is not None
+
+
+@pytest.mark.parametrize("key", GRAPH_FIELDS, ids="-".join)
+@pytest.mark.parametrize("n", [14143, 10**7])
+def test_a_network_over_the_pair_budget_is_refused_naming_nodes(key, n):
+    # Refused before the draw allocates anything; 14142 nodes have 99,991,011 pairs.
+    assert network._check_graph(14142, 2.0) == (14142, 2.0)
+    with pytest.raises(ValueError, match=re.escape(f"nodes ({n}) give more than 100000000 node pairs")):
+        GRAPH_FIELDS[key](n, 2.0)
 
 
 @pytest.mark.parametrize("key", sorted(INTEGER_FIELDS), ids="-".join)

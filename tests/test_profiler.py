@@ -29,7 +29,6 @@ from epiprofiler.profiler import (
     decay_weight,
     likeliness_scores,
     score_batch,
-    score_blocks,
 )
 from epiprofiler.simulator import EpidemicParams, InitialCondition, simulate
 
@@ -296,6 +295,34 @@ class TestDecayProfile:
         assert degenerate.tolist() == [True, True]
         assert not scores.any()
 
+    @pytest.mark.parametrize("spec", ALL_KINDS)
+    @pytest.mark.parametrize("scale", [1e-200, 1e-161])
+    def test_a_row_whose_squares_underflow_is_not_degenerate(self, spec, scale):
+        # Every square of 1e-200 underflows to 0, so the row's norm is 0
+        # although its values are not; squares of about 1e-161 are
+        # subnormals, whose sum was off by 1e-3 relative.
+        net = generate_erdos_renyi(60, 2.0, seed=27)
+        values = np.random.default_rng(28).random((2, 60))
+        tiny = values * scale
+        kept = tiny.copy()
+        want, _ = score_batch(net, spec, values)
+        got, degenerate = score_batch(net, spec, tiny)
+        assert np.array_equal(tiny, kept)
+        assert not degenerate.any()
+        np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0)
+        for row in range(2):
+            assert np.array_equal(LikelinessResult(got[row]).ranking, LikelinessResult(want[row]).ranking)
+
+    def test_underflow_rescale_leaves_other_rows_bitwise_alone(self):
+        net = generate_erdos_renyi(60, 2.0, seed=29)
+        values = np.random.default_rng(30).random((3, 60))
+        values[2] = 0.0
+        want, want_degenerate = score_batch(net, POLY_HALF, values)
+        got, degenerate = score_batch(net, POLY_HALF, np.vstack([values, values[:1] * 1e-200]))
+        assert np.array_equal(got[:3], want)
+        assert degenerate.tolist() == want_degenerate.tolist() + [False]
+        assert degenerate[2] and not got[2].any()
+
     def test_rejects_a_stack_of_the_wrong_width(self):
         net = path_graph(3)
         for values in (np.ones((2, 4)), np.ones(3)):
@@ -340,7 +367,12 @@ class TestDecayProfile:
         blocks = [blocks[k] for k in np.random.default_rng(33).permutation(len(blocks))]
         reach = [int(rows.max()) for _, rows in blocks]
         assert any(reach[k] > max(reach[:k]) for k in range(1, len(reach)))
-        scores, degenerate = score_blocks(iter(blocks), n, ALL_KINDS, values)
+        # The scorer a replicate drives, assembled per spec as score_batch does.
+        obs, data_norms = profiler._observations(values, n)
+        scores = np.full((len(ALL_KINDS), 3, n), np.nan)
+        for s_idx, lo, chunk in profiler._scored_chunks(iter(blocks), ALL_KINDS, obs, data_norms):
+            scores[s_idx, :, lo : lo + chunk.shape[1]] = chunk
+        degenerate = data_norms[:, 0] == 0.0
         assert scores.shape == (len(ALL_KINDS), 3, n)
         for spec, got in zip(ALL_KINDS, scores):
             want, want_degenerate = score_batch(net, spec, values)
@@ -362,12 +394,13 @@ class TestDecayProfile:
         # Bit r of zero_rows zeroes row r of the stack, so degenerate rows
         # fall anywhere in and across the row blocks.
         rng = np.random.default_rng(seed)
-        d = hop_distances(generate_erdos_renyi(n, min(1.5, n - 1.0), seed=seed))
+        net = generate_erdos_renyi(n, min(1.5, n - 1.0), seed=seed)
+        d = hop_distances(net)
         values = rng.random((m, n)) * 10.0 ** scale
         values[[bool(zero_rows >> r & 1) for r in range(m)]] = 0.0
-        with mock.patch.object(profiler, "_ROW_BLOCK_ELEMENTS", row_elements):
-            scores, degenerate = score_blocks([(0, d)], n, ALL_KINDS, values)
-        for spec, got in zip(ALL_KINDS, scores):
+        for spec in ALL_KINDS:
+            with mock.patch.object(profiler, "_ROW_BLOCK_ELEMENTS", row_elements):
+                got, degenerate = score_batch(net, spec, values)
             want, want_degenerate = whole_matrix_scores(d, spec, values)
             assert np.array_equal(got, want)
             assert np.array_equal(degenerate, want_degenerate)
