@@ -23,7 +23,6 @@ _EXPORTS = {
     "SimulationDiverged": "simulator",
     "simulate": "simulator",
     "write_trajectory_csv": "simulator",
-    "Dataset": "profiler",
     "ObservableKind": "profiler",
     "DecayKind": "profiler",
     "DecaySpec": "profiler",

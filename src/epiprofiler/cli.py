@@ -31,7 +31,7 @@ from .network import (
     load_adjacency,
     save_adjacency,
 )
-from .profiler import Dataset, DecayKind, DecaySpec, ObservableKind, likeliness_scores, write_ranking_csv
+from .profiler import DecayKind, DecaySpec, likeliness_scores, write_ranking_csv
 
 
 def _manifest_path(out) -> str:
@@ -123,7 +123,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_dataset_csv(path, net: Network) -> Dataset:
+def _load_dataset_csv(path, net: Network) -> np.ndarray:
     rows: dict[str, float] = {}
     for line, (label, text) in _read_csv(path, ("node_label", "value")):
         if label in rows:
@@ -145,14 +145,14 @@ def _load_dataset_csv(path, net: Network) -> Dataset:
             f"{path}: node labels do not match the network's labels "
             f"(first missing: {missing!r}, first unknown: {unknown!r})"
         )
-    return Dataset(np.array([rows[lab] for lab in net.labels]), ObservableKind.NEW_CASES)
+    return np.array([rows[lab] for lab in net.labels])
 
 
 def cmd_profile(args) -> int:
     args.net, args.data = _resolve_input(args.net), _resolve_input(args.data)
     net = load_adjacency(args.net)
-    data = _load_dataset_csv(args.data, net)
-    result = likeliness_scores(net, data, DecaySpec(args.decay, args.param))
+    values = _load_dataset_csv(args.data, net)
+    result = likeliness_scores(net, values, DecaySpec(args.decay, args.param))
     write_ranking_csv(result, net.labels, args.out)
     _write_manifest(args, [args.out])
     if result.degenerate:
@@ -224,10 +224,10 @@ def cmd_rank_timeline(args) -> int:
         args.param = 0.5
     spec = DecaySpec(args.decay, args.param)
     try:
-        datasets = daily_deltas(series, labels=net.labels)
+        values = daily_deltas(series, labels=net.labels)
     except ValueError as exc:
         raise ValueError(f"{args.cases}: {exc}") from exc
-    timeline = rank_timeline(net, datasets, spec, dates=series.dates[:-1])
+    timeline = rank_timeline(net, values, spec, series.dates[:-1])
     write_timeline_csv(timeline, args.out)
     _write_manifest(args, [args.out])
     return 0

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .network import Network, _number, _read_csv, _ReadOnlyArrays, _write_csv
-from .profiler import Dataset, DecaySpec, LikelinessResult, ObservableKind, score_batch
+from .profiler import DecaySpec, LikelinessResult, score_batch
 
 log = logging.getLogger(__name__)
 
@@ -141,15 +141,15 @@ def _filled_cumulative(series: CaseReportSeries) -> np.ndarray:
     return filled
 
 
-def daily_deltas(series: CaseReportSeries, labels: Sequence[str] | None = None) -> list[Dataset]:
-    """New-case vectors for each consecutive pair of report dates.
+def daily_deltas(series: CaseReportSeries, labels: Sequence[str] | None = None) -> np.ndarray:
+    """The ``(days, N)`` new-case vectors, one for each consecutive pair of
+    report dates.
 
     Downward revisions clamp to zero new cases with a logged warning. When
     ``labels`` is given the vectors are aligned to that node order: regions
     of the series that are not among the labels are dropped, with one
     logged warning naming them, and a label missing from the series is an
-    error naming it. Each dataset's t_obs is the day offset of the interval
-    start from the first observation.
+    error naming it.
     """
     labels = series.regions if labels is None else list(labels)
     missing = [lab for lab in labels if lab not in series.regions]
@@ -163,29 +163,21 @@ def daily_deltas(series: CaseReportSeries, labels: Sequence[str] | None = None) 
         log.warning("dropping case-series regions the network lacks: %s", ", ".join(extra))
     order = [series.regions.index(lab) for lab in labels]
     filled = _filled_cumulative(series)[:, order]
-    datasets = []
-    first = series.dates[0]
-    for i in range(len(series.dates) - 1):
-        diff = filled[i + 1] - filled[i]
-        drops = np.flatnonzero(diff < 0)
-        for j in drops:
-            log.warning(
-                "cumulative count for %s fell from %g to %g between %s and %s; "
-                "clamping new cases to 0",
-                labels[j], filled[i, j], filled[i + 1, j],
-                series.dates[i], series.dates[i + 1],
-            )
-        values = np.maximum(diff, 0.0)
-        datasets.append(
-            Dataset(values, ObservableKind.NEW_CASES, t_obs=float((series.dates[i] - first).days))
+    diff = np.diff(filled, axis=0)
+    for i, j in zip(*np.nonzero(diff < 0)):
+        log.warning(
+            "cumulative count for %s fell from %g to %g between %s and %s; "
+            "clamping new cases to 0",
+            labels[j], filled[i, j], filled[i + 1, j],
+            series.dates[i], series.dates[i + 1],
         )
-    return datasets
+    return np.maximum(diff, 0.0)
 
 
 @dataclass(frozen=True)
 class TimelineEntry:
     day_index: int
-    date: dt.date | None
+    date: dt.date
     result: LikelinessResult
 
 
@@ -198,28 +190,24 @@ class RankingTimeline:
 
 
 def rank_timeline(
-    net: Network,
-    datasets: Sequence[Dataset],
-    spec: DecaySpec,
-    dates: Sequence[dt.date] | None = None,
+    net: Network, values: np.ndarray, spec: DecaySpec, dates: Sequence[dt.date]
 ) -> RankingTimeline:
-    """Score every day's snapshot against the network, all days in one
-    :func:`~epiprofiler.profiler.score_batch` call. Degenerate (all-zero)
-    days are kept, flagged, and carry the identity ranking."""
-    if dates is not None and len(dates) != len(datasets):
-        raise ValueError(f"got {len(dates)} dates for {len(datasets)} datasets")
-    for idx, data in enumerate(datasets):
-        if data.n != net.n:
-            raise ValueError(
-                f"dataset {idx} has {data.n} regions but the network has {net.n} nodes"
-            )
-    values = np.stack([data.values for data in datasets]) if datasets else np.empty((0, net.n))
+    """Score each day's row of the ``(days, N)`` observation stack
+    ``values`` against the network, all days in one
+    :func:`~epiprofiler.profiler.score_batch` call. ``dates`` holds each
+    day's start, strictly increasing, and a day's index is its offset in
+    days from the first. Degenerate (all-zero) days are kept, flagged, and
+    carry the identity ranking."""
+    dates = tuple(dates)
+    if any(b <= a for a, b in zip(dates, dates[1:])):
+        raise ValueError("dates must be strictly increasing")
     scores, degenerate = score_batch(net, spec, values)
-    entries = []
-    for idx, data in enumerate(datasets):
-        result = LikelinessResult(scores[idx], degenerate[idx])
-        day_index = int(data.t_obs) if data.t_obs is not None else idx
-        entries.append(TimelineEntry(day_index, dates[idx] if dates is not None else None, result))
+    if len(dates) != scores.shape[0]:
+        raise ValueError(f"got {len(dates)} dates for {scores.shape[0]} observations")
+    entries = (
+        TimelineEntry((date - dates[0]).days, date, LikelinessResult(row, flag))
+        for date, row, flag in zip(dates, scores, degenerate)
+    )
     return RankingTimeline(net.labels, tuple(entries))
 
 
@@ -228,7 +216,7 @@ def write_timeline_csv(timeline: RankingTimeline, path) -> None:
         labels = timeline.labels
         for entry in timeline.entries:
             # Per-entry fields, computed once for all the entry's rows.
-            date_text = entry.date.isoformat() if entry.date is not None else ""
+            date_text = entry.date.isoformat()
             flag = "true" if entry.result.degenerate else "false"
             scores = entry.result.scores
             for pos, node in enumerate(entry.result.ranking, start=1):

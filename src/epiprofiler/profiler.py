@@ -1,4 +1,4 @@
-"""Source profiling: observation snapshots, hop-distance decay functions,
+"""Source profiling: observation kinds, hop-distance decay functions,
 likeliness scores over a snapshot, and the hit-score search metric."""
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ _EXACT_FACTORIAL_MAX = 20
 
 
 class ObservableKind(str, enum.Enum):
-    """What a Dataset records per node."""
+    """What an observation vector records per node."""
 
     INFECTIOUS = "infectious"
     CUMULATIVE_CASES = "cumulative_cases"
@@ -26,38 +26,6 @@ class ObservableKind(str, enum.Enum):
     @property
     def is_difference(self) -> bool:
         return self in (ObservableKind.INFECTIOUS_CHANGE, ObservableKind.NEW_CASES)
-
-
-@dataclass(frozen=True, eq=False)
-class Dataset(_ReadOnlyArrays):
-    """One observation vector (a number per node) plus its kind tag.
-
-    ``t_obs`` is the time the observation starts, when it is known.
-    Synthetic observations count it from the outbreak's start;
-    :func:`data_ingest.daily_deltas`, which cannot know that start, sets the
-    day offset of each interval's start from the first report date.
-    :func:`data_ingest.rank_timeline` reads it as the day index, and uses
-    the dataset's position in its list when it is unset.
-    """
-
-    values: np.ndarray
-    kind: ObservableKind
-    t_obs: float | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError("dataset values must be a vector")
-        if not np.isfinite(values).all():
-            raise ValueError("dataset values must be finite")
-        if (values < 0).any():
-            raise ValueError("dataset values must be non-negative")
-        self._keep("values", values, self.values)
-        object.__setattr__(self, "kind", ObservableKind(self.kind))
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
 
 class DecayKind(str, enum.Enum):
@@ -165,10 +133,10 @@ def score_batch(net: Network, spec: DecaySpec, values: np.ndarray) -> tuple[np.n
     (so the N x N hop-distance matrix is never built), and an ``(m,)`` flag
     that is set for an all-zero row, whose scores are all 0.
 
+    The stack is checked by :func:`_observations` before the search starts.
     A live (not all-zero) row whose divisor, a profile norm times the row's
-    norm, is beyond float range is refused with a ``ValueError``. It names
-    the observation when the row's norm overflows, which is checked before
-    the search starts, and the decay parameter when a profile norm does.
+    norm, is beyond float range is refused with a ``ValueError``, naming the
+    decay parameter when a profile norm overflows.
     """
     values, data_norms = _observations(values, net.n)
     scores = np.empty(values.shape)
@@ -200,30 +168,44 @@ def _hit_scores(net: Network, specs, values: np.ndarray, source: int) -> np.ndar
 
 
 def _observations(values, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(m, n)`` stack ``values`` as C-ordered floats, so that einsum
-    sums each row's products in one order whatever the caller's layout, and
-    its row norms as an ``(m, 1)`` column, each its own pairwise sum taken
-    one row block at a time. A norm beyond float range is refused. A
-    non-zero row whose norm is below ``_UNDERFLOW_NORM``, where its squares
-    underflowed (to 0, so it would pass for an all-zero row, or to
-    subnormals short of bits), is divided by its largest magnitude on a copy
-    and its norm taken again; every other row keeps its bits."""
+    """The one rule for observation vectors: ``values`` must be an ``(m, n)``
+    stack of finite, non-negative values. A ``ValueError`` names the shape,
+    or the first observation at fault with its first bad node and value, or
+    an observation whose norm is beyond float range. Returns the stack as
+    C-ordered floats, so that einsum sums each row's products in one order
+    whatever the caller's layout, and its row norms as an ``(m, 1)`` column,
+    each its own pairwise sum taken one row block at a time. A non-zero row
+    whose norm is below ``_UNDERFLOW_NORM``, where its squares underflowed
+    (to 0, so it would pass for an all-zero row, or to subnormals short of
+    bits), is divided by its largest value on a copy and its norm taken
+    again; every other row keeps its bits."""
     values = np.ascontiguousarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[1] != n:
-        raise ValueError(f"dataset has {values.shape[-1]} entries but the network has {n} nodes")
+    if values.ndim != 2:
+        raise ValueError(f"observations must be an (m, N) stack, got shape {values.shape}")
+    if values.shape[1] != n:
+        raise ValueError(f"observation has {values.shape[1]} entries but the network has {n} nodes")
     norms = np.empty((values.shape[0], 1))
     block = max(1, _ROW_BLOCK_ELEMENTS // max(n, 1))
     for lo in range(0, values.shape[0], block):
         obs = values[lo : lo + block]
         norms[lo : lo + block, 0] = np.sqrt(np.add.reduce(obs * obs, axis=1))
-    bad = np.flatnonzero(~np.isfinite(norms))
+    # A NaN, -inf or negative value shows in its row's minimum, +inf in its
+    # row's norm, as does a finite row too large to score.
+    bad = np.flatnonzero(~(np.minimum.reduce(values, axis=1) >= 0) | ~np.isfinite(norms[:, 0]))
     if bad.size:
+        row = values[bad[0]]
+        nodes = np.flatnonzero(~(row >= 0) | np.isinf(row))
+        if nodes.size:
+            raise ValueError(
+                f"observation {bad[0]} has value {float(row[nodes[0]])!r} at node {nodes[0]}: "
+                "observation values must be finite and non-negative"
+            )
         raise ValueError(f"observation {bad[0]} is too large to score: its norm is beyond float range")
     low = np.flatnonzero(norms[:, 0] < _UNDERFLOW_NORM)
     tiny = low[values[low].any(axis=1)]
     if tiny.size:
         values = values.copy()
-        values[tiny] /= np.abs(values[tiny]).max(axis=1, keepdims=True)
+        values[tiny] /= values[tiny].max(axis=1, keepdims=True)
         norms[tiny, 0] = np.sqrt(np.add.reduce(values[tiny] ** 2, axis=1))
     return values, norms
 
@@ -271,12 +253,14 @@ def _score_rows(spec, weights, values, data_norms, out) -> None:
     out[~live] = 0.0
 
 
-def likeliness_scores(net: Network, data: Dataset, spec: DecaySpec) -> LikelinessResult:
+def likeliness_scores(net: Network, values, spec: DecaySpec) -> LikelinessResult:
     """Score every candidate source of the network against one observation
-    snapshot; see :func:`score_batch`. An all-zero snapshot yields all-zero
+    vector; see :func:`score_batch`. An all-zero vector yields all-zero
     scores with the degenerate flag set instead of an error, so day-by-day
     pipelines can proceed past empty days."""
-    scores, degenerate = score_batch(net, spec, data.values[None, :])
+    if np.ndim(values) != 1:
+        raise ValueError("values must be a vector")
+    scores, degenerate = score_batch(net, spec, np.reshape(values, (1, -1)))
     return LikelinessResult(scores[0], degenerate[0])
 
 

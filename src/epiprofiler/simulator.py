@@ -50,10 +50,6 @@ class EpidemicParams:
         for name, strict in (("alpha", False), ("beta", True), ("gamma", False)):
             object.__setattr__(self, name, _number(getattr(self, name), name, 0, strict=strict))
 
-    @property
-    def reproductive_ratio(self) -> float:
-        return self.alpha / self.beta
-
 
 @dataclass(frozen=True)
 class InitialCondition:

@@ -13,7 +13,7 @@ from itertools import permutations
 import numpy as np
 
 from epiprofiler.network import UNREACHABLE, Network, _bfs_blocks, _number, _readonly, mobility_edges
-from epiprofiler.profiler import Dataset, DecayKind, ObservableKind, _weight_table
+from epiprofiler.profiler import DecayKind, ObservableKind, _weight_table
 from epiprofiler.simulator import _grid_steps
 
 
@@ -106,8 +106,7 @@ def synthesize_dataset(traj, t_obs, delta_t=1.0, kind=ObservableKind.NEW_CASES):
     kind = ObservableKind(kind)
     series, times = _observation_reads(kind, t_obs, delta_t)
     rows = [row(traj, series, report_index(traj, t)) for t in times]
-    values = rows[0].copy() if len(rows) == 1 else np.maximum(rows[1] - rows[0], 0.0)
-    return Dataset(values, kind, t_obs=float(t_obs))
+    return rows[0].copy() if len(rows) == 1 else np.maximum(rows[1] - rows[0], 0.0)
 
 
 def _observation_reads(kind, t_obs, delta_t):
@@ -189,12 +188,21 @@ def is_interchangeable(d, nodes):
 
 
 def relaxation_distances(adj):
-    """All-pairs hop counts by iterated relaxation over node triples."""
-    n = adj.shape[0]
-    big = n + 10  # larger than any possible hop count
-    d = np.full((n, n), big)
-    np.fill_diagonal(d, 0)
-    d[adj == 1] = 1
+    """All-pairs hop counts by relaxation through each middle node k in
+    turn (Floyd-Warshall), one whole-matrix ``np.minimum`` per k."""
+    d = _unrelaxed(adj)
+    for k in range(d.shape[0]):
+        np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :], out=d)
+    d[d > d.shape[0]] = UNREACHABLE
+    return d
+
+
+def relaxation_distances_by_triples(adj):
+    """All-pairs hop counts by iterated relaxation over node triples, one
+    scalar comparison at a time: the reference that checks
+    :func:`relaxation_distances` on small graphs."""
+    d = _unrelaxed(adj)
+    n = d.shape[0]
     changed = True
     while changed:
         changed = False
@@ -204,7 +212,17 @@ def relaxation_distances(adj):
                     if d[i, k] + d[k, j] < d[i, j]:
                         d[i, j] = d[i, k] + d[k, j]
                         changed = True
-    d[d >= big] = UNREACHABLE
+    d[d > n] = UNREACHABLE
+    return d
+
+
+def _unrelaxed(adj):
+    """Distance 0 on the diagonal, 1 on each link, and elsewhere n + 10,
+    larger than any hop count (at most n - 1): what relaxation starts from."""
+    n = adj.shape[0]
+    d = np.full((n, n), n + 10)
+    np.fill_diagonal(d, 0)
+    d[adj == 1] = 1
     return d
 
 

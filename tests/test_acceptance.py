@@ -241,16 +241,14 @@ def test_criterion_05_scoring_oracle():
         values = rng.integers(0, 30, size=n).astype(float)
         if values.sum() == 0:
             values[int(rng.integers(n))] = 1.0
-        data = ep.Dataset(values, ObservableKind.NEW_CASES)
         for spec in OPTIMAL_SPECS:
-            got = likeliness_scores(net, data, spec).scores
+            got = likeliness_scores(net, values, spec).scores
             want = oracle_scores(dist, values, spec)
             worst = max(worst, float(np.abs(got - np.asarray(want)).max()))
     # naive ranking reproduces sorting by observed counts exactly
     net = ep.generate_erdos_renyi(25, 2.0, seed=(MASTER_SEED, 7))
     values = np.random.default_rng(8).integers(0, 50, size=25).astype(float)
-    data = ep.Dataset(values, ObservableKind.NEW_CASES)
-    result = likeliness_scores(net, data, DecaySpec(DecayKind.NAIVE))
+    result = likeliness_scores(net, values, DecaySpec(DecayKind.NAIVE))
     expected_ranking = np.lexsort((np.arange(25), -values))
     naive_ok = result.ranking.tolist() == expected_ranking.tolist()
     report("05", "scoring matches extended-precision oracle", worst <= 1e-12 and naive_ok,
@@ -413,8 +411,8 @@ def test_criterion_13_sars_pipeline():
            equivalences_ok)
 
     series = ep.filter_regions(ep.load_case_series(bundled_data_path(SARS_CASES_FILE)))
-    datasets = ep.daily_deltas(series, labels=net.labels)
-    timeline = ep.rank_timeline(net, datasets, POLY, dates=series.dates[:-1])
+    values = ep.daily_deltas(series, labels=net.labels)
+    timeline = ep.rank_timeline(net, values, POLY, series.dates[:-1])
     tops = [timeline.labels[entry.result.ranking[0]] for entry in timeline.entries]
     ok = bool(tops) and all(top == "HKG" for top in tops)
     report("13", "HKG ranks first on every observation day (data-dependent)", ok,

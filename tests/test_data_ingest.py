@@ -16,7 +16,7 @@ from epiprofiler.data_ingest import (
     write_timeline_csv,
 )
 from epiprofiler.network import load_adjacency
-from epiprofiler.profiler import DecayKind, DecaySpec, ObservableKind, likeliness_scores
+from epiprofiler.profiler import DecayKind, DecaySpec, likeliness_scores
 from oracles import hop_distances, is_interchangeable
 
 POLY = DecaySpec(DecayKind.POLYNOMIAL, 0.5)
@@ -127,18 +127,16 @@ class TestFilterRegions:
 class TestDailyDeltas:
     def test_plain_difference(self, tmp_path):
         path = write_cases(tmp_path, ["2003-03-20,HKG,95", "2003-03-21,HKG,123"])
-        datasets = daily_deltas(load_case_series(path))
-        assert len(datasets) == 1
-        assert datasets[0].kind is ObservableKind.NEW_CASES
-        np.testing.assert_array_equal(datasets[0].values, [28.0])
-        assert datasets[0].t_obs == 0.0
+        values = daily_deltas(load_case_series(path))
+        assert values.dtype == float
+        np.testing.assert_array_equal(values, [[28.0]])
 
     def test_downward_revision_clamped_with_warning(self, tmp_path, caplog):
         path = write_cases(tmp_path, ["2003-04-12,USA,50", "2003-04-14,USA,48"])
         series = load_case_series(path)
         with caplog.at_level(logging.WARNING, logger="epiprofiler.data_ingest"):
-            datasets = daily_deltas(series)
-        np.testing.assert_array_equal(datasets[0].values, [0.0])
+            values = daily_deltas(series)
+        np.testing.assert_array_equal(values[0], [0.0])
         assert any("USA" in record.message for record in caplog.records)
 
     def test_missing_entry_carried_forward(self, tmp_path):
@@ -152,17 +150,15 @@ class TestDailyDeltas:
                 "2003-03-19,FRA,4",
             ],
         )
-        datasets = daily_deltas(load_case_series(path))
+        values = daily_deltas(load_case_series(path))
         # FRA missing on the 18th: delta 0 that day, then 2 when it reappears
-        np.testing.assert_array_equal(datasets[0].values, [4.0, 0.0])
-        np.testing.assert_array_equal(datasets[1].values, [1.0, 2.0])
+        np.testing.assert_array_equal(values, [[4.0, 0.0], [1.0, 2.0]])
 
     def test_one_dataset_per_consecutive_pair(self, sars_series):
         filtered = filter_regions(sars_series)
-        datasets = daily_deltas(filtered)
-        assert len(datasets) == len(filtered.dates) - 1
-        for data in datasets:
-            assert np.all(data.values >= 0)
+        values = daily_deltas(filtered)
+        assert values.shape == (len(filtered.dates) - 1, len(filtered.regions))
+        assert np.all(values >= 0)
 
     def test_label_mismatch_rejected(self, tmp_path):
         path = write_cases(tmp_path, ["2003-03-17,AAA,5", "2003-03-18,AAA,6"])
@@ -176,8 +172,8 @@ class TestDailyDeltas:
              "2003-03-18,AAA,3", "2003-03-18,ZZZ,2", "2003-03-18,MMM,9"],
         )
         with caplog.at_level(logging.WARNING, logger="epiprofiler.data_ingest"):
-            datasets = daily_deltas(load_case_series(path), labels=["AAA"])
-        np.testing.assert_array_equal(datasets[0].values, [2.0])
+            values = daily_deltas(load_case_series(path), labels=["AAA"])
+        np.testing.assert_array_equal(values, [[2.0]])
         # One warning, naming both; ZZZ's downward revision is not reported.
         assert [r.getMessage() for r in caplog.records] == [
             "dropping case-series regions the network lacks: MMM, ZZZ"
@@ -198,8 +194,8 @@ class TestDailyDeltas:
                 "2003-03-18,BBB,14",
             ],
         )
-        datasets = daily_deltas(load_case_series(path), labels=["BBB", "AAA"])
-        np.testing.assert_array_equal(datasets[0].values, [4.0, 1.0])
+        values = daily_deltas(load_case_series(path), labels=["BBB", "AAA"])
+        np.testing.assert_array_equal(values, [[4.0, 1.0]])
 
 
 class TestBundledReconstruction:
@@ -225,8 +221,8 @@ class TestBundledReconstruction:
 
     def test_hkg_ranks_first_every_day(self, sars_network, sars_series):
         filtered = filter_regions(sars_series)
-        datasets = daily_deltas(filtered, labels=sars_network.labels)
-        timeline = rank_timeline(sars_network, datasets, POLY, dates=filtered.dates[:-1])
+        values = daily_deltas(filtered, labels=sars_network.labels)
+        timeline = rank_timeline(sars_network, values, POLY, filtered.dates[:-1])
         tops = [timeline.labels[e.result.ranking[0]] for e in timeline.entries]
         assert tops == ["HKG"] * len(timeline.entries)
 
@@ -234,8 +230,8 @@ class TestBundledReconstruction:
         # after HKG: the SIN/ROC/CAN/USA group, then European regions, with
         # Southeast Asian regions last (averaged over the observation month)
         filtered = filter_regions(sars_series)
-        datasets = daily_deltas(filtered, labels=sars_network.labels)
-        timeline = rank_timeline(sars_network, datasets, POLY)
+        values = daily_deltas(filtered, labels=sars_network.labels)
+        timeline = rank_timeline(sars_network, values, POLY, filtered.dates[:-1])
         positions = {label: [] for label in timeline.labels}
         for entry in timeline.entries:
             for rank, node in enumerate(entry.result.ranking, start=1):
@@ -253,12 +249,12 @@ class TestBundledReconstruction:
         self, sars_network, sars_series
     ):
         filtered = filter_regions(sars_series)
-        datasets = daily_deltas(filtered, labels=sars_network.labels)
-        timeline = rank_timeline(sars_network, datasets, POLY)
+        values = daily_deltas(filtered, labels=sars_network.labels)
+        timeline = rank_timeline(sars_network, values, POLY, filtered.dates[:-1])
         labels = list(sars_network.labels)
         thi, vie = labels.index("THI"), labels.index("VIE")
-        for data, entry in zip(datasets, timeline.entries):
-            if data.values[thi] == data.values[vie]:
+        for row, entry in zip(values, timeline.entries):
+            if row[thi] == row[vie]:
                 positions = sorted(
                     (int(np.where(entry.result.ranking == node)[0][0]) for node in (thi, vie))
                 )
@@ -267,19 +263,28 @@ class TestBundledReconstruction:
 
 class TestRankTimeline:
     def test_degenerate_day_flagged(self, sars_network):
-        from epiprofiler.profiler import Dataset
-
-        zero = Dataset(np.zeros(11), ObservableKind.NEW_CASES, t_obs=0.0)
-        timeline = rank_timeline(sars_network, [zero], POLY)
+        timeline = rank_timeline(sars_network, np.zeros((1, 11)), POLY, [dt.date(2003, 3, 17)])
         assert timeline.entries[0].result.degenerate
         assert timeline.entries[0].result.ranking.tolist() == list(range(11))
 
     def test_size_mismatch_rejected(self, sars_network):
-        from epiprofiler.profiler import Dataset
-
-        bad = Dataset(np.zeros(5), ObservableKind.NEW_CASES)
         with pytest.raises(ValueError, match="nodes"):
-            rank_timeline(sars_network, [bad], POLY)
+            rank_timeline(sars_network, np.zeros((1, 5)), POLY, [dt.date(2003, 3, 17)])
+
+    def test_day_index_counts_days_from_the_first_date(self, sars_network):
+        dates = [dt.date(2003, 3, 17), dt.date(2003, 3, 19), dt.date(2003, 4, 2)]
+        timeline = rank_timeline(sars_network, np.ones((3, 11)), POLY, dates)
+        assert [(e.day_index, e.date) for e in timeline.entries] == list(zip([0, 2, 16], dates))
+
+    @pytest.mark.parametrize("days", [(17, 17), (18, 17), (17, 19, 18)])
+    def test_dates_that_do_not_increase_are_refused(self, sars_network, days):
+        dates = [dt.date(2003, 3, day) for day in days]
+        with pytest.raises(ValueError, match="dates must be strictly increasing"):
+            rank_timeline(sars_network, np.ones((len(dates), 11)), POLY, dates)
+
+    def test_one_date_per_day(self, sars_network):
+        with pytest.raises(ValueError, match="got 1 dates for 2 observations"):
+            rank_timeline(sars_network, np.ones((2, 11)), POLY, [dt.date(2003, 3, 17)])
 
     @pytest.mark.parametrize(
         "spec",
@@ -293,19 +298,20 @@ class TestRankTimeline:
     def test_matches_per_day_scoring(self, sars_network, sars_series, spec):
         # One weight matrix per timeline gives the same bits as rebuilding
         # it for every day.
-        datasets = daily_deltas(filter_regions(sars_series), labels=sars_network.labels)
-        timeline = rank_timeline(sars_network, datasets, spec)
-        assert len(timeline.entries) == len(datasets)
-        for data, entry in zip(datasets, timeline.entries):
-            want = likeliness_scores(sars_network, data, spec)
+        filtered = filter_regions(sars_series)
+        values = daily_deltas(filtered, labels=sars_network.labels)
+        timeline = rank_timeline(sars_network, values, spec, filtered.dates[:-1])
+        assert len(timeline.entries) == len(values)
+        for row, entry in zip(values, timeline.entries):
+            want = likeliness_scores(sars_network, row, spec)
             assert entry.result.scores.tobytes() == want.scores.tobytes()
             assert np.array_equal(entry.result.ranking, want.ranking)
             assert entry.result.degenerate == want.degenerate
 
     def test_timeline_csv_deterministic(self, tmp_path, sars_network, sars_series):
         filtered = filter_regions(sars_series)
-        datasets = daily_deltas(filtered, labels=sars_network.labels)
-        timeline = rank_timeline(sars_network, datasets, POLY, dates=filtered.dates[:-1])
+        values = daily_deltas(filtered, labels=sars_network.labels)
+        timeline = rank_timeline(sars_network, values, POLY, filtered.dates[:-1])
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_timeline_csv(timeline, a)
         write_timeline_csv(timeline, b)

@@ -409,7 +409,7 @@ class TestOnePath:
             (checksum, hits, _), star = replicate_on(cfg, kinds, topology == "star")
         net, source, traj = full_trajectory(cfg, 0, star)
         assert checksum == traj.checksum
-        values = np.array([synthesize_dataset(traj, t, cfg.delta_t, kind).values
+        values = np.array([synthesize_dataset(traj, t, cfg.delta_t, kind)
                            for kind in kinds for t in cfg.observation_times])
         for s_idx, spec in enumerate(cfg.decays):
             scores, _ = score_batch(net, spec, values)
@@ -607,7 +607,7 @@ class TestRecordedRows:
             checksum, _, correlations = _replicate(cfg, kinds, rep, correlate=True)
             _, _, traj = full_trajectory(cfg, rep)
             assert checksum == traj.checksum
-            want = np.array([synthesize_dataset(traj, t, cfg.delta_t, kind).values for kind in kinds for t in times])
+            want = np.array([synthesize_dataset(traj, t, cfg.delta_t, kind) for kind in kinds for t in times])
             assert stacks[rep].tobytes() == want.tobytes()
             for t_idx, t in enumerate(times):
                 try:

@@ -98,7 +98,7 @@ def test_timeline_csv():
         ("HKG", "SIN"),
         (
             TimelineEntry(0, dt.date(2003, 3, 17), LikelinessResult(np.array([0.75, 0.5]))),
-            TimelineEntry(3, None, LikelinessResult(np.zeros(2), degenerate=True)),
+            TimelineEntry(3, dt.date(2003, 3, 20), LikelinessResult(np.zeros(2), degenerate=True)),
         ),
     )
     write_timeline_csv(timeline, "timeline.csv")
@@ -106,8 +106,8 @@ def test_timeline_csv():
         "day_index,date,rank,region,score,degenerate_flag",
         "0,2003-03-17,1,HKG,0.75,false",
         "0,2003-03-17,2,SIN,0.5,false",
-        "3,,1,HKG,0.0,true",
-        "3,,2,SIN,0.0,true",
+        "3,2003-03-20,1,HKG,0.0,true",
+        "3,2003-03-20,2,SIN,0.0,true",
     )
 
 

@@ -27,7 +27,7 @@ PARSERS = {
     "observations": (
         lambda path: _load_dataset_csv(path, AB),
         ["node_label,value", "a,1", "b,2.5"],
-        lambda data: data.values.tolist(),
+        lambda values: values.tolist(),
     ),
     "cases": (
         load_case_series,

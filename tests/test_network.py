@@ -51,6 +51,7 @@ from oracles import (
     is_interchangeable,
     mobility_matrix,
     relaxation_distances,
+    relaxation_distances_by_triples,
 )
 
 BLOCK_N = 400
@@ -447,6 +448,16 @@ class TestHopDistances:
         for i, j in edges:
             adj[i, j] = adj[j, i] = 1
         assert np.array_equal(hop_distances(Network(adj)), relaxation_distances(adj))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 20), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_relaxation_oracle_matches_its_triple_loop(self, n, density, seed):
+        # The relaxation oracle above relaxes the whole matrix through one
+        # middle node at a time; the scalar triple loop checks it, from
+        # empty graphs to complete ones.
+        upper = np.triu(np.random.default_rng(seed).random((n, n)) < density, 1)
+        adj = (upper | upper.T).astype(int)
+        assert np.array_equal(relaxation_distances(adj), relaxation_distances_by_triples(adj))
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())

@@ -26,7 +26,7 @@ from epiprofiler.data_ingest import (
 )
 from epiprofiler.experiments import ExperimentConfig
 from epiprofiler.network import generate_erdos_renyi, mobility_edges
-from epiprofiler.profiler import Dataset, DecaySpec, LikelinessResult, ObservableKind
+from epiprofiler.profiler import DecaySpec, LikelinessResult
 from epiprofiler.simulator import EpidemicParams, InitialCondition, simulate
 from oracles import synthesize_dataset
 
@@ -173,27 +173,32 @@ class TestPublicNames:
         assert missing == []
 
     def test_every_public_definition_is_used_by_the_package(self):
-        # A top-level public function or class that no package code names
-        # outside its own definition serves only the tests: it belongs in
+        # A top-level public function or class, or a public method or
+        # property of a public class, that no package code names outside its
+        # own definition serves only the tests: it belongs in
         # tests/oracles.py. A string (such as an _EXPORTS key) is no use.
-        trees = {
-            path.name: ast.parse(path.read_text())
-            for path in sorted(Path(epiprofiler.__file__).parent.glob("*.py"))
-        }
-        defined, used = [], {}
-        for module, tree in trees.items():
-            for node in tree.body:
+        # Each name is owned by the innermost definition it appears in, and
+        # a class's own members are inside it.
+        defined, owner = [], {}
+        for path in sorted(Path(epiprofiler.__file__).parent.glob("*.py")):
+            for node in ast.parse(path.read_text()).body:
+                members = []
+                if isinstance(node, ast.ClassDef):
+                    members = [m for m in node.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                    defined.append((module, node))
-                for sub in ast.walk(node):
-                    if isinstance(sub, ast.Name):
-                        used.setdefault(sub.id, set()).add(node)
-                    elif isinstance(sub, ast.Attribute):
-                        used.setdefault(sub.attr, set()).add(node)
+                    defined.append((f"{path.name}: {node.name}", node.name, {node, *members}))
+                    defined += [(f"{path.name}: {node.name}.{m.name}", m.name, {m}) for m in members]
+                for top in (node, *members):
+                    owner.update((sub, top) for sub in ast.walk(top))
+        used = {}
+        for sub, top in owner.items():
+            if isinstance(sub, ast.Name):
+                used.setdefault(sub.id, set()).add(top)
+            elif isinstance(sub, ast.Attribute):
+                used.setdefault(sub.attr, set()).add(top)
         unused = [
-            f"{module}: {node.name}"
-            for module, node in defined
-            if node.name not in PUBLIC_FOR_USERS and not used.get(node.name, set()) - {node}
+            label for label, name, inside in defined
+            if name not in PUBLIC_FOR_USERS and not used.get(name, set()) - inside
         ]
         assert unused == []
 
@@ -240,7 +245,6 @@ def small_net():
 # name): a factory and its array fields.
 READ_ONLY_CASES = {
     "Network": (small_net, ("indptr", "indices")),
-    "Dataset": (lambda: Dataset(np.array([1.0, 0.0, 2.5]), ObservableKind.NEW_CASES), ("values",)),
     "Trajectory": (
         lambda: simulate(small_net(), EpidemicParams(0.4, 0.2, 0.1), InitialCondition(0, 5.0, 600.0), 2.0, seed=3),
         ("times", "susceptible", "infectious", "removed", "cases"),
@@ -274,11 +278,10 @@ class TestReadOnlyArrays:
     @pytest.mark.parametrize(
         "make,field",
         [
-            (lambda a: Dataset(a, ObservableKind.NEW_CASES), "values"),
             (lambda a: LikelinessResult(a), "scores"),
             (lambda a: CaseReportSeries(("A", "B", "C"), (dt.date(2003, 3, 17),), a[None, :]), "cumulative"),
         ],
-        ids=["Dataset", "LikelinessResult", "CaseReportSeries"],
+        ids=["LikelinessResult", "CaseReportSeries"],
     )
     def test_callers_array_stays_writable(self, make, field):
         # The float64 input needs no cast: the instance must still neither

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -21,11 +22,9 @@ from epiprofiler.network import (
     generate_erdos_renyi,
 )
 from epiprofiler.profiler import (
-    Dataset,
     DecayKind,
     DecaySpec,
     LikelinessResult,
-    ObservableKind,
     decay_weight,
     likeliness_scores,
     score_batch,
@@ -47,10 +46,6 @@ def path_graph(n):
     link = np.arange(n - 1)
     adj[link, link + 1] = adj[link + 1, link] = 1
     return Network(adj)
-
-
-def new_cases(values):
-    return Dataset(np.asarray(values, dtype=float), ObservableKind.NEW_CASES)
 
 
 from oracles import (
@@ -143,7 +138,7 @@ class TestDecayWeight:
 
 class TestLikelinessScores:
     def test_path_polynomial_hand_values(self):
-        result = likeliness_scores(path_graph(3), new_cases([0, 1, 0]), POLY_HALF)
+        result = likeliness_scores(path_graph(3), [0, 1, 0], POLY_HALF)
         # candidate 1 profile norm is sqrt(2); ends tie below it
         assert result.scores[1] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
         assert result.scores[0] == pytest.approx(0.52223, abs=1e-5)
@@ -154,24 +149,26 @@ class TestLikelinessScores:
     def test_naive_reduces_to_normalized_data(self):
         values = np.array([0.0, 7.0, 0.0, 3.0])
         net = generate_erdos_renyi(4, 2.0, seed=2)
-        result = likeliness_scores(net, new_cases(values), NAIVE)
+        result = likeliness_scores(net, values, NAIVE)
         np.testing.assert_allclose(result.scores, values / np.linalg.norm(values), rtol=1e-12)
         assert result.ranking[0] == 1  # argmax of the data ranks first
 
     def test_degenerate_all_zero(self):
-        result = likeliness_scores(path_graph(4), new_cases([0, 0, 0, 0]), POLY_HALF)
+        result = likeliness_scores(path_graph(4), [0, 0, 0, 0], POLY_HALF)
         assert result.degenerate
         assert np.all(result.scores == 0.0)
         assert result.ranking.tolist() == [0, 1, 2, 3]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="nodes"):
-            likeliness_scores(path_graph(3), new_cases([1, 2]), NAIVE)
+            likeliness_scores(path_graph(3), [1, 2], NAIVE)
+        with pytest.raises(ValueError, match="values must be a vector"):
+            likeliness_scores(path_graph(3), np.ones((1, 3)), NAIVE)
 
     def test_scores_within_unit_interval_for_nonnegative_data(self):
         net = generate_erdos_renyi(30, 2.0, seed=3)
         rng = np.random.default_rng(4)
-        result = likeliness_scores(net, new_cases(rng.random(30)), POLY_HALF)
+        result = likeliness_scores(net, rng.random(30), POLY_HALF)
         assert np.all(result.scores >= 0.0)
         assert np.all(result.scores <= 1.0 + 1e-12)
 
@@ -184,7 +181,7 @@ class TestLikelinessScores:
         values = rng.integers(0, 20, size=n).astype(float)
         if values.sum() == 0:
             values[0] = 1.0
-        result = likeliness_scores(net, new_cases(values), spec)
+        result = likeliness_scores(net, values, spec)
         np.testing.assert_allclose(result.scores, oracle_scores(hop_distances(net), values, spec), atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
@@ -193,8 +190,8 @@ class TestLikelinessScores:
         # powers of two rescale floats without rounding, so invariance is bitwise
         net = generate_erdos_renyi(12, 2.0, seed=6)
         values = np.arange(12, dtype=float)
-        base = likeliness_scores(net, new_cases(values), POLY_HALF)
-        scaled = likeliness_scores(net, new_cases(values * 2.0**exponent), POLY_HALF)
+        base = likeliness_scores(net, values, POLY_HALF)
+        scaled = likeliness_scores(net, values * 2.0**exponent, POLY_HALF)
         np.testing.assert_array_equal(base.scores, scaled.scores)
         np.testing.assert_array_equal(base.ranking, scaled.ranking)
 
@@ -203,8 +200,8 @@ class TestLikelinessScores:
     def test_scale_invariance_up_to_input_rounding(self, scale):
         net = generate_erdos_renyi(12, 2.0, seed=6)
         values = np.arange(12, dtype=float)
-        base = likeliness_scores(net, new_cases(values), POLY_HALF)
-        scaled = likeliness_scores(net, new_cases(values * scale), POLY_HALF)
+        base = likeliness_scores(net, values, POLY_HALF)
+        scaled = likeliness_scores(net, values * scale, POLY_HALF)
         np.testing.assert_allclose(scaled.scores, base.scores, rtol=1e-12)
 
     @settings(max_examples=25, deadline=None)
@@ -215,17 +212,17 @@ class TestLikelinessScores:
         values = np.array([3.0, 0.0, 5.0, 1.0, 0.0, 2.0, 8.0, 0.0, 1.0])
         perm = np.array(data.draw(st.permutations(range(n))))
         for spec in ALL_KINDS:
-            base = likeliness_scores(net, new_cases(values), spec)
+            base = likeliness_scores(net, values, spec)
             relabeled = Network(adjacency(net)[np.ix_(perm, perm)])
-            permuted = likeliness_scores(relabeled, new_cases(values[perm]), spec)
+            permuted = likeliness_scores(relabeled, values[perm], spec)
             np.testing.assert_allclose(permuted.scores, base.scores[perm], atol=1e-12)
 
     @pytest.mark.parametrize("kind,param", [(DecayKind.POLYNOMIAL, 50.0), (DecayKind.EXPONENTIAL, 50.0)])
     def test_large_parameter_converges_to_naive(self, kind, param):
         net = generate_erdos_renyi(15, 2.0, seed=9)
         values = np.array([0.0, 4, 1, 0, 2, 7, 0, 0, 3, 1, 0, 5, 2, 0, 1], dtype=float)
-        sharp = likeliness_scores(net, new_cases(values), DecaySpec(kind, param))
-        naive = likeliness_scores(net, new_cases(values), NAIVE)
+        sharp = likeliness_scores(net, values, DecaySpec(kind, param))
+        naive = likeliness_scores(net, values, NAIVE)
         assert np.max(np.abs(sharp.scores - naive.scores)) < 1e-6
 
     def test_interchangeable_nodes_tie(self):
@@ -233,7 +230,7 @@ class TestLikelinessScores:
         # Summation order differs per row, so ties hold to accumulation noise.
         adj = np.zeros((4, 4), dtype=int)
         adj[0, 1:] = adj[1:, 0] = 1
-        result = likeliness_scores(Network(adj), new_cases([5.0, 1.0, 1.0, 1.0]), POLY_HALF)
+        result = likeliness_scores(Network(adj), [5.0, 1.0, 1.0, 1.0], POLY_HALF)
         assert result.scores[1] == pytest.approx(result.scores[2], abs=1e-13)
         assert result.scores[1] == pytest.approx(result.scores[3], abs=1e-13)
         # and the tied leaves occupy adjacent ranking positions
@@ -244,7 +241,7 @@ class TestLikelinessScores:
         # node 3 isolated: its profile is the unit vector at itself
         adj = np.zeros((4, 4), dtype=int)
         adj[0, 1] = adj[1, 0] = adj[1, 2] = adj[2, 1] = 1
-        result = likeliness_scores(Network(adj), new_cases([4.0, 2.0, 1.0, 0.0]), POLY_HALF)
+        result = likeliness_scores(Network(adj), [4.0, 2.0, 1.0, 0.0], POLY_HALF)
         assert result.scores[3] == 0.0
 
 
@@ -271,7 +268,7 @@ class TestDecayProfile:
         scores, degenerate = score_batch(net, POLY_HALF, values)
         assert degenerate.tolist() == [False, False, True, False, False]
         for row, vector in enumerate(values):
-            want = likeliness_scores(net, new_cases(vector), POLY_HALF)
+            want = likeliness_scores(net, vector, POLY_HALF)
             assert np.array_equal(scores[row], want.scores)
             assert want.degenerate == degenerate[row]
             assert np.array_equal(want.ranking, LikelinessResult(scores[row]).ranking)
@@ -284,7 +281,7 @@ class TestDecayProfile:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"power decay parameter 400\.0 "):
-                likeliness_scores(net, new_cases(np.ones(500)), DecaySpec(DecayKind.POWER, 400.0))
+                likeliness_scores(net, np.ones(500), DecaySpec(DecayKind.POWER, 400.0))
             with pytest.raises(ValueError, match="observation 1 "):
                 score_batch(net, POLY_HALF, np.stack([np.ones(500), np.full(500, 1e200)]))
 
@@ -325,9 +322,14 @@ class TestDecayProfile:
 
     def test_rejects_a_stack_of_the_wrong_width(self):
         net = path_graph(3)
-        for values in (np.ones((2, 4)), np.ones(3)):
-            with pytest.raises(ValueError, match="network has 3 nodes"):
-                score_batch(net, POLY_HALF, values)
+        with pytest.raises(ValueError, match=re.escape("observation has 4 entries but the network has 3 nodes")):
+            score_batch(net, POLY_HALF, np.ones((2, 4)))
+        # A vector, or a stack of stacks, is no (m, N) stack, even when its
+        # last axis has N entries.
+        for shape in ((3,), (1, 1, 3)):
+            message = f"observations must be an (m, N) stack, got shape {shape}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                score_batch(net, POLY_HALF, np.ones(shape))
 
     @pytest.mark.parametrize("spec", ALL_KINDS)
     def test_scores_do_not_depend_on_block_size(self, spec, monkeypatch):
@@ -351,7 +353,7 @@ class TestDecayProfile:
             part, _ = score_batch(net, spec, values[lo:hi])
             assert np.array_equal(part, stacked[lo:hi])
         for row, vector in enumerate(values):
-            assert np.array_equal(likeliness_scores(net, new_cases(vector), spec).scores, stacked[row])
+            assert np.array_equal(likeliness_scores(net, vector, spec).scores, stacked[row])
 
     def test_blocks_in_any_order_score_every_spec_as_score_batch_does(self):
         # Blocks of uneven size in shuffled order, so that a later block
@@ -409,14 +411,14 @@ class TestDecayProfile:
         script = (
             "import hashlib, numpy as np\n"
             "from epiprofiler.network import generate_erdos_renyi\n"
-            "from epiprofiler.profiler import Dataset, DecayKind, DecaySpec, likeliness_scores, score_batch\n"
+            "from epiprofiler.profiler import DecayKind, DecaySpec, likeliness_scores, score_batch\n"
             "net = generate_erdos_renyi(700, 2.0, seed=25)\n"
             "values = np.random.default_rng(26).random((4, 700))\n"
             "h = hashlib.sha256()\n"
             "for spec in (DecaySpec(DecayKind.NAIVE), DecaySpec(DecayKind.POWER, 2.0),\n"
             "             DecaySpec(DecayKind.POLYNOMIAL, 0.5), DecaySpec(DecayKind.EXPONENTIAL, 0.05)):\n"
             "    h.update(score_batch(net, spec, values)[0].tobytes())\n"
-            "    h.update(likeliness_scores(net, Dataset(values[0], 'new_cases'), spec).scores.tobytes())\n"
+            "    h.update(likeliness_scores(net, values[0], spec).scores.tobytes())\n"
             "print(h.hexdigest())\n"
         )
         src = str(Path(profiler.__file__).resolve().parents[1])
@@ -442,7 +444,7 @@ class TestDecayProfile:
         try:
             before = tracemalloc.get_traced_memory()[0]
             for vector in values:
-                likeliness_scores(net, new_cases(vector), POLY_HALF)
+                likeliness_scores(net, vector, POLY_HALF)
             score_batch(net, POLY_HALF, values)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
@@ -486,7 +488,6 @@ class TestHitScore:
 ARRAY_DATACLASSES = {
     "Network": lambda: generate_erdos_renyi(5, 2.0, seed=1),
     "LikelinessResult": lambda: LikelinessResult(np.array([0.3, 0.1, 0.3])),
-    "Dataset": lambda: new_cases([1.0, 2.0, 0.0]),
     "Trajectory": lambda: simulate(
         generate_erdos_renyi(5, 2.0, seed=1),
         EpidemicParams(0.16, 0.04, 0.2),
@@ -517,7 +518,7 @@ class TestRankingExport:
     def test_csv_ranks_descending(self, tmp_path):
         from epiprofiler.profiler import write_ranking_csv
 
-        result = likeliness_scores(path_graph(3), new_cases([0, 1, 0]), POLY_HALF)
+        result = likeliness_scores(path_graph(3), [0, 1, 0], POLY_HALF)
         path = tmp_path / "ranking.csv"
         write_ranking_csv(result, ["a", "b", "c"], path)
         lines = path.read_text().splitlines()
@@ -530,7 +531,7 @@ class TestRankingOrder:
     def test_ranking_descending_with_index_tie_break(self):
         scores = np.array([0.5, 0.8, 0.5, 0.9])
         result = likeliness_scores(
-            path_graph(4), new_cases([1.0, 1.0, 1.0, 1.0]), NAIVE
+            path_graph(4), [1.0, 1.0, 1.0, 1.0], NAIVE
         )
         # equal data entries: naive scores all equal, ranking is identity
         assert result.ranking.tolist() == [0, 1, 2, 3]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from epiprofiler.experiments import ExperimentConfig, _replicate
 from epiprofiler.network import Network, generate_erdos_renyi
-from epiprofiler.profiler import Dataset, DecayKind, DecaySpec, ObservableKind
+from epiprofiler.profiler import DecayKind, DecaySpec, ObservableKind, _hit_scores, likeliness_scores, score_batch
 from epiprofiler.simulator import (
     MAX_REPORT_VALUES,
     MAX_STEPS,
@@ -62,9 +62,6 @@ def classical_sir_reference(alpha, beta, s0, i0, t_end, dt=0.01):
 
 
 class TestParams:
-    def test_reproductive_ratio(self):
-        assert HIGH_R_PARAMS.reproductive_ratio == pytest.approx(4.0)
-
     @pytest.mark.parametrize("bad", [
         dict(alpha=-0.1), dict(beta=0.0), dict(gamma=-1.0),
         dict(alpha=True), dict(beta=True), dict(gamma=False),
@@ -80,7 +77,7 @@ class TestParams:
 
     def test_zero_alpha_and_gamma_allowed(self):
         params = EpidemicParams(0.0, 0.1, 0.0)
-        assert params.reproductive_ratio == 0.0
+        assert (params.alpha, params.beta, params.gamma) == (0.0, 0.1, 0.0)
 
 
 class TestSimulate:
@@ -196,8 +193,8 @@ class TestSimulate:
         net = generate_erdos_renyi(100, 2.0, seed=77)
         source = int(net.degrees().argmax())
         traj = simulate(net, HIGH_R_PARAMS, InitialCondition(source), 60.0, seed=4, noise=True)
-        early = synthesize_dataset(traj, 5.0, 1.0, ObservableKind.NEW_CASES).values
-        late = synthesize_dataset(traj, 50.0, 1.0, ObservableKind.NEW_CASES).values
+        early = synthesize_dataset(traj, 5.0, 1.0, ObservableKind.NEW_CASES)
+        late = synthesize_dataset(traj, 50.0, 1.0, ObservableKind.NEW_CASES)
         assert late.sum() > early.sum()
         assert np.count_nonzero(late > 1.0) > np.count_nonzero(early > 1.0)
 
@@ -295,23 +292,21 @@ def make_trajectory(times, cases, infectious=None):
 class TestSynthesizeDataset:
     def test_new_cases_by_definition(self):
         traj = make_trajectory([5.0, 6.0], [[10.0, 0.0], [14.0, 1.0]])
-        data = synthesize_dataset(traj, 5.0, 1.0, ObservableKind.NEW_CASES)
-        np.testing.assert_array_equal(data.values, [4.0, 1.0])
-        assert data.kind is ObservableKind.NEW_CASES
-        assert data.t_obs == 5.0
+        values = synthesize_dataset(traj, 5.0, 1.0, ObservableKind.NEW_CASES)
+        np.testing.assert_array_equal(values, [4.0, 1.0])
 
     def test_infectious_snapshot_at_start(self):
         net = two_isolated_nodes()
         traj = simulate(net, EpidemicParams(0.0, 0.04, 0.2),
                         InitialCondition(0, 20, 200), 5.0, seed=0, noise=False)
-        data = synthesize_dataset(traj, 0.0, kind=ObservableKind.INFECTIOUS)
-        np.testing.assert_array_equal(data.values, [20.0, 0.0])
+        values = synthesize_dataset(traj, 0.0, kind=ObservableKind.INFECTIOUS)
+        np.testing.assert_array_equal(values, [20.0, 0.0])
 
     def test_infectious_change_clamps_decreases(self):
         traj = make_trajectory([0.0, 1.0], [[0.0, 0.0], [0.0, 0.0]],
                                infectious=[[5.0, 1.0], [3.0, 4.0]])
-        data = synthesize_dataset(traj, 0.0, 1.0, ObservableKind.INFECTIOUS_CHANGE)
-        np.testing.assert_array_equal(data.values, [0.0, 3.0])
+        values = synthesize_dataset(traj, 0.0, 1.0, ObservableKind.INFECTIOUS_CHANGE)
+        np.testing.assert_array_equal(values, [0.0, 3.0])
 
     def test_out_of_range_rejected(self):
         traj = make_trajectory([0.0, 1.0], [[0.0], [1.0]])
@@ -331,8 +326,8 @@ class TestSynthesizeDataset:
 
     def test_snapshot_ignores_delta_t(self):
         traj = make_trajectory([0.0, 1.0], [[1.0, 2.0], [3.0, 5.0]])
-        data = synthesize_dataset(traj, 1.0, -1.0, ObservableKind.CUMULATIVE_CASES)
-        np.testing.assert_array_equal(data.values, [3.0, 5.0])
+        values = synthesize_dataset(traj, 1.0, -1.0, ObservableKind.CUMULATIVE_CASES)
+        np.testing.assert_array_equal(values, [3.0, 5.0])
 
     def test_off_grid_rejected(self):
         traj = make_trajectory([0.0, 1.0, 2.0], [[0.0], [1.0], [2.0]])
@@ -384,22 +379,40 @@ class TestCaseCounterVariant:
         traj = simulate(net, HIGH_R_PARAMS, InitialCondition(2), 5.0, seed=1)
         infectious = synthesize_dataset(traj, 0.0, kind=ObservableKind.INFECTIOUS)
         cumulative = synthesize_dataset(traj, 0.0, kind=ObservableKind.CUMULATIVE_CASES)
-        np.testing.assert_array_equal(infectious.values, cumulative.values)
+        np.testing.assert_array_equal(infectious, cumulative)
+
+
+def refused_observation(values, node):
+    """Score ``values`` on its own, and as the second row of a stack, by
+    each scorer, and check that each refuses it naming the observation, the
+    node and the value."""
+    net = generate_erdos_renyi(values.shape[0], 2.0, seed=1)
+    spec = DecaySpec(DecayKind.POLYNOMIAL, 0.5)
+    stack = np.vstack([np.ones_like(values), values])
+    calls = [
+        (0, lambda: likeliness_scores(net, values, spec)),
+        (1, lambda: score_batch(net, spec, stack)),
+        (1, lambda: _hit_scores(net, (spec,), stack, 0)),
+    ]
+    for observation, call in calls:
+        message = (
+            f"observation {observation} has value {float(values[node])!r} at node {node}: "
+            "observation values must be finite and non-negative"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 class TestDataset:
+    """An observation vector (a dataset of one value per node) holds finite,
+    non-negative values; every scorer refuses any other."""
+
     def test_rejects_negative_values(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            Dataset(np.array([1.0, -0.5]), ObservableKind.NEW_CASES)
+        refused_observation(np.array([1.0, 0.0, -0.5, 2.0]), 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_values(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            Dataset(np.array([1.0, bad]), ObservableKind.NEW_CASES)
-
-    def test_kind_coerced_from_string(self):
-        data = Dataset(np.array([1.0]), "new_cases")
-        assert data.kind is ObservableKind.NEW_CASES
+        refused_observation(np.array([1.0, 0.0, 3.0, bad, 2.0]), 3)
 
 
 class TestRunBudget:
